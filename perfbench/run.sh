@@ -13,8 +13,10 @@ if [[ ! -f go.mod || ! -f perfbench/go.mod || ! -d cmd/delta-server ]]; then
 fi
 out="$PWD/.bench_build"
 mkdir -p "$out/bin" "$out/tmp"
+# XDG_CONFIG_HOME keeps the go command's config and telemetry files in
+# the checkout too.
 export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp" \
-  GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
+  XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
 go build -o "$out/bin/delta-server" ./cmd/delta-server
 (cd perfbench && go build -o "$out/bin/perfbench" .)
 exec "$out/bin/perfbench" --server "$out/bin/delta-server" --out "$out" "$@"
