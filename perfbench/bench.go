@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,12 +49,12 @@ func (o *outcome) check(err error) {
 }
 
 // workload describes a server workload: its op generator, warm-up size,
-// points per op, concurrency, and the system under test it starts.
+// points per op, and the system under test it starts. One op is in flight
+// at a time.
 type workload struct {
 	gen    func(seed int64) func(i int) op // generator factory
 	warmup int
 	points int
-	conns  int // ops in flight: 1, or a closed loop of conns callers
 	start  func(ctx context.Context, rc runConfig, c *http.Client) (*sut, error)
 	// maxRate bounds the ops per second a run can complete.
 	maxRate float64
@@ -80,15 +78,6 @@ func (s *sut) stop() (stray bool) {
 		}
 	}
 	return stray
-}
-
-// cpuSeconds sums the processes' CPU time.
-func (s *sut) cpuSeconds() float64 {
-	var sum float64
-	for _, p := range s.procs {
-		sum += p.cpuSeconds()
-	}
-	return sum
 }
 
 // rssMB sums the processes' peak resident sets.
@@ -145,14 +134,12 @@ func startServers(ctx context.Context, rc runConfig, c *http.Client, names []str
 
 // opRecord is one op as the client ran it.
 type opRecord struct {
-	o      op
-	ms     float64
-	err    error
-	status int
-	raw    []byte // /v1/estimate answer
-	job    jobRun
-	read   int // bytes read, kept after the answers are dropped
-	// Traced sequential runs scrape every process before and after the op.
+	o    op
+	ms   float64
+	err  error
+	job  jobRun
+	read int // bytes read, kept after the answers are dropped
+	// Traced runs scrape every process before and after the op.
 	before, after []map[string]float64
 }
 
@@ -161,15 +148,9 @@ func (s *sut) do(ctx context.Context, c *http.Client, o op, tr *tracer) opRecord
 	rec := opRecord{o: o}
 	root := tr.reserve()
 	t := time.Now()
-	if o.path == "/v2/jobs" {
-		rec.job, rec.err = runJob(ctx, c, s.base(), o.body, tr, o.index, root)
-	} else {
-		end := tr.start("server.request", o.index, root)
-		rec.status, rec.raw, rec.err = post(ctx, c, s.base()+o.path, o.body)
-		end()
-	}
+	rec.job, rec.err = runJob(ctx, c, s.base(), o.body, tr, o.index, root)
 	rec.ms = msSince(t)
-	rec.read = len(rec.raw) + len(rec.job.submit) + len(rec.job.events)
+	rec.read = len(rec.job.submit) + len(rec.job.events)
 	tr.record(root, "op", o.index, 0, t, time.Now())
 	return rec
 }
@@ -181,12 +162,10 @@ type phase struct {
 	first, last []map[string]float64 // scrapes around a traced phase
 }
 
-// runOps runs ops at(first), at(first+1), ... until n ops ran (n > 0) or d
-// elapsed (the op in flight at the deadline finishes). With w.conns > 1
-// that many callers run a closed loop, each sending its next op when its
-// previous answer arrived. A non-nil tracer records spans; with one op in
-// flight it also scrapes every process around each op.
-func (s *sut) runOps(ctx context.Context, c *http.Client, w workload, at func(int) op, first, n int, d time.Duration, tr *tracer) (phase, error) {
+// runOps runs ops at(first), at(first+1), ... back to back until n ops ran
+// (n > 0) or d elapsed (the op in flight at the deadline finishes). A
+// non-nil tracer records spans and scrapes every process around each op.
+func (s *sut) runOps(ctx context.Context, c *http.Client, at func(int) op, first, n int, d time.Duration, tr *tracer) (phase, error) {
 	var ph phase
 	var err error
 	if tr != nil {
@@ -201,48 +180,24 @@ func (s *sut) runOps(ctx context.Context, c *http.Client, w workload, at func(in
 		}
 		return time.Since(t0) < d
 	}
-	if w.conns <= 1 {
-		for k := 0; more(k); k++ {
-			o := at(first + k)
-			var before []map[string]float64
-			if tr != nil {
-				if before, err = s.scrapeAll(ctx, c, tr, o.index); err != nil {
-					return ph, err
-				}
+	for k := 0; more(k); k++ {
+		o := at(first + k)
+		var before []map[string]float64
+		if tr != nil {
+			if before, err = s.scrapeAll(ctx, c, tr, o.index); err != nil {
+				return ph, err
 			}
-			rec := s.do(ctx, c, o, tr)
-			if tr != nil {
-				rec.before = before
-				if rec.after, err = s.scrapeAll(ctx, c, tr, o.index); err != nil {
-					return ph, err
-				}
+		}
+		rec := s.do(ctx, c, o, tr)
+		if tr != nil {
+			rec.before = before
+			if rec.after, err = s.scrapeAll(ctx, c, tr, o.index); err != nil {
+				return ph, err
 			}
-			ph.ops = append(ph.ops, rec)
 		}
-		ph.wall = time.Since(t0)
-	} else {
-		var next atomic.Int64
-		recs := make([][]opRecord, w.conns)
-		var wg sync.WaitGroup
-		for g := range recs {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if !more(k) {
-						return
-					}
-					recs[g] = append(recs[g], s.do(ctx, c, at(first+k), tr))
-				}
-			}(g)
-		}
-		wg.Wait()
-		ph.wall = time.Since(t0)
-		for _, r := range recs {
-			ph.ops = append(ph.ops, r...)
-		}
+		ph.ops = append(ph.ops, rec)
 	}
+	ph.wall = time.Since(t0)
 	if tr != nil {
 		if ph.last, err = s.scrapeAll(ctx, c, tr, -1); err != nil {
 			return ph, err

@@ -13,7 +13,6 @@ const heldOutSeed = 7919
 // generators are the workloads' op sources, the sweep included.
 var generators = map[string]func(seed int64) func(i int) op{
 	"explore-jobs": exploreOps,
-	"estimate-mix": estimateOps,
 	"fleet-sim":    fleetOps,
 	"sim-l2sweep":  func(seed int64) func(int) op { return func(int) op { return simSweepOp(seed) } },
 }
@@ -38,31 +37,23 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 // TestSeedShapes checks that the default and a held-out seed give ops of
-// the same shape: points per op, and estimate-mix's hot share.
+// the same shape: points per op.
 func TestSeedShapes(t *testing.T) {
-	want := map[string]int{"explore-jobs": explorePoints, "estimate-mix": 1, "fleet-sim": fleetPoints, "sim-l2sweep": simSweepPoints}
+	want := map[string]int{"explore-jobs": explorePoints, "fleet-sim": fleetPoints, "sim-l2sweep": simSweepPoints}
 	for name, gen := range generators {
 		for _, seed := range []int64{1, heldOutSeed} {
 			at := gen(seed)
-			hot := 0
 			for i := 0; i < 100; i++ {
-				o := at(i)
-				pts, err := expandDoc(o.doc)
+				pts, err := expandDoc(at(i).doc)
 				if err != nil {
 					t.Fatalf("%s seed %d op %d: %v", name, seed, i, err)
 				}
 				if len(pts) != want[name] {
 					t.Fatalf("%s seed %d op %d: %d points, want %d", name, seed, i, len(pts), want[name])
 				}
-				if o.hot {
-					hot++
-				}
 				if name == "fleet-sim" && i >= 4 || name == "sim-l2sweep" && i >= 1 {
 					break // costly to expand; the shape is fixed by the template
 				}
-			}
-			if name == "estimate-mix" && hot != 80 {
-				t.Errorf("estimate-mix seed %d: %d hot ops of 100, want 80", seed, hot)
 			}
 		}
 	}
@@ -105,25 +96,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if tailSamples(100, 0.9) != 10 || tailSamples(101, 0.9) != 10 || tailSamples(0, 0.9) != 0 {
 		t.Errorf("tailSamples = %d, %d, %d; want 10, 10, 0", tailSamples(100, 0.9), tailSamples(101, 0.9), tailSamples(0, 0.9))
-	}
-}
-
-// TestQuartiles pins the values Python's statistics.quantiles(xs, n=4)
-// returns for the same samples.
-func TestQuartiles(t *testing.T) {
-	for _, c := range []struct {
-		xs   []float64
-		want [3]float64
-	}{
-		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, [3]float64{2.75, 5.5, 8.25}},
-		{[]float64{5, 4, 3, 2, 1}, [3]float64{1.5, 3, 4.5}},
-		{[]float64{1, 2}, [3]float64{0.75, 1.5, 2.25}},
-		{[]float64{7}, [3]float64{7, 7, 7}},
-	} {
-		q1, q2, q3 := quartiles(c.xs)
-		if got := [3]float64{q1, q2, q3}; got != c.want {
-			t.Errorf("quartiles(%v) = %v, want %v", c.xs, got, c.want)
-		}
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 )
 
 // The JSON shapes below mirror what delta-server renders for a scenario
-// point and for /v1/estimate; only the fields the check compares are
-// decoded.
+// point; only the fields the check compares are decoded.
 
 type pointJSON struct {
 	Index    int            `json:"index"`
@@ -31,21 +30,15 @@ type pointJSON struct {
 }
 
 type networkJSON struct {
-	Network      string      `json:"network"`
 	Device       string      `json:"device"`
-	Model        string      `json:"model"`
-	Pass         string      `json:"pass"`
 	Layers       []layerJSON `json:"layers"`
 	TotalSeconds float64     `json:"total_seconds"`
 }
 
 type layerJSON struct {
-	Name         string  `json:"name"`
-	Count        int     `json:"count"`
-	Seconds      float64 `json:"seconds"`
-	FpropSeconds float64 `json:"fprop_seconds"`
-	DgradSeconds float64 `json:"dgrad_seconds"`
-	WgradSeconds float64 `json:"wgrad_seconds"`
+	Name    string  `json:"name"`
+	Count   int     `json:"count"`
+	Seconds float64 `json:"seconds"`
 }
 
 type simLayerJSON struct {
@@ -59,8 +52,8 @@ type simLayerJSON struct {
 	TotalCTAs      int     `json:"total_ctas"`
 }
 
-// modelTimes accumulates the time spent in each facade model call while
-// computing references, for the traced run's per-model eval times.
+// modelTimes accumulates the time spent in each facade call a probe makes,
+// for the traced run's per-layer times.
 type modelTimes struct {
 	mu    sync.Mutex
 	sum   map[string]time.Duration
@@ -68,9 +61,6 @@ type modelTimes struct {
 }
 
 func (m *modelTimes) add(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.sum == nil {
@@ -195,12 +185,12 @@ func checkNetwork(p delta.ScenarioPoint, got *networkJSON, ref []float64) error 
 }
 
 // refSim runs the serial reference engine on every layer of a sim point.
-func refSim(p delta.ScenarioPoint, mt *modelTimes) ([]delta.SimResult, error) {
+func refSim(p delta.ScenarioPoint) ([]delta.SimResult, error) {
 	out := make([]delta.SimResult, len(p.Net.Layers))
+	cfg := *p.Sim
+	cfg.Workers = 1
 	for i, l := range p.Net.Layers {
-		cfg := *p.Sim
-		cfg.Workers = 1
-		r, err := timed(mt, "sim.serial", func() (delta.SimResult, error) { return delta.Simulate(l, cfg) })
+		r, err := delta.Simulate(l, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -235,24 +225,22 @@ type opRef struct {
 }
 
 // computeRef expands an op's scenario document and computes every point's
-// reference through the facade, points spread over the CPUs.
-func computeRef(o op, mt *modelTimes, sims *simStats) (opRef, error) {
+// reference through the facade on the caller's goroutine, timing nothing:
+// callers spread ops over the CPUs, and per-layer times come from probes
+// that run alone (layers.go).
+func computeRef(o op, sims *simStats) (opRef, error) {
 	pts, err := expandDoc(o.doc)
 	if err != nil {
 		return opRef{}, err
 	}
 	ref := opRef{pts: pts, analytic: make([][]float64, len(pts)), sim: make([][]delta.SimResult, len(pts))}
-	for _, err := range parallel(len(pts), clientConns(), func(i int) error {
-		var err error
-		if pts[i].Sim != nil {
-			ref.sim[i], err = refSim(pts[i], mt)
+	for i, p := range pts {
+		if p.Sim != nil {
+			if ref.sim[i], err = refSim(p); err != nil {
+				return opRef{}, err
+			}
 			sims.add(ref.sim[i])
-		} else {
-			ref.analytic[i], err = refLayerSeconds(pts[i], mt)
-		}
-		return err
-	}) {
-		if err != nil {
+		} else if ref.analytic[i], err = refLayerSeconds(p, nil); err != nil {
 			return opRef{}, err
 		}
 	}
@@ -325,26 +313,7 @@ func checkJobStream(o op, ref opRef, events []byte) (frames int, err error) {
 	return len(fs), nil
 }
 
-// checkEstimate checks a /v1/estimate answer: the one-point scenario the
-// server runs, rendered as a network result.
-func checkEstimate(o op, ref opRef, status int, raw []byte) error {
-	if status != 200 {
-		return fmt.Errorf("estimate %d: status %d: %s", o.index, status, firstLine(raw))
-	}
-	var got networkJSON
-	if err := json.Unmarshal(raw, &got); err != nil {
-		return fmt.Errorf("estimate %d: %w", o.index, err)
-	}
-	if got.Model != "delta" || got.Pass != "inference" {
-		return fmt.Errorf("estimate %d: model %s/%s", o.index, got.Model, got.Pass)
-	}
-	if err := checkNetwork(ref.pts[0], &got, ref.analytic[0]); err != nil {
-		return fmt.Errorf("estimate %d: %w", o.index, err)
-	}
-	return nil
-}
-
-// simStats sums the modelled cache counters of the reference simulations.
+// simStats sums the modelled cache counters of simulations.
 type simStats struct {
 	mu           sync.Mutex
 	l1Acc, l1Hit uint64
@@ -352,9 +321,6 @@ type simStats struct {
 }
 
 func (s *simStats) add(rs []delta.SimResult) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range rs {

@@ -13,13 +13,10 @@ import (
 	"time"
 )
 
-// newClient returns an HTTP client holding one keep-alive connection per
-// concurrent caller.
+// newClient returns an HTTP client that keeps its connections alive
+// between ops and asks for uncompressed answers.
 func newClient() *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		MaxIdleConnsPerHost: 8,
-		DisableCompression:  true,
-	}}
+	return &http.Client{Transport: &http.Transport{DisableCompression: true}}
 }
 
 // post sends body and returns the status and the full response body.
@@ -90,24 +87,6 @@ func runJob(ctx context.Context, c *http.Client, base string, body []byte, tr *t
 		return jr, fmt.Errorf("events: status %d: %s", status, firstLine(jr.events))
 	}
 	return jr, nil
-}
-
-// streamShard posts a whole scenario as one /v2/shards window and reads
-// the SSE answer to its end.
-func streamShard(ctx context.Context, c *http.Client, base string, doc []byte, points int) ([]byte, error) {
-	body := mustJSON(struct {
-		Scenario json.RawMessage `json:"scenario"`
-		Offset   int             `json:"offset"`
-		Limit    int             `json:"limit"`
-	}{doc, 0, points})
-	status, raw, err := post(ctx, c, base+"/v2/shards", body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("shard: status %d: %s", status, firstLine(raw))
-	}
-	return raw, nil
 }
 
 func firstLine(b []byte) string {

@@ -7,8 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-
-	"delta"
 )
 
 // Every input the program sees comes from here, as a pure function of the
@@ -34,16 +32,12 @@ func golden(x float64, i int) float64 {
 	return f
 }
 
-// op is one unit of work: an HTTP request body (or, for sim-l2sweep, the
-// scenario document run in-process) plus what verification needs.
+// op is one unit of work: a /v2/jobs request body (or, for sim-l2sweep,
+// the scenario document run in-process) plus what verification needs.
 type op struct {
 	index int
-	path  string // request path; "" for the in-process sweep
-	body  []byte // request body
-	doc   []byte // scenario document equivalent to the op
-	// hot marks an estimate-mix body drawn from the hot set; hotID names it.
-	hot   bool
-	hotID int
+	body  []byte // /v2/jobs request body; nil for the in-process sweep
+	doc   []byte // the scenario document the job carries
 }
 
 // scenarioDoc is the /v2 scenario document shape, written with the JSON
@@ -137,78 +131,10 @@ func exploreOp(seed int64, i int) op {
 		Models:    []string{"delta", "prior", "roofline"},
 		Passes:    []string{"inference", "training"},
 	})
-	return op{index: i, path: "/v2/jobs", body: jobBody(doc), doc: doc}
+	return op{index: i, body: jobBody(doc), doc: doc}
 }
 
 const explorePoints = 64
-
-// estimateHotSet is the number of distinct bodies the hot share of
-// estimate-mix draws from.
-const estimateHotSet = 64
-
-// estimateOps returns the estimate-mix generator: four ops in five (every
-// op whose index is not 4 mod 5) repeat one of 64 hot bodies, chosen by
-// the seed; the rest are bodies no other op sends. Fixing the hot
-// positions by index keeps the hot share exactly 80% under every seed.
-func estimateOps(seed int64) func(i int) op {
-	hot := make([]op, estimateHotSet)
-	for h := range hot {
-		hot[h] = estimateBody(seed, "estimate-hot", h)
-		hot[h].hot, hot[h].hotID = true, h
-	}
-	return func(i int) op {
-		var o op
-		if i%5 != 4 {
-			o = hot[rngFor(seed, "estimate-mix", i).Intn(estimateHotSet)]
-		} else {
-			o = estimateBody(seed, "estimate-new", i/5)
-		}
-		o.index = i
-		return o
-	}
-}
-
-// estimateBody draws 3 + i%6 conv layers on one Table I device: the layer
-// count follows the index, not the seed, so every seed's hot set and new
-// bodies carry the same amount of work.
-func estimateBody(seed int64, stream string, i int) op {
-	r := rngFor(seed, stream, i)
-	n := 3 + i%6
-	ls := make([]layerDoc, n)
-	for j := range ls {
-		// Redraw the rare shape the model rejects, so no op fails.
-		for ls[j] = randomLayer(r, fmt.Sprintf("l%d", j)); ls[j].conv().Validate() != nil; {
-			ls[j] = randomLayer(r, fmt.Sprintf("l%d", j))
-		}
-	}
-	dev := tableI[r.Intn(len(tableI))]
-	body := mustJSON(struct {
-		Layers []layerDoc `json:"layers"`
-		Device string     `json:"device"`
-	}{ls, dev})
-	doc := mustJSON(scenarioDoc{
-		Name:      "request",
-		Workloads: []workloadDoc{{Name: "request", Layers: ls}},
-		Devices:   []deviceDoc{{Name: dev}},
-	})
-	return op{path: "/v1/estimate", body: body, doc: doc}
-}
-
-// randomLayer draws a conv layer shaped like the paper's CNN layers.
-func randomLayer(r *rand.Rand, name string) layerDoc {
-	chans := []int{3, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512}
-	hf := []int{1, 3, 5, 7}[r.Intn(4)]
-	return layerDoc{
-		Name:   name,
-		B:      []int{1, 8, 32, 64, 128, 256}[r.Intn(6)],
-		Ci:     chans[r.Intn(len(chans))],
-		Hi:     []int{7, 13, 14, 27, 28, 56}[r.Intn(6)],
-		Co:     chans[1+r.Intn(len(chans)-1)],
-		Hf:     hf,
-		Stride: 1 + r.Intn(2),
-		Pad:    hf / 2,
-	}
-}
 
 // l2Size returns a seeded L2 capacity near base MB: one of the 16 KB steps
 // within +-25% of it. Distinct k give distinct capacities (no two round to
@@ -271,13 +197,7 @@ func fleetOp(seed int64, i int) op {
 		Batches:   []int{1, 2},
 		SimCfgs:   []struct{}{{}},
 	})
-	return op{index: i, path: "/v2/jobs", body: jobBody(doc), doc: doc}
+	return op{index: i, body: jobBody(doc), doc: doc}
 }
 
 const fleetPoints = 18
-
-// conv converts a generated layer with the defaults internal/spec applies.
-func (l layerDoc) conv() delta.Conv {
-	return delta.Conv{Name: l.Name, B: l.B, Ci: l.Ci, Hi: l.Hi, Wi: l.Hi,
-		Co: l.Co, Hf: l.Hf, Wf: l.Hf, Stride: l.Stride, Pad: l.Pad}
-}

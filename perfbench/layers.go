@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -10,9 +9,12 @@ import (
 )
 
 // layerNames is every per-layer metric, in report order, with its unit. A
-// traced run reports each one on every workload; a layer a workload does
-// not reach reads 0 (ratios and counts) or is measured by a probe of that
-// layer on the workload's own inputs (times), as README.md lists.
+// traced run reports each one on every workload. Counts and ratios of a
+// layer a workload never reaches read their idle value (0, or 1 for the
+// imbalance of a single server). Times are measured on every workload,
+// never printed as a constant: a layer the ops never reach is timed by a
+// probe on the workload's own inputs (probeTimes, probeFleet), as
+// README.md lists.
 var layerNames = []struct{ name, unit string }{
 	{"spec.decode_ms", "ms"},
 	{"scenario.expand_ms", "ms"},
@@ -59,10 +61,13 @@ func spanMeanMs(tr *tracer, name string) float64 {
 	return float64(sum[name].Nanoseconds()) / 1e6 / float64(count[name])
 }
 
-// modelsProbe runs the five analytic models on every layer of the points,
-// so each model's eval time is measured on every workload's layers, also
-// where the ops ask for some models only or none.
-func modelsProbe(pts []delta.ScenarioPoint, mt *modelTimes) error {
+// probeTimes times the five analytic models and the simulator on the
+// points' layers. It runs on one goroutine after verification, with no
+// server running, so nothing else competes with the calls it times. Every
+// model runs on every layer; the simulator runs serial (Workers: 1) on
+// simProbes' layers and at default width on the largest of them.
+func probeTimes(L map[string]float64, pts []delta.ScenarioPoint) error {
+	mt := &modelTimes{}
 	for _, p := range pts {
 		for _, mp := range []struct{ model, pass string }{
 			{delta.ScenarioModelDelta, delta.ScenarioPassInference},
@@ -77,52 +82,81 @@ func modelsProbe(pts []delta.ScenarioPoint, mt *modelTimes) error {
 			}
 		}
 	}
-	return nil
-}
-
-// engineProbe simulates one layer of the points, the one with the fewest
-// multiply-accumulates, with the serial engine and at default width: the
-// simulator's timing on a workload whose ops never simulate.
-func engineProbe(pts []delta.ScenarioPoint, mt *modelTimes, sims *simStats, tr *tracer) error {
-	var best delta.Conv
-	var dev delta.GPU
-	macs := math.Inf(1)
-	for _, p := range pts {
-		for _, l := range p.Net.Layers {
-			m := float64(l.B) * float64(l.Ho()) * float64(l.Wo()) * float64(l.Co) * float64(l.Ci) * float64(l.Hf*l.Wf)
-			if m < macs {
-				best, dev, macs = l, p.Device, m
-			}
-		}
-	}
-	q := delta.ScenarioPoint{Net: delta.Network{Layers: []delta.Conv{best}}, Sim: &delta.SimConfig{Device: dev}}
-	rs, err := refSim(q, mt)
-	if err != nil {
-		return err
-	}
-	sims.add(rs)
-	return parallelSim(best, *q.Sim, mt, tr)
-}
-
-// parallelSim times one default-width simulation.
-func parallelSim(l delta.Conv, cfg delta.SimConfig, mt *modelTimes, tr *tracer) error {
-	cfg.Workers = 0
-	end := tr.start("sim.parallel", -1, 0)
-	_, err := timed(mt, "sim.parallel", func() (delta.SimResult, error) { return delta.Simulate(l, cfg) })
-	end()
-	return err
-}
-
-// simLayers fills the simulator's metrics from the reference runs.
-func simLayers(L map[string]float64, mt *modelTimes, sims *simStats) {
-	L["sim.engine.serial_ms"] = mt.meanUs("sim.serial") / 1000
-	L["sim.engine.parallel_ms"] = mt.meanUs("sim.parallel") / 1000
-	L["sim.engine.msectors_per_s"] = ratio(float64(sims.l1Acc)/1e6, mt.total("sim.serial").Seconds())
-	L["sim.cache.l1_hit_ratio"] = ratio(float64(sims.l1Hit), float64(sims.l1Acc))
-	L["sim.cache.l2_hit_ratio"] = ratio(float64(sims.l2Hit), float64(sims.l2Acc))
 	for _, m := range []string{"traffic", "perf", "prior", "roofline", "backprop"} {
 		L[m+".eval_us"] = mt.meanUs(m)
 	}
+
+	probes := simProbes(pts)
+	largest := probes[0]
+	var sectors uint64
+	for _, sp := range probes {
+		cfg := sp.cfg
+		cfg.Workers = 1
+		r, err := timed(mt, "sim.serial", func() (delta.SimResult, error) { return delta.Simulate(sp.layer, cfg) })
+		if err != nil {
+			return err
+		}
+		sectors += r.L1Stats.SectorAccesses
+		if macs(sp.layer) > macs(largest.layer) {
+			largest = sp
+		}
+	}
+	cfg := largest.cfg
+	cfg.Workers = 0
+	if _, err := timed(mt, "sim.parallel", func() (delta.SimResult, error) { return delta.Simulate(largest.layer, cfg) }); err != nil {
+		return err
+	}
+	L["sim.engine.serial_ms"] = mt.meanUs("sim.serial") / 1000
+	L["sim.engine.parallel_ms"] = mt.meanUs("sim.parallel") / 1000
+	L["sim.engine.msectors_per_s"] = ratio(float64(sectors)/1e6, mt.total("sim.serial").Seconds())
+	return nil
+}
+
+// simProbe is one layer the engine probe simulates, with its config.
+type simProbe struct {
+	layer delta.Conv
+	cfg   delta.SimConfig
+}
+
+// simProbes picks the layers probeTimes simulates. For simulation points
+// that is every layer of the first point of each workload, the op's own
+// mix of shapes. Analytic points are never simulated, and their batch
+// 64-256 layers would make the probe long, so they give the one layer with
+// the fewest multiply-accumulates, on its point's device.
+func simProbes(pts []delta.ScenarioPoint) []simProbe {
+	if pts[0].Sim == nil {
+		var best simProbe
+		for _, p := range pts {
+			for _, l := range p.Net.Layers {
+				if best.cfg.Device.Name == "" || macs(l) < macs(best.layer) {
+					best = simProbe{l, delta.SimConfig{Device: p.Device}}
+				}
+			}
+		}
+		return []simProbe{best}
+	}
+	var out []simProbe
+	seen := map[string]bool{}
+	for _, p := range pts {
+		if !seen[p.Workload] {
+			seen[p.Workload] = true
+			for _, l := range p.Net.Layers {
+				out = append(out, simProbe{l, *p.Sim})
+			}
+		}
+	}
+	return out
+}
+
+func macs(l delta.Conv) float64 {
+	return float64(l.B) * float64(l.Ho()) * float64(l.Wo()) * float64(l.Co) * float64(l.Ci) * float64(l.Hf*l.Wf)
+}
+
+// cacheLayers fills the modelled cache hit ratios from the verifier's
+// reference simulations, 0 where the ops never simulate.
+func cacheLayers(L map[string]float64, sims *simStats) {
+	L["sim.cache.l1_hit_ratio"] = ratio(float64(sims.l1Hit), float64(sims.l1Acc))
+	L["sim.cache.l2_hit_ratio"] = ratio(float64(sims.l2Hit), float64(sims.l2Acc))
 }
 
 // replayLayers fills the metrics the in-process replays measure.
@@ -145,8 +179,8 @@ func replayLayers(L map[string]float64, tr *tracer, rps []replay) {
 func pps(points int, wall time.Duration) float64 { return ratio(float64(points), wall.Seconds()) }
 
 // serverLayers computes the per-layer metrics of a traced server run.
-func serverLayers(ctx context.Context, w workload, v *verifier, traced phase, frames []int,
-	tracedPPS, untracedPPS float64, probe *shardProbe, tr *tracer) (map[string]float64, error) {
+func serverLayers(ctx context.Context, rc runConfig, w workload, v *verifier, traced phase, frames []int,
+	tracedPPS, untracedPPS float64, tr *tracer) (map[string]float64, error) {
 	L := map[string]float64{}
 	isFleet := len(traced.first) > 1
 	rps, recs, err := replayAll(ctx, traced.ops, w.replays, w.memoReplays, tr)
@@ -164,17 +198,10 @@ func serverLayers(ctx context.Context, w workload, v *verifier, traced phase, fr
 	if err != nil {
 		return nil, err
 	}
-	if err := modelsProbe(pts, v.mt); err != nil {
+	if err := probeTimes(L, pts); err != nil {
 		return nil, err
 	}
-	if isFleet {
-		if err := parallelSim(pts[0].Net.Layers[0], *pts[0].Sim, v.mt, tr); err != nil {
-			return nil, err
-		}
-	} else if err := engineProbe(pts, v.mt, v.sims, tr); err != nil {
-		return nil, err
-	}
-	simLayers(L, v.mt, v.sims)
+	cacheLayers(L, v.sims)
 
 	// Memo and stream tier: the front server, or the fleet's workers.
 	first, last := traced.first, traced.last
@@ -194,28 +221,42 @@ func serverLayers(ctx context.Context, w workload, v *verifier, traced phase, fr
 	L["pipeline.memo_entries"] = entries
 	L["sim.trace.stream_hit_ratio"] = ratio(sHits, sHits+sMisses)
 
-	var handler, bytesRead, nFrames float64
-	for _, route := range []string{"/v1/estimate", "/v2/jobs", "/v2/jobs/{id}/events"} {
-		handler += diff(first[0], last[0], routeSeries("sum", route))
-	}
+	var bytesRead, nFrames float64
 	for i, r := range traced.ops {
 		bytesRead += float64(r.read)
 		nFrames += float64(frames[i])
 	}
 	n := float64(len(traced.ops))
-	L["server.handler_ms"] = 1000 * handler / n
+	L["server.handler_ms"] = handlerMs(traced)
 	L["server.response_kb"] = bytesRead / 1024 / n
 	L["server.sse_frames"] = nFrames / n
 
 	if isFleet {
 		fleetLayers(L, traced)
 	} else {
+		// One server never reaches the cluster layer: its ratios read idle
+		// and its times come from a few traced ops run through a fleet.
+		var ops []op
+		for _, r := range sample(traced.ops, 4) {
+			ops = append(ops, r.o)
+		}
+		if _, err := probeFleet(ctx, rc, v, ops, L, tr); err != nil {
+			return nil, err
+		}
 		L["cluster.peer_imbalance"] = 1
-		L["cluster.shard_ms"] = mean(probe.shardMs)
-		L["cluster.overhead_ms"] = mean(probe.overheadMs)
 	}
 	L["trace.overhead_pct"] = 100 * (1 - ratio(tracedPPS, untracedPPS))
 	return L, nil
+}
+
+// handlerMs is the front server's /v2 handler time per op over a traced
+// phase, from its request-duration histogram.
+func handlerMs(ph phase) float64 {
+	var sum float64
+	for _, route := range []string{"/v2/jobs", "/v2/jobs/{id}/events"} {
+		sum += diff(ph.first[0], ph.last[0], routeSeries("sum", route))
+	}
+	return 1000 * sum / float64(len(ph.ops))
 }
 
 // fleetLayers computes the cluster metrics from the per-op scrapes of the
@@ -255,9 +296,6 @@ func maxOf(xs []float64) float64 {
 }
 
 // sweepLayers computes the per-layer metrics of a traced sim-l2sweep run.
-// The sweep never touches a server, so the server and cluster layers are
-// measured by running the same sweep once as a /v2 job and once as a
-// /v2/shards window, each on a fresh delta-server.
 func sweepLayers(ctx context.Context, rc runConfig, o op, ref opRef, v *verifier, timed, traced childMsg, tr *tracer) (map[string]float64, error) {
 	L := map[string]float64{}
 	var rps []replay
@@ -269,84 +307,24 @@ func sweepLayers(ctx context.Context, rc runConfig, o op, ref opRef, v *verifier
 		rps = append(rps, rp)
 	}
 	replayLayers(L, tr, rps)
-	if err := modelsProbe(ref.pts, v.mt); err != nil {
+	if err := probeTimes(L, ref.pts); err != nil {
 		return nil, err
 	}
-	for _, p := range ref.pts {
-		if len(p.Net.Layers) == 1 {
-			if err := parallelSim(p.Net.Layers[0], *p.Sim, v.mt, tr); err != nil {
-				return nil, err
-			}
-		}
-	}
-	simLayers(L, v.mt, v.sims)
+	cacheLayers(L, v.sims)
 	st := sumStats(timed.Sweeps)
 	L["pipeline.memo_hit_ratio"] = ratio(float64(st.Hits), float64(st.Hits+st.Misses))
 	L["pipeline.memo_entries"] = float64(st.Entries)
 	L["sim.trace.stream_hit_ratio"] = ratio(float64(st.StreamHits), float64(st.StreamHits+st.StreamMisses))
 
-	c := newClient()
-	probe := func(f func(s *sut) error) error {
-		s, err := single(ctx, rc, c)
-		if err != nil {
-			return err
-		}
-		err = f(s)
-		if s.stop() && err == nil {
-			err = fmt.Errorf("probe server left a stray process")
-		}
-		return err
+	// The sweep never reaches a server: the server and cluster ratios and
+	// counts read idle, and their times come from the sweep run once as a
+	// /v2 job through a fleet.
+	ph, err := probeFleet(ctx, rc, v, []op{{body: jobBody(o.doc), doc: o.doc}}, L, tr)
+	if err != nil {
+		return nil, err
 	}
-	var jobMs float64
-	if err := probe(func(s *sut) error {
-		before, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return err
-		}
-		r := s.do(ctx, c, op{index: -1, path: "/v2/jobs", body: jobBody(o.doc), doc: o.doc}, tr)
-		if r.err != nil {
-			return r.err
-		}
-		after, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return err
-		}
-		frames, err := checkJobStream(r.o, ref, r.job.events)
-		if err != nil {
-			return err
-		}
-		jobMs = r.ms
-		L["server.handler_ms"] = 1000 * (diff(before, after, routeSeries("sum", "/v2/jobs")) +
-			diff(before, after, routeSeries("sum", "/v2/jobs/{id}/events")))
-		L["server.response_kb"] = float64(r.read) / 1024
-		L["server.sse_frames"] = float64(frames)
-		L["server.overhead_ms"] = r.ms - mean([]float64{rps[0].freshMs, rps[1].freshMs})
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("server probe: %w", err)
-	}
-	if err := probe(func(s *sut) error {
-		before, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return err
-		}
-		end := tr.start("cluster.shard", -1, 0)
-		_, err = streamShard(ctx, c, s.base(), o.doc, len(ref.pts))
-		end()
-		if err != nil {
-			return err
-		}
-		after, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return err
-		}
-		ms := 1000 * diff(before, after, routeSeries("sum", "/v2/shards"))
-		L["cluster.shard_ms"] = ms
-		L["cluster.overhead_ms"] = jobMs - ms
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("shard probe: %w", err)
-	}
+	L["server.handler_ms"] = handlerMs(ph)
+	L["server.overhead_ms"] = ph.ops[0].ms - mean([]float64{rps[0].freshMs, rps[1].freshMs})
 	L["cluster.peer_imbalance"] = 1
 	wallOf := func(m childMsg) time.Duration {
 		var ms float64

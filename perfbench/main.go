@@ -4,7 +4,7 @@
 // the end-to-end metrics (or, with --trace 1, the per-layer metrics) as
 // the last line of its output. See README.md for the catalogue.
 //
-//	perfbench --workload explore-jobs --seed 1 --seconds 10 --trace 0
+//	perfbench --workload explore-jobs --seed 1 --seconds 15 --trace 0
 //
 // run.sh builds delta-server and this command, then runs it.
 package main
@@ -25,18 +25,14 @@ import (
 	"time"
 )
 
-// clientConns is the closed-loop caller count and the verification width:
-// one per CPU.
-func clientConns() int { return runtime.NumCPU() }
-
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "child-sweep" {
 		os.Exit(childSweep())
 	}
 	var (
-		name    = flag.String("workload", "", "explore-jobs | estimate-mix | sim-l2sweep | fleet-sim")
+		name    = flag.String("workload", "", "explore-jobs | sim-l2sweep | fleet-sim")
 		seed    = flag.Int64("seed", 1, "workload seed: the same seed gives the same inputs")
-		seconds = flag.Float64("seconds", 10, "length of the timed phase")
+		seconds = flag.Float64("seconds", 0, "length of the timed phase (required)")
 		trace   = flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 		server  = flag.String("server", ".bench_build/bin/delta-server", "delta-server binary")
 		outDir  = flag.String("out", ".bench_build", "directory for process logs and span dumps")
@@ -111,11 +107,9 @@ func report(rc runConfig, out *outcome) int {
 		put("op_p50_ms", quantile(out.opMs, 0.5), "ms")
 		put("op_p90_ms", quantile(out.opMs, 0.9), "ms")
 		put("peak_rss_mb", out.rssMB, "MB")
-		q1, q2, q3 := quartiles(out.opMs)
 		samples = map[string]any{
 			"setup_s": len(out.setups), "points": out.points,
-			"op_ms": map[string]any{"n": len(out.opMs), "beyond_p90": tailSamples(len(out.opMs), 0.9),
-				"q1": q1, "median": q2, "q3": q3},
+			"op_ms": map[string]any{"n": len(out.opMs), "beyond_p90": tailSamples(len(out.opMs), 0.9)},
 		}
 	}
 	names := make([]string, 0, len(metrics))

@@ -217,21 +217,3 @@ func cpuTicks() (total, steal float64) {
 	}
 	return total, steal
 }
-
-// cpuSeconds is the user+system CPU time the process has used.
-func (p *proc) cpuSeconds() float64 {
-	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", p.cmd.Process.Pid))
-	if err != nil {
-		return 0
-	}
-	// Fields after the parenthesised command name; utime and stime are
-	// the 14th and 15th fields of the line.
-	_, rest, _ := strings.Cut(string(b), ") ")
-	f := strings.Fields(rest)
-	if len(f) < 13 {
-		return 0
-	}
-	u, _ := strconv.ParseFloat(f[11], 64)
-	s, _ := strconv.ParseFloat(f[12], 64)
-	return (u + s) / 100
-}

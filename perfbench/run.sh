@@ -2,7 +2,7 @@
 # Builds delta-server and the benchmark from this checkout, then runs the
 # benchmark with the given arguments. Run from the repository root:
 #
-#   bash perfbench/run.sh --workload explore-jobs --seed 1 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload explore-jobs --seed 1 --seconds 15 --trace 0
 #
 # Build outputs, the Go build cache, process logs and span dumps all stay
 # under .bench_build/ in the checkout.

@@ -15,10 +15,6 @@ func quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return sortedQuantile(s, q)
-}
-
-func sortedQuantile(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
@@ -33,37 +29,6 @@ func sortedQuantile(s []float64, q float64) float64 {
 
 // median is the 0.5 quantile.
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
-
-// quartiles returns the first quartile, median and third quartile of xs
-// with the "exclusive" method of Python's statistics.quantiles(xs, n=4),
-// the rule the steadiness check applies to run-to-run spreads. Fewer than
-// two samples yield the single value three times.
-func quartiles(xs []float64) (q1, q2, q3 float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], s[0], s[0]
-	}
-	n := len(s)
-	cut := func(i int) float64 {
-		// statistics.quantiles, method="exclusive", transcribed: the
-		// i-th of 4 cut points sits at 1-based position i*(n+1)/4, with
-		// the bracketing rank clamped to [1, n-1].
-		m := n + 1
-		j := i * m / 4
-		if j < 1 {
-			j = 1
-		} else if j > n-1 {
-			j = n - 1
-		}
-		delta := i*m - j*4
-		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
-	}
-	return cut(1), cut(2), cut(3)
-}
 
 // tailSamples reports how many samples of an n-sample run lie strictly
 // beyond its q-quantile: the count that decides whether a percentile is

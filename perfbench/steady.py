@@ -45,7 +45,8 @@ def main():
         steal = details[-1].get("info", {}).get("steal_share")
         print(f"seed {seed}: correct={res['correct']} attempted={res['attempted']} "
               f"failed={res['failed']} wall={walls[-1]:.1f}s"
-              + ("" if steal is None else f" steal={steal:.3f}"), flush=True)
+              + ("" if steal is None else f" steal={steal:.3f}") + " "
+              + " ".join(f"{k}={m['value']:.5g}" for k, m in sorted(res["metrics"].items())), flush=True)
         for k, m in res["metrics"].items():
             values.setdefault(k, []).append(m["value"])
     print(f"\n{args.workload}: {args.runs} runs, wall median {statistics.median(walls):.1f}s max {max(walls):.1f}s")

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,19 +19,13 @@ import (
 
 // workloads are the server workloads; sim-l2sweep runs through runSweep.
 var workloads = map[string]workload{
-	// One default delta-server, one /v2 job in flight. 48 warm-up jobs
-	// insert 48 x 1408 analytic results, past the memo's 65,536-entry cap,
-	// so the whole timed phase runs at the cap instead of crossing it at a
-	// speed-dependent moment.
-	"explore-jobs": {gen: exploreOps, warmup: 48, points: explorePoints, conns: 1,
+	// One default delta-server. 48 warm-up jobs insert 48 x 1408 analytic
+	// results, past the memo's 65,536-entry cap, so the whole timed phase
+	// runs at the cap instead of crossing it at a speed-dependent moment.
+	"explore-jobs": {gen: exploreOps, warmup: 48, points: explorePoints,
 		start: single, maxRate: 200, replays: 200, memoReplays: 20},
-	// One default delta-server, a closed loop of as many callers as there
-	// are CPUs.
-	"estimate-mix": {gen: estimateOps, warmup: 2000, points: 1, conns: clientConns(),
-		start: single, maxRate: 12000, replays: 2000, memoReplays: 200},
-	// Two single-worker delta-servers behind a coordinator, one job in
-	// flight.
-	"fleet-sim": {gen: fleetOps, warmup: 1, points: fleetPoints, conns: 1,
+	// Two single-worker delta-servers behind a coordinator.
+	"fleet-sim": {gen: fleetOps, warmup: 1, points: fleetPoints,
 		start: fleet, maxRate: 5, replays: 2, memoReplays: 1},
 }
 
@@ -45,14 +40,12 @@ func fleet(ctx context.Context, rc runConfig, c *http.Client) (*sut, error) {
 }
 
 // verifier checks recorded ops against references computed through the
-// facade, caching one reference per distinct request body.
+// facade.
 type verifier struct {
-	mt   *modelTimes
-	sims *simStats
+	sims *simStats // modelled cache counters of the reference simulations
 
-	mu      sync.Mutex
-	refs    map[string]*refEntry
-	checked map[string][]byte // body key -> an answer that passed
+	mu   sync.Mutex
+	refs map[string]*refEntry // by scenario document; see ref
 }
 
 type refEntry struct {
@@ -62,68 +55,50 @@ type refEntry struct {
 }
 
 func newVerifier() *verifier {
-	return &verifier{mt: &modelTimes{}, sims: &simStats{}, refs: map[string]*refEntry{}, checked: map[string][]byte{}}
+	return &verifier{sims: &simStats{}, refs: map[string]*refEntry{}}
 }
 
-func bodyKey(o op) string {
-	if o.hot {
-		return fmt.Sprintf("hot-%d", o.hotID)
-	}
-	return string(o.doc)
-}
-
+// ref returns o's reference and keeps it for later checks of the same
+// document: the warm-up ops, run again by every setup, and the sweep.
 func (v *verifier) ref(o op) (opRef, error) {
-	k := bodyKey(o)
 	v.mu.Lock()
-	e := v.refs[k]
+	e := v.refs[string(o.doc)]
 	if e == nil {
 		e = &refEntry{}
-		v.refs[k] = e
+		v.refs[string(o.doc)] = e
 	}
 	v.mu.Unlock()
-	e.once.Do(func() { e.ref, e.err = computeRef(o, v.mt, v.sims) })
+	e.once.Do(func() { e.ref, e.err = computeRef(o, v.sims) })
 	return e.ref, e.err
 }
 
-// check verifies one op record; frames is the SSE frame count.
+// check verifies one op record; frames is the SSE frame count. An op
+// without a kept reference gets one computed for this check alone, so a
+// run never holds the references of all its timed ops at once.
 func (v *verifier) check(r opRecord) (frames int, err error) {
 	if r.err != nil {
 		return 0, fmt.Errorf("op %d: %w", r.o.index, r.err)
 	}
-	k := bodyKey(r.o)
-	answer := r.raw
-	if r.o.path == "/v2/jobs" {
-		answer = r.job.events
-	}
-	// A repeated hot body must get the very answer that already passed.
 	v.mu.Lock()
-	prev, seen := v.checked[k]
+	_, kept := v.refs[string(r.o.doc)]
 	v.mu.Unlock()
-	if r.o.hot && seen && r.status == http.StatusOK && bytes.Equal(prev, answer) {
-		return 0, nil
+	var ref opRef
+	if kept {
+		ref, err = v.ref(r.o)
+	} else {
+		ref, err = computeRef(r.o, v.sims)
 	}
-	ref, err := v.ref(r.o)
 	if err != nil {
 		return 0, err
 	}
-	if r.o.path == "/v2/jobs" {
-		frames, err = checkJobStream(r.o, ref, r.job.events)
-	} else {
-		err = checkEstimate(r.o, ref, r.status, r.raw)
-	}
-	if err == nil {
-		v.mu.Lock()
-		v.checked[k] = answer
-		v.mu.Unlock()
-	}
-	return frames, err
+	return checkJobStream(r.o, ref, r.job.events)
 }
 
-// verifyAll checks every record on as many goroutines as there are CPUs,
-// returning each record's error and frame count.
+// verifyAll checks every record, the records spread over the CPUs, and
+// returns each record's error and frame count.
 func (v *verifier) verifyAll(recs []opRecord) ([]error, []int) {
 	frames := make([]int, len(recs))
-	errs := parallel(len(recs), clientConns(), func(i int) error {
+	errs := parallel(len(recs), runtime.NumCPU(), func(i int) error {
 		var err error
 		frames[i], err = v.check(recs[i])
 		return err
@@ -144,7 +119,7 @@ func runServer(ctx context.Context, rc runConfig, w workload) (*outcome, error) 
 	for i := range warm {
 		warm[i] = at(i)
 	}
-	for _, err := range parallel(len(warm), clientConns(), func(i int) error { _, err := v.ref(warm[i]); return err }) {
+	for _, err := range parallel(len(warm), runtime.NumCPU(), func(i int) error { _, err := v.ref(warm[i]); return err }) {
 		if err != nil {
 			return nil, fmt.Errorf("warm-up reference: %w", err)
 		}
@@ -175,7 +150,7 @@ func runServer(ctx context.Context, rc runConfig, w workload) (*outcome, error) 
 		if s, err = w.start(ctx, rc, c); err != nil {
 			return nil, err
 		}
-		ph, err := s.runOps(ctx, c, w, atOps, 0, w.warmup, 0, nil)
+		ph, err := s.runOps(ctx, c, atOps, 0, w.warmup, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -190,14 +165,12 @@ func runServer(ctx context.Context, rc runConfig, w workload) (*outcome, error) 
 	}
 
 	tot0, steal0 := cpuTicks()
-	cpu0 := s.cpuSeconds()
-	timed, err := s.runOps(ctx, c, w, atOps, w.warmup, 0, rc.seconds, nil)
+	timed, err := s.runOps(ctx, c, atOps, w.warmup, 0, rc.seconds, nil)
 	if err != nil {
 		return nil, err
 	}
 	tot1, steal1 := cpuTicks()
 	out.info["steal_share"] = ratio(steal1-steal0, tot1-tot0)
-	out.info["server_cpu_s"] = s.cpuSeconds() - cpu0
 	// check verifies a phase's ops, counting failures and verified points,
 	// then drops the answers so two phases' bodies are never held at once.
 	check := func(ph phase) (points int, frames []int) {
@@ -207,7 +180,7 @@ func runServer(ctx context.Context, rc runConfig, w workload) (*outcome, error) 
 			if err == nil {
 				points += w.points
 			}
-			ph.ops[i].raw, ph.ops[i].job.events = nil, nil
+			ph.ops[i].job = jobRun{}
 		}
 		return points, frames
 	}
@@ -231,58 +204,50 @@ func runServer(ctx context.Context, rc runConfig, w workload) (*outcome, error) 
 	// verified, then the next ops run again with spans.
 	out.points, _ = check(timed)
 	tr := newTracer()
-	traced, err := s.runOps(ctx, c, w, atOps, w.warmup+len(timed.ops), 0, rc.seconds, tr)
+	traced, err := s.runOps(ctx, c, atOps, w.warmup+len(timed.ops), 0, rc.seconds, tr)
 	if err != nil {
 		return nil, err
-	}
-	var probe *shardProbe
-	if len(s.procs) == 1 {
-		if probe, err = probeShards(ctx, c, s, traced.ops, w, tr); err != nil {
-			return nil, err
-		}
 	}
 	if s.stop() {
 		out.check(fmt.Errorf("the traced phase left a stray process"))
 	}
 	tpoints, frames := check(traced)
 	untraced := pps(out.points, timed.wall)
-	if out.layers, err = serverLayers(ctx, w, v, traced, frames, pps(tpoints, traced.wall), untraced, probe, tr); err != nil {
+	if out.layers, err = serverLayers(ctx, rc, w, v, traced, frames, pps(tpoints, traced.wall), untraced, tr); err != nil {
 		return nil, err
 	}
 	return out, tr.write(rc.dir + "/spans.json")
 }
 
-// shardProbe is a single-server fleet view: traced ops replayed as one
-// whole-scenario /v2/shards window each.
-type shardProbe struct {
-	shardMs    []float64 // server-side /v2/shards handler time per shard
-	overheadMs []float64 // op time minus the same op's shard time
-}
-
-// probeShards replays up to 20 traced ops as /v2/shards windows against
-// the single server, measuring the cluster worker path on this workload.
-func probeShards(ctx context.Context, c *http.Client, s *sut, ops []opRecord, w workload, tr *tracer) (*shardProbe, error) {
-	p := &shardProbe{}
-	for _, r := range sample(ops, 20) {
-		before, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return nil, err
-		}
-		end := tr.start("cluster.shard", r.o.index, 0)
-		_, err = streamShard(ctx, c, s.base(), r.o.doc, w.points)
-		end()
-		if err != nil {
-			return nil, err
-		}
-		after, err := scrape(ctx, c, s.base())
-		if err != nil {
-			return nil, err
-		}
-		ms := 1000 * diff(before, after, routeSeries("sum", "/v2/shards"))
-		p.shardMs = append(p.shardMs, ms)
-		p.overheadMs = append(p.overheadMs, r.ms-ms)
+// probeFleet times the cluster layer for a workload whose own ops never
+// reach a fleet: it runs ops as /v2 jobs, one at a time, through a fresh
+// fleet (fleet-sim's system) with every process scraped around each op,
+// checks every answer, and sets L's cluster times as fleet-sim's traced
+// run computes them. It returns the phase, from which a workload that
+// never reaches a server takes its server times too.
+func probeFleet(ctx context.Context, rc runConfig, v *verifier, ops []op, L map[string]float64, tr *tracer) (phase, error) {
+	c := newClient()
+	s, err := fleet(ctx, rc, c)
+	if err != nil {
+		return phase{}, err
 	}
-	return p, nil
+	ph, err := s.runOps(ctx, c, func(i int) op { return ops[i] }, 0, len(ops), 0, tr)
+	if s.stop() && err == nil {
+		err = fmt.Errorf("the probe fleet left a stray process")
+	}
+	if err != nil {
+		return ph, err
+	}
+	errs, _ := v.verifyAll(ph.ops)
+	for _, err := range errs {
+		if err != nil {
+			return ph, fmt.Errorf("probe fleet: %w", err)
+		}
+	}
+	P := map[string]float64{}
+	fleetLayers(P, ph)
+	L["cluster.shard_ms"], L["cluster.overhead_ms"] = P["cluster.shard_ms"], P["cluster.overhead_ms"]
+	return ph, nil
 }
 
 // sample returns up to n records spread evenly over recs.
@@ -429,7 +394,7 @@ func runSweep(ctx context.Context, rc runConfig) (*outcome, error) {
 	out := &outcome{info: map[string]any{}}
 	o := simSweepOp(rc.seed)
 	v := newVerifier()
-	ref, err := computeRef(o, v.mt, v.sims)
+	ref, err := v.ref(o)
 	if err != nil {
 		return nil, err
 	}
