@@ -10,6 +10,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -123,8 +124,9 @@ func TestFleetJobBitIdentical(t *testing.T) {
 }
 
 // TestFleetReassignsDeadWorker: one peer is permanently down (connection
-// refused); its shards must reassign to the live worker, the sweep must
-// still complete byte-identically, and the retry counter must move.
+// refused); the live worker must take over its shards, the sweep must
+// still complete byte-identically, and the shard counter must show the
+// dead peer's attempts ended failed or cancelled and none finished.
 func TestFleetReassignsDeadWorker(t *testing.T) {
 	single, _ := jobTestServer(t, jobStoreConfig{})
 	ref := pollJob(t, single, submitJob(t, single, multiAxisJob).ID)
@@ -143,8 +145,19 @@ func TestFleetReassignsDeadWorker(t *testing.T) {
 	if string(want) != string(have) {
 		t.Fatal("results with a dead worker diverge from single-node")
 	}
-	if v, ok := metricValue(t, coord, "delta_cluster_shard_retries_total"); !ok || v == 0 {
-		t.Errorf("shard retries = %v, %v (want > 0)", v, ok)
+	shards := func(peerURL, status string) float64 {
+		v, _ := metricValue(t, coord, fmt.Sprintf(`delta_cluster_shards_total{peer=%q,status=%q}`,
+			strings.TrimPrefix(peerURL, "http://"), status))
+		return v
+	}
+	if v := shards(dead.URL, "failed") + shards(dead.URL, "cancelled"); v == 0 {
+		t.Error("no failed or cancelled shard attempt counted for the dead worker")
+	}
+	if v := shards(dead.URL, "done"); v != 0 {
+		t.Errorf("dead worker finished %v shard(s)", v)
+	}
+	if v := shards(live.URL, "done"); v == 0 {
+		t.Error("live worker finished no shard")
 	}
 }
 

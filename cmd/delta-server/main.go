@@ -35,13 +35,13 @@
 // Distributed sweeps: every delta-server also serves POST /v2/shards, the
 // worker half of fleet mode — a scenario window streamed back as SSE
 // result frames. With -coordinator -peers=<list|@file>, submitted /v2
-// jobs are instead sharded across those workers (internal/cluster) and
-// merged back in expansion order, byte-identical to a single-node run;
-// failed workers' shards are reassigned with bounded retries, chronically
-// failing peers are fenced by per-peer circuit breakers, stragglers are
-// hedged to healthy peers, and shard deadlines adapt to the fleet's
-// observed pace (-breaker-*, -hedge-*, -shard-deadline-floor). See the
-// README's "Distributed sweeps" section.
+// jobs are instead split into a queue of shards (-shards-per-peer) that
+// each worker pulls from when free (internal/cluster), and merged back
+// in expansion order, byte-identical to a single-node run. An idle worker
+// takes over the back half of the busiest in-flight shard, or re-runs
+// its last point; a failed attempt's remainder goes back on the queue,
+// bounded by -shard-attempts, and each attempt by -shard-timeout. See
+// the README's "Distributed sweeps" section.
 //
 // Chaos testing: -chaos arms a seeded deterministic fault injector
 // (internal/chaos) on the server's listener — refusals, synthetic 5xx,
@@ -114,21 +114,9 @@ func main() {
 		shardsPerPeer = flag.Int("shards-per-peer", 0,
 			"shards per worker when coordinating (0 = default 4)")
 		shardAttempts = flag.Int("shard-attempts", 0,
-			"dispatch attempts per shard before a coordinated sweep fails (0 = default max(3, peers+1))")
+			"failed attempts per shard before a coordinated sweep fails (0 = default max(3, peers+1))")
 		shardTimeout = flag.Duration("shard-timeout", 0,
 			"bound on one shard attempt when coordinating (0 = default 10m)")
-		breakerThreshold = flag.Int("breaker-threshold", 0,
-			"consecutive failures before a peer's circuit breaker opens (0 = default 3)")
-		breakerCooldown = flag.Duration("breaker-cooldown", 0,
-			"how long an open peer breaker waits before a half-open probe (0 = default 10s)")
-		hedgeMultiplier = flag.Float64("hedge-multiplier", 0,
-			"re-dispatch a shard when this many times slower than the fleet's median pace (0 = default 4, negative disables)")
-		hedgeInterval = flag.Duration("hedge-interval", 0,
-			"straggler-monitor poll period (0 = default 500ms)")
-		hedgeFloor = flag.Duration("hedge-floor", 0,
-			"minimum shard attempt age before hedging (0 = default 2s)")
-		deadlineFloor = flag.Duration("shard-deadline-floor", 0,
-			"lower clamp on adaptive shard deadlines (0 = default 30s)")
 
 		chaosFlag = flag.String("chaos", "",
 			`fault-injection spec (JSON rules or @file, see internal/chaos): injects connection refusals, 5xx, latency, and SSE-frame cut/truncate/corrupt into accepted connections; seeded by the spec or $DELTA_CHAOS_SEED`)
@@ -187,16 +175,10 @@ func main() {
 		RateBurst:     *rateBurst,
 		MaxInFlight:   *maxInflight,
 		AccessLog:     log.Default(),
-		Peers:            peers,
-		ShardsPerPeer:    *shardsPerPeer,
-		ShardAttempts:    *shardAttempts,
-		ShardTimeout:     *shardTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		HedgeMultiplier:  *hedgeMultiplier,
-		HedgeInterval:    *hedgeInterval,
-		HedgeFloor:       *hedgeFloor,
-		DeadlineFloor:    *deadlineFloor,
+		Peers:         peers,
+		ShardsPerPeer: *shardsPerPeer,
+		ShardAttempts: *shardAttempts,
+		ShardTimeout:  *shardTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "delta-server:", err)

@@ -67,22 +67,9 @@ type serverConfig struct {
 	ShardAttempts int
 	ShardTimeout  time.Duration
 
-	// ShardRetryBackoff overrides the reassignment and reconnect backoff
-	// base (0 = cluster defaults); tests shrink it.
+	// ShardRetryBackoff overrides the failure and reconnect backoff base
+	// (0 = cluster defaults); tests shrink it.
 	ShardRetryBackoff time.Duration
-
-	// Resilience tuning for the coordinator (0 = cluster defaults):
-	// breakers open after BreakerThreshold consecutive peer failures and
-	// half-open after BreakerCooldown; straggling shards re-dispatch when
-	// HedgeMultiplier× behind the fleet's median pace (negative disables
-	// hedging), polled every HedgeInterval once older than HedgeFloor; and
-	// adaptive shard deadlines clamp no lower than DeadlineFloor.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	HedgeMultiplier  float64
-	HedgeInterval    time.Duration
-	HedgeFloor       time.Duration
-	DeadlineFloor    time.Duration
 }
 
 // server routes requests into one shared pipeline, so concurrent clients
@@ -155,22 +142,16 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 			rec = jobs.durable
 		}
 		coord, err := cluster.New(cluster.Config{
-			Peers:            cfg.Peers,
-			ShardsPerPeer:    cfg.ShardsPerPeer,
-			MaxAttempts:      cfg.ShardAttempts,
-			ShardTimeout:     cfg.ShardTimeout,
-			RetryBackoff:     cfg.ShardRetryBackoff,
-			ClientBackoff:    cfg.ShardRetryBackoff,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			HedgeMultiplier:  cfg.HedgeMultiplier,
-			HedgeInterval:    cfg.HedgeInterval,
-			HedgeFloor:       cfg.HedgeFloor,
-			DeadlineFloor:    cfg.DeadlineFloor,
-			Token:            cfg.AuthToken,
-			Metrics:          cluster.NewMetrics(s.metrics.reg),
-			Recorder:         rec,
-			Log:              cfg.AccessLog,
+			Peers:         cfg.Peers,
+			ShardsPerPeer: cfg.ShardsPerPeer,
+			MaxAttempts:   cfg.ShardAttempts,
+			ShardTimeout:  cfg.ShardTimeout,
+			RetryBackoff:  cfg.ShardRetryBackoff,
+			ClientBackoff: cfg.ShardRetryBackoff,
+			Token:         cfg.AuthToken,
+			Metrics:       cluster.NewMetrics(s.metrics.reg),
+			Recorder:      rec,
+			Log:           cfg.AccessLog,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -98,7 +99,7 @@ func TestNetworkEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := delta.EstimateAll(net.Layers, delta.V100(), delta.TrafficOptions{})
+	rs, err := delta.EstimateAllContext(context.Background(), net.Layers, delta.V100(), delta.TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestNetworkTrainingPass(t *testing.T) {
 		t.Error("training breakdown missing")
 	}
 	net, _ := delta.NetworkByName("alexnet", 16)
-	_, want, err := delta.EstimateNetworkTraining(net, delta.TitanXp(), delta.TrafficOptions{})
+	_, want, err := delta.EstimateNetworkTrainingContext(context.Background(), net, delta.TitanXp(), delta.TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestExploreEndpoint(t *testing.T) {
 		t.Fatalf("candidates = %d, want 4", len(got.Candidates))
 	}
 	net, _ := delta.NetworkByName("alexnet", 16)
-	want, err := delta.Explore(net, delta.TitanXp(),
+	want, err := delta.ExploreContext(context.Background(), net, delta.TitanXp(),
 		delta.ExploreAxes{MACPerSM: []float64{1, 2}, MemBW: []float64{1, 2}},
 		delta.DefaultCostModel())
 	if err != nil {

@@ -183,14 +183,6 @@ func EstimateAllContext(ctx context.Context, ls []Conv, d GPU, opt TrafficOption
 	return out, nil
 }
 
-// EstimateAll evaluates a layer list through the shared pipeline.
-//
-// Deprecated: use EstimateAllContext, which honors cancellation.
-func EstimateAll(ls []Conv, d GPU, opt TrafficOptions) ([]PerfResult, error) {
-	//lint:ignore ctxflow deprecated compat shim; callers are pointed at the Context variant
-	return EstimateAllContext(context.Background(), ls, d, opt)
-}
-
 // NetworkTime sums layer times weighted by instance counts (nil = all 1).
 func NetworkTime(rs []PerfResult, counts []int) float64 {
 	return perf.NetworkTime(rs, counts)
@@ -218,8 +210,8 @@ func Simulate(l Conv, cfg SimConfig) (SimResult, error) {
 	return engine.Run(l, cfg)
 }
 
-// SimRequest names one trace-driven simulation for SimulateAll: a layer
-// under an engine configuration.
+// SimRequest names one trace-driven simulation for SimulateAllContext: a
+// layer under an engine configuration.
 type SimRequest = pipeline.SimRequest
 
 // SimulateAllContext runs a batch of simulations through the shared
@@ -231,14 +223,6 @@ type SimRequest = pipeline.SimRequest
 // scenario expansion and feeds the pipeline directly.)
 func SimulateAllContext(ctx context.Context, reqs []SimRequest) ([]SimResult, error) {
 	return DefaultPipeline().SimulateAll(ctx, reqs)
-}
-
-// SimulateAll runs a batch of simulations through the shared pipeline.
-//
-// Deprecated: use SimulateAllContext, which honors cancellation.
-func SimulateAll(reqs []SimRequest) ([]SimResult, error) {
-	//lint:ignore ctxflow deprecated compat shim; callers are pointed at the Context variant
-	return SimulateAllContext(context.Background(), reqs)
 }
 
 // SimulateLayersContext simulates each layer under one shared config as a
@@ -253,14 +237,6 @@ func SimulateLayersContext(ctx context.Context, ls []Conv, cfg SimConfig) ([]Sim
 		return nil, err
 	}
 	return upds[0].Sim, nil
-}
-
-// SimulateLayers simulates each layer under one shared config.
-//
-// Deprecated: use SimulateLayersContext, which honors cancellation.
-func SimulateLayers(ls []Conv, cfg SimConfig) ([]SimResult, error) {
-	//lint:ignore ctxflow deprecated compat shim; callers are pointed at the Context variant
-	return SimulateLayersContext(context.Background(), ls, cfg)
 }
 
 // SimulateTiming runs the event-driven execution-time simulator on a
@@ -340,15 +316,6 @@ func EstimateNetworkTrainingContext(ctx context.Context, n Network, d GPU, opt T
 	return steps, nr.Seconds, nil
 }
 
-// EstimateNetworkTraining models a whole network's training-step time.
-//
-// Deprecated: use EstimateNetworkTrainingContext, which honors
-// cancellation.
-func EstimateNetworkTraining(n Network, d GPU, opt TrafficOptions) ([]TrainingStep, float64, error) {
-	//lint:ignore ctxflow deprecated compat shim; callers are pointed at the Context variant
-	return EstimateNetworkTrainingContext(context.Background(), n, d, opt)
-}
-
 // Design-space exploration (see internal/explore): cost-priced resource
 // grids, Pareto frontiers, and target-speedup search.
 type (
@@ -378,14 +345,6 @@ func DefaultExploreAxes() ExploreAxes { return explore.DefaultAxes() }
 // candidates are identical to the serial evaluation.
 func ExploreContext(ctx context.Context, n Network, base GPU, axes ExploreAxes, cm CostModel) ([]ExploreCandidate, error) {
 	return DefaultPipeline().Explore(ctx, explore.Workload{Net: n}, base, axes.Enumerate(), cm)
-}
-
-// Explore prices and evaluates every scale in the grid on the workload.
-//
-// Deprecated: use ExploreContext, which honors cancellation.
-func Explore(n Network, base GPU, axes ExploreAxes, cm CostModel) ([]ExploreCandidate, error) {
-	//lint:ignore ctxflow deprecated compat shim; callers are pointed at the Context variant
-	return ExploreContext(context.Background(), n, base, axes, cm)
 }
 
 // ParetoFront extracts the undominated (cost, speedup) candidates.

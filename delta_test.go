@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"testing"
 )
 
@@ -71,7 +72,7 @@ func TestFacadeSimulateAll(t *testing.T) {
 		}
 		want[i] = r
 	}
-	batch, err := SimulateLayers(ls, cfg)
+	batch, err := SimulateLayersContext(context.Background(), ls, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestFacadeSimulateAll(t *testing.T) {
 	for i, l := range ls {
 		reqs[i] = SimRequest{Layer: l, Config: cfg}
 	}
-	batch2, err := SimulateAll(reqs)
+	batch2, err := SimulateAllContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFacadeNetworksAndDevices(t *testing.T) {
 
 func TestFacadeAggregation(t *testing.T) {
 	net := AlexNet(8)
-	rs, err := EstimateAll(net.Layers, TitanXp(), TrafficOptions{})
+	rs, err := EstimateAllContext(context.Background(), net.Layers, TitanXp(), TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

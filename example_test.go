@@ -1,6 +1,7 @@
 package delta_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,7 +65,7 @@ func ExampleDgradLayer() {
 // ExampleBottleneckHistogram tallies what limits each layer of a network.
 func ExampleBottleneckHistogram() {
 	net := delta.AlexNet(256)
-	rs, err := delta.EstimateAll(net.Layers, delta.TitanXp(), delta.TrafficOptions{})
+	rs, err := delta.EstimateAllContext(context.Background(), net.Layers, delta.TitanXp(), delta.TrafficOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

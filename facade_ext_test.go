@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestFacadeTraining(t *testing.T) {
 	}
 
 	net := AlexNet(32)
-	steps, total, err := EstimateNetworkTraining(net, d, TrafficOptions{})
+	steps, total, err := EstimateNetworkTrainingContext(context.Background(), net, d, TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestFacadeTraining(t *testing.T) {
 func TestFacadeExplore(t *testing.T) {
 	net := AlexNet(16)
 	axes := ExploreAxes{MACPerSM: []float64{1, 2}, MemBW: []float64{1, 2}}
-	cands, err := Explore(net, TitanXp(), axes, DefaultCostModel())
+	cands, err := ExploreContext(context.Background(), net, TitanXp(), axes, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFacadeResNet50(t *testing.T) {
 	if n.TotalInstances() != 53 {
 		t.Errorf("ResNet50 instances = %d", n.TotalInstances())
 	}
-	rs, err := EstimateAll(n.Layers, V100(), TrafficOptions{})
+	rs, err := EstimateAllContext(context.Background(), n.Layers, V100(), TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

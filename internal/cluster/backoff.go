@@ -1,11 +1,12 @@
 // Shared retry backoff: exponential with a shift-overflow guard and ±50%
-// jitter. Used by both the coordinator's shard reassignment and the SSE
-// client's reconnects — the former's uncapped `base << (attempt-1)` used
-// to overflow into huge or negative delays once attempt counts grew past
-// the width of a Duration.
+// jitter. Used by both the coordinator's runners after consecutive failed
+// attempts and the SSE client's reconnects — the former's uncapped
+// `base << (attempt-1)` used to overflow into huge or negative delays
+// once attempt counts grew past the width of a Duration.
 package cluster
 
 import (
+	"context"
 	"math/rand" //lint:ignore determinism retry jitter only; never touches replayed counters
 	"time"
 )
@@ -32,4 +33,16 @@ func backoffFor(base, max time.Duration, n int) time.Duration {
 		d = 1
 	}
 	return d
+}
+
+// sleepCtx waits d unless ctx ends first, and reports whether d elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }

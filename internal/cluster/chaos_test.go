@@ -1,8 +1,9 @@
 // Chaos-harness integration tests: drive real coordinator sweeps through
 // internal/chaos's fault-injecting transport and assert the tentpole
 // invariant — the merged fleet result stays byte-identical to a
-// single-node run under every injected failure mode — plus the breaker,
-// hedging, and seeded-replay behaviors the harness exists to provoke.
+// single-node run under every injected failure mode — plus the refusing-
+// and slowed-peer handling and seeded replay the harness exists to
+// provoke.
 package cluster
 
 import (
@@ -10,39 +11,18 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"delta/internal/chaos"
+	"delta/internal/durable"
 	"delta/internal/obs"
 	"delta/internal/pipeline"
-	"delta/internal/scenario"
-	"delta/internal/spec"
 )
 
-// oneAxisDoc has a single workload × device, so memo-key affinity routes
-// every shard to one deterministic peer — the tests can aim faults at
-// exactly the busy worker.
-const oneAxisDoc = `{
-  "workloads": [{"network": "alexnet"}],
-  "devices": [{"name": "TITAN Xp"}],
-  "batches": [8, 16],
-  "models": ["delta", "prior"]
-}`
-
-func oneAxisScenario(t *testing.T) scenario.Scenario {
-	t.Helper()
-	sc, err := spec.ReadScenario(strings.NewReader(oneAxisDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
-// healthWorker is newWorker plus a 200 /healthz, for tests that exercise
-// the breaker-integrated health prober.
+// healthWorker is newWorker plus a 200 /healthz, for tests that also
+// probe peer health.
 func healthWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	shards := &ShardHandler{Eval: pipeline.New(), Render: testRender}
@@ -55,22 +35,6 @@ func healthWorker(t *testing.T) *httptest.Server {
 }
 
 func hostOf(srvURL string) string { return strings.TrimPrefix(srvURL, "http://") }
-
-// busyPeerIndex computes which of two peers affinity routes oneAxisDoc's
-// shards to, using a throwaway coordinator (affinity depends only on the
-// peer count and order).
-func busyPeerIndex(t *testing.T, peers []string, sc scenario.Scenario) int {
-	t.Helper()
-	c, err := New(Config{Peers: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := sc.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.affinity(points[0])
-}
 
 // TestChaosMidStreamCutResume: repeated mid-stream cuts on the shard path
 // are survived by Last-Event-ID resume inside the attempt; the merged
@@ -197,117 +161,96 @@ func TestChaosPartialProgressReassign(t *testing.T) {
 	}
 }
 
-// TestChaosFlappingPeerBreaker: a peer refusing every shard connection
-// accumulates consecutive failures until its breaker opens; later shards
-// hop to the healthy peer without burning attempt budget; the merged
-// result stays byte-identical; and once the fault clears, a health probe
-// walks the breaker half-open → closed.
-func TestChaosFlappingPeerBreaker(t *testing.T) {
+// TestChaosRefusingPeer: a peer refusing every shard connection merges
+// nothing — its attempts end failed, or cancelled when the healthy peer
+// re-ran the point first — fails each shard at most once (it may not
+// retake a shard the healthy peer has not failed), and the merged result
+// stays byte-identical. Its /healthz still answers, so it reads as up.
+func TestChaosRefusingPeer(t *testing.T) {
 	wa, wb := healthWorker(t), healthWorker(t)
 	peers := []string{wa.URL, wb.URL}
-	sc := oneAxisScenario(t)
-	busy := busyPeerIndex(t, peers, sc)
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
-		{Fault: chaos.FaultRefuse, Peer: hostOf(peers[busy]), Path: "/v2/shards"},
+		{Fault: chaos.FaultRefuse, Peer: hostOf(wb.URL), Path: "/v2/shards"},
 	}})
-	reg := obs.NewRegistry()
-	mt := NewMetrics(reg)
+	mt := NewMetrics(obs.NewRegistry())
+	rec := &fakeRecorder{}
 	c, err := New(Config{
 		Peers: peers, ShardsPerPeer: 2,
-		HTTP:             &http.Client{Transport: inj.Transport(nil)},
-		RetryBackoff:     time.Millisecond, ClientBackoff: time.Millisecond,
-		ClientRetries:    1, RerouteDelay: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
+		HTTP:         &http.Client{Transport: inj.Transport(nil)},
+		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
+		ClientRetries: 1, Metrics: mt, Recorder: rec, Log: quietLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := testScenario(t)
+	upds := runSweep(t, c, Sweep{
+		JobID: "refuse", Doc: json.RawMessage(testDoc), Scenario: sc,
+		Policy: pipeline.CollectPartial,
+	})
+	checkMerged(t, upds, singleNodeRef(t, sc))
+
+	refuser := hostOf(wb.URL)
+	if len(inj.Events()) == 0 {
+		t.Fatal("the refuse fault never fired")
+	}
+	if mt.Shards.With(refuser, durable.ShardFailed).Value()+mt.Shards.With(refuser, statusCancelled).Value() == 0 {
+		t.Error("no failed or cancelled attempt counted for the refusing peer")
+	}
+	if got := mt.Shards.With(refuser, durable.ShardDone).Value(); got != 0 {
+		t.Errorf("refusing peer finished %d shard(s)", got)
+	}
+	failures := map[int]int{}
+	for _, r := range rec.records() {
+		if r.status == durable.ShardFailed {
+			failures[r.shard]++
+		}
+	}
+	for shard, n := range failures {
+		if n > 1 {
+			t.Errorf("shard %d failed %d times on the refusing peer", shard, n)
+		}
+	}
+	checkTiled(t, rec, 0, 16)
+
+	sts := c.PeerHealth(context.Background())
+	if !sts[1].OK || !Quorum(sts) {
+		t.Errorf("peer health = %+v; a refusing peer whose /healthz answers 200 reads as up", sts)
+	}
+}
+
+// TestChaosSlowPeerHedge: a peer slowed by per-frame latency from its
+// first request holds up the sweep only until the free peer splits its
+// shard and re-runs (hedges) the last point; the merged result — despite
+// two attempts streaming the same window — stays byte-identical.
+func TestChaosSlowPeerHedge(t *testing.T) {
+	wa, wb := newWorker(t), newWorker(t)
+	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
+		{Fault: chaos.FaultLatency, Where: "frame", LatencyMS: 300,
+			Peer: hostOf(wb.URL), Path: "/v2/shards"},
+	}})
+	mt := NewMetrics(obs.NewRegistry())
+	c, err := New(Config{
+		Peers: []string{wa.URL, wb.URL}, ShardsPerPeer: 1,
+		HTTP:         &http.Client{Transport: inj.Transport(nil)},
+		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		Metrics: mt, Log: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upds := runSweep(t, c, Sweep{Doc: json.RawMessage(oneAxisDoc), Scenario: sc, Policy: pipeline.CollectPartial})
-	checkMerged(t, upds, singleNodeRef(t, sc))
-
-	if got := c.breakers[busy].State(); got != BreakerOpen {
-		t.Fatalf("busy peer breaker = %v, want open", got)
-	}
-	// Exactly BreakerThreshold attempts burned on the refusing peer; the
-	// remaining shards rerouted through the open-breaker hop instead.
-	if mt.Retries.Value() != 2 {
-		t.Errorf("retries = %d, want 2 (threshold) before the breaker opened", mt.Retries.Value())
-	}
-	if got := obsGaugeVec(t, reg, "delta_cluster_breaker_state", hostOf(peers[busy])); got != int64(BreakerOpen) {
-		t.Errorf("breaker gauge = %d, want %d", got, BreakerOpen)
-	}
-
-	// Fault cleared (path rules never matched /healthz): once the cooldown
-	// elapses — simulated by advancing the breaker's clock — the health
-	// prober's probe walks the breaker half-open → closed.
-	c.breakers[busy].now = func() time.Time { return time.Now().Add(11 * time.Second) }
-	sts := c.PeerHealth(context.Background())
-	if !sts[busy].OK || sts[busy].Breaker != "closed" {
-		t.Fatalf("post-cooldown probe: %+v, want ok+closed", sts[busy])
-	}
-	if !Quorum(sts) {
-		t.Error("recovered fleet not at quorum")
-	}
-}
-
-// TestChaosSlowPeerHedge: a peer that turns slow mid-service (per-frame
-// latency far above the fleet's learned pace) gets its shards hedged to
-// the healthy peer; the hedge wins, the sweep completes fast, and the
-// merged result — despite two attempts streaming the same window — stays
-// byte-identical. Also exercises the adaptive deadline (pace is known, so
-// the gauge moves).
-func TestChaosSlowPeerHedge(t *testing.T) {
-	wa, wb := healthWorker(t), healthWorker(t)
-	peers := []string{wa.URL, wb.URL}
-	sc := oneAxisScenario(t)
-	busy := busyPeerIndex(t, peers, sc)
-	// Warm-up runs 2 shard requests clean to seed the pace EWMA; the
-	// latency arms afterwards and slows every frame by 300ms.
-	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
-		{Fault: chaos.FaultLatency, Where: "frame", LatencyMS: 300,
-			Peer: hostOf(peers[busy]), Path: "/v2/shards", AfterRequests: 2},
-	}})
-	reg := obs.NewRegistry()
-	mt := NewMetrics(reg)
-	c, err := New(Config{
-		Peers: peers, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
-		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
-		HedgeMultiplier: 2, HedgeInterval: 20 * time.Millisecond, HedgeFloor: 50 * time.Millisecond,
-		DeadlineFloor: time.Second,
-		Metrics:       mt, Log: quietLog(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := Sweep{Doc: json.RawMessage(oneAxisDoc), Scenario: sc, Policy: pipeline.CollectPartial}
-	ref := singleNodeRef(t, sc)
-
-	// Warm-up sweep: clean, seeds the busy peer's EWMA.
-	checkMerged(t, runSweep(t, c, sw), ref)
-	if med := c.rates.median(); med <= 0 {
-		t.Fatal("warm-up sweep did not seed the pace EWMA")
-	}
-
-	// Slowed sweep: the hedge monitor must fire and win.
+	sc := testScenario(t)
 	start := time.Now()
-	checkMerged(t, runSweep(t, c, sw), ref)
+	checkMerged(t, runSweep(t, c, Sweep{Doc: json.RawMessage(testDoc), Scenario: sc, Policy: pipeline.CollectPartial}),
+		singleNodeRef(t, sc))
 	elapsed := time.Since(start)
 
-	if mt.Hedged.Value() == 0 {
-		t.Fatal("no hedge fired against the slow peer")
+	if mt.Splits.Value()+mt.Hedged.Value() == 0 {
+		t.Fatal("neither a split nor a re-run relieved the slow peer")
 	}
-	if mt.HedgeWins.Value() == 0 {
-		t.Fatal("hedges fired but none won")
-	}
-	if mt.Deadline.Value() <= 0 {
-		t.Error("adaptive deadline gauge never set despite a known pace")
-	}
-	// 4 points × 300ms/frame ≈ 1.5s+ unhedged; the winning hedges should
-	// finish far sooner.
-	if elapsed > 1200*time.Millisecond {
-		t.Errorf("hedged sweep took %v; hedging did not rescue the stragglers", elapsed)
+	// The slow peer alone would need 8 frames x 300ms = 2.4s for its shard.
+	if elapsed > 2*time.Second {
+		t.Errorf("sweep took %v; the slow peer's shard was not taken over", elapsed)
 	}
 }
 
@@ -349,25 +292,4 @@ func TestChaosSeededReplay(t *testing.T) {
 	if strings.Join(rec1, "|") != strings.Join(rec2, "|") {
 		t.Fatalf("same seed, different shard record logs:\n%v\n%v", rec1, rec2)
 	}
-}
-
-// obsGaugeVec scrapes one labeled gauge value out of the registry's text
-// exposition (obs has no per-label read API).
-func obsGaugeVec(t *testing.T, reg *obs.Registry, name, peer string) int64 {
-	t.Helper()
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, name+"{") && strings.Contains(line, `"`+peer+`"`) {
-			v, err := strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s{peer=%q} not found", name, peer)
-	return 0
 }

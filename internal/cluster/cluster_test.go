@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,6 +202,19 @@ func TestShardHandlerRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d, want 405", resp.StatusCode)
 	}
+
+	// A body past MaxBody is 413, as on every other delta-server endpoint.
+	small := httptest.NewServer(&ShardHandler{Eval: pipeline.New(), MaxBody: 64})
+	defer small.Close()
+	resp, err = http.Post(small.URL, "application/json",
+		strings.NewReader(fmt.Sprintf(`{"scenario": %s, "offset": 0, "limit": 1}`, testDoc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
 }
 
 // TestClientReconnect drives the SSE client against the real shard handler
@@ -277,23 +292,111 @@ func TestParseSSE(t *testing.T) {
 	}
 }
 
+// encodeSSE writes ev in the wire grammar parseSSE reads.
+func encodeSSE(w io.Writer, ev Event) {
+	if ev.ID > 0 {
+		fmt.Fprintf(w, "id: %d\n", ev.ID)
+	}
+	fmt.Fprintf(w, "event: %s\n", ev.Type)
+	for _, line := range strings.Split(string(ev.Data), "\n") {
+		fmt.Fprintf(w, "data: %s\n", line)
+	}
+	fmt.Fprint(w, "\n")
+}
+
+// FuzzParseSSE: the SSE parser never panics on arbitrary bytes, and the
+// frames it returns, re-encoded, parse back to the same frames.
+func FuzzParseSSE(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		collect := func(dst *[]Event) func(Event) error {
+			return func(ev Event) error { *dst = append(*dst, ev); return nil }
+		}
+		var evs []Event
+		_ = parseSSE(bytes.NewReader(in), collect(&evs))
+		var buf bytes.Buffer
+		for _, ev := range evs {
+			encodeSSE(&buf, ev)
+		}
+		var again []Event
+		if err := parseSSE(bytes.NewReader(buf.Bytes()), collect(&again)); err != nil {
+			t.Fatalf("re-encoded frames do not parse: %v\n%q", err, buf.Bytes())
+		}
+		if len(again) != len(evs) {
+			t.Fatalf("%d frames parsed back, want %d\n%q", len(again), len(evs), buf.Bytes())
+		}
+		for i := range evs {
+			if again[i].ID != evs[i].ID || again[i].Type != evs[i].Type || !bytes.Equal(again[i].Data, evs[i].Data) {
+				t.Fatalf("frame %d: %+v parsed back as %+v", i, evs[i], again[i])
+			}
+		}
+	})
+}
+
+// shardRecord is one RecordShard call.
+type shardRecord struct {
+	status               string
+	shard, offset, count int
+	peer                 string
+	attempt              int
+}
+
 // fakeRecorder captures shard lifecycle records.
 type fakeRecorder struct {
 	mu   sync.Mutex
-	recs []string
+	recs []shardRecord
 }
 
 func (f *fakeRecorder) RecordShard(job string, shard, offset, count int, peer string, attempt int, status string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.recs = append(f.recs, fmt.Sprintf("%s/%d@%d+%d a%d %s", status, shard, offset, count, attempt, peer))
+	f.recs = append(f.recs, shardRecord{status, shard, offset, count, peer, attempt})
 	return nil
 }
 
-func (f *fakeRecorder) all() []string {
+func (f *fakeRecorder) records() []shardRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]string(nil), f.recs...)
+	return append([]shardRecord(nil), f.recs...)
+}
+
+// all renders every record in arrival order, for comparing record logs.
+func (f *fakeRecorder) all() []string {
+	var out []string
+	for _, r := range f.records() {
+		out = append(out, fmt.Sprintf("%s/%d@%d+%d a%d %s", r.status, r.shard, r.offset, r.count, r.attempt, r.peer))
+	}
+	return out
+}
+
+// checkTiled asserts what the shard queue guarantees of a completed
+// sweep's records: every shard's latest record is done, and the done
+// windows tile [from, to) with no gap and no overlap. It returns the
+// latest record of each shard, by index.
+func checkTiled(t *testing.T, f *fakeRecorder, from, to int) []shardRecord {
+	t.Helper()
+	var last []shardRecord
+	for _, r := range f.records() {
+		for len(last) <= r.shard {
+			last = append(last, shardRecord{})
+		}
+		last[r.shard] = r
+	}
+	tiles := append([]shardRecord(nil), last...)
+	sort.Slice(tiles, func(i, j int) bool { return tiles[i].offset < tiles[j].offset })
+	next := from
+	for _, r := range tiles {
+		if r.status != durable.ShardDone {
+			t.Errorf("shard %d ended %q, want done\n%v", r.shard, r.status, f.all())
+		}
+		if r.offset != next || r.count < 1 {
+			t.Errorf("shard %d covers [%d,+%d), want a window from %d\n%v", r.shard, r.offset, r.count, next, f.all())
+		}
+		next = r.offset + r.count
+	}
+	if next != to {
+		t.Errorf("shard windows end at %d, want %d\n%v", next, to, f.all())
+	}
+	return last
 }
 
 // runSweep runs a coordinator sweep and collects the merged updates.
@@ -356,26 +459,23 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	if got := mt.InFlight.Value(); got != 0 {
 		t.Errorf("in-flight gauge = %d after sweep", got)
 	}
-	dispatched, done := 0, 0
-	for _, r := range rec.all() {
-		if strings.HasPrefix(r, durable.ShardDispatched) {
-			dispatched++
-		}
-		if strings.HasPrefix(r, durable.ShardDone) {
-			done++
-		}
+	// Six shards were queued; each split adds one more.
+	if got, want := len(checkTiled(t, rec, 0, 16)), 6+int(mt.Splits.Value()); got != want {
+		t.Errorf("%d shards recorded, want %d (6 queued + splits)\n%v", got, want, rec.all())
 	}
-	if dispatched != 6 || done != 6 {
-		t.Errorf("shard records: %d dispatched, %d done, want 6/6\n%v", dispatched, done, rec.all())
+	if mt.Retries.Value() != 0 {
+		t.Errorf("retries = %d on a healthy fleet", mt.Retries.Value())
 	}
 }
 
-// TestCoordinatorResumeAcrossDrops: one worker keeps dropping connections
-// mid-shard; Last-Event-ID resume still yields every point exactly once,
-// byte-identical.
+// TestCoordinatorResumeAcrossDrops: both workers drop every connection
+// after one result frame, so every point arrives on its own connection;
+// Last-Event-ID resume still yields every point exactly once,
+// byte-identical. (With one healthy worker, the queue could take the
+// dropping worker's whole shard over before it ever reconnected.)
 func TestCoordinatorResumeAcrossDrops(t *testing.T) {
 	var requests atomic.Int64
-	a := newWorker(t)
+	a := droppingWorker(t, 1, &requests)
 	b := droppingWorker(t, 1, &requests)
 	sc := testScenario(t)
 	c, err := New(Config{
@@ -388,14 +488,17 @@ func TestCoordinatorResumeAcrossDrops(t *testing.T) {
 	}
 	upds := runSweep(t, c, Sweep{Doc: json.RawMessage(testDoc), Scenario: sc, Policy: pipeline.CollectPartial})
 	checkMerged(t, upds, singleNodeRef(t, sc))
-	if requests.Load() < 2 {
-		t.Error("dropping worker saw a single connection; resume path untested")
+	if n := requests.Load(); n < 16 {
+		t.Errorf("workers saw %d connection(s) for 16 points at most one result each", n)
 	}
 }
 
 // TestCoordinatorReassignsDeadPeer: a peer that refuses every connection
 // loses its shards to the surviving peer — the sweep completes with no
-// duplicated or missing points and the retry counter moves.
+// duplicated or missing points, every window is finished by the live
+// peer, and the dead peer's attempts end failed (its client gave up) or
+// cancelled (the live peer re-ran the point first), failing each shard at
+// most once: it may not retake a shard the live peer has not failed.
 func TestCoordinatorReassignsDeadPeer(t *testing.T) {
 	a := newWorker(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -417,17 +520,97 @@ func TestCoordinatorReassignsDeadPeer(t *testing.T) {
 		Policy: pipeline.CollectPartial,
 	})
 	checkMerged(t, upds, singleNodeRef(t, sc))
-	if mt.Retries.Value() == 0 {
-		t.Error("retry counter did not move despite a dead peer")
+	deadPeer := peerLabel(dead.URL)
+	failures := map[int]int{}
+	for _, r := range rec.records() {
+		if r.status != durable.ShardFailed {
+			continue
+		}
+		if r.peer != deadPeer {
+			t.Errorf("live peer failed shard %d", r.shard)
+		}
+		failures[r.shard]++
 	}
-	failed := false
-	for _, r := range rec.all() {
-		if strings.HasPrefix(r, durable.ShardFailed) {
-			failed = true
+	for shard, n := range failures {
+		if n > 1 {
+			t.Errorf("dead peer failed shard %d %d times; it must not retake it before the live peer fails it", shard, n)
 		}
 	}
-	if !failed {
-		t.Errorf("no failed shard record for the dead peer:\n%v", rec.all())
+	for _, r := range checkTiled(t, rec, 0, 16) {
+		if r.peer == deadPeer {
+			t.Errorf("dead peer finished shard %d", r.shard)
+		}
+	}
+	if mt.Shards.With(deadPeer, durable.ShardFailed).Value()+mt.Shards.With(deadPeer, statusCancelled).Value() == 0 {
+		t.Error("no failed or cancelled attempt counted for the dead peer")
+	}
+}
+
+// TestCoordinatorSplitsAndRerunsStraggler: one of two peers accepts its
+// shard and then stalls without sending a frame. The free peer finishes
+// its own shard, splits the stalled one's back half off three times (8 ->
+// 4 -> 2 -> 1 points), re-runs the last point and wins it; the stalled
+// attempt is cancelled, and the merged result stays byte-identical.
+func TestCoordinatorSplitsAndRerunsStraggler(t *testing.T) {
+	stalled := make(chan struct{})
+	var once sync.Once
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Drain the body first: only then does the server watch the
+		// connection and cancel r's context when the coordinator hangs up.
+		_, _ = io.Copy(io.Discard, r.Body)
+		once.Do(func() { close(stalled) })
+		<-r.Context().Done()
+	}))
+	t.Cleanup(slow.Close)
+	h := &ShardHandler{Eval: pipeline.New(), Render: testRender}
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Serve nothing until the slow peer holds a shard, so the fast
+		// peer cannot drain the queue before the slow one takes its share.
+		select {
+		case <-stalled:
+			h.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(fast.Close)
+
+	sc := testScenario(t)
+	mt := NewMetrics(obs.NewRegistry())
+	rec := &fakeRecorder{}
+	c, err := New(Config{
+		Peers: []string{fast.URL, slow.URL}, ShardsPerPeer: 1,
+		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
+		Metrics: mt, Recorder: rec, Log: quietLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upds := runSweep(t, c, Sweep{
+		JobID: "straggler", Doc: json.RawMessage(testDoc), Scenario: sc,
+		Policy: pipeline.CollectPartial,
+	})
+	checkMerged(t, upds, singleNodeRef(t, sc))
+
+	if got := mt.Splits.Value(); got != 3 {
+		t.Errorf("splits = %d, want 3 (8 -> 4 -> 2 -> 1)", got)
+	}
+	if got := mt.Hedged.Value(); got != 1 {
+		t.Errorf("re-runs = %d, want 1 (the last point)", got)
+	}
+	slowPeer := peerLabel(slow.URL)
+	if got := mt.Shards.With(slowPeer, statusCancelled).Value(); got != 1 {
+		t.Errorf("slow peer cancelled attempts = %d, want 1", got)
+	}
+	for _, status := range []string{durable.ShardDone, durable.ShardFailed} {
+		if got := mt.Shards.With(slowPeer, status).Value(); got != 0 {
+			t.Errorf("slow peer %s attempts = %d, want 0", status, got)
+		}
+	}
+	if got := len(checkTiled(t, rec, 0, 16)); got != 5 {
+		t.Errorf("%d shards recorded, want 2 queued + 3 split", got)
+	}
+	if got := mt.InFlight.Value(); got != 0 {
+		t.Errorf("in-flight gauge = %d after sweep", got)
 	}
 }
 
@@ -531,36 +714,6 @@ func TestCoordinatorResumeOffset(t *testing.T) {
 	// An offset at or past the end is a no-op sweep.
 	if got := runSweep(t, c, Sweep{Doc: json.RawMessage(testDoc), Scenario: sc, Offset: 16}); len(got) != 0 {
 		t.Errorf("full-offset sweep emitted %d updates", len(got))
-	}
-}
-
-// TestAffinityStable: the same workload/device coordinates always route to
-// the same peer, across coordinators with identical peer lists.
-func TestAffinityStable(t *testing.T) {
-	sc := testScenario(t)
-	points, err := sc.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Coordinator {
-		c, err := New(Config{Peers: []string{"h1:1", "h2:1", "h3:1"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c1, c2 := mk(), mk()
-	byAxis := map[string]int{}
-	for _, p := range points {
-		key := p.Workload + "/" + p.Device.Name
-		got := c1.affinity(p)
-		if got != c2.affinity(p) {
-			t.Fatalf("affinity unstable for %s", key)
-		}
-		if prev, ok := byAxis[key]; ok && prev != got {
-			t.Errorf("axis %s routed to peers %d and %d", key, prev, got)
-		}
-		byAxis[key] = got
 	}
 }
 

@@ -1,19 +1,18 @@
 // Coordinator side of distributed sweeps: expand the scenario once, split
-// the point index space into shards, route each shard to a worker by
-// memo-key affinity (hash of the shard's leading workload/device axes, so
-// repeated sweeps keep each worker's pipeline memo and stream caches hot),
-// stream the shard results back over SSE, and merge them into exact
+// the point index space into dense shards, queue them, and let one runner
+// per peer pull the queue head whenever it is free. Each attempt streams
+// its shard's results back over SSE into a merger that restores exact
 // scenario.Expand order.
 //
-// Failure handling is layered. Failed or timed-out shards are reassigned
-// to the next peer with capped, jittered exponential backoff under a
-// bounded attempt budget; the per-shard resume offset advances past
-// results already merged, so retries never recompute or duplicate points.
-// Per-peer circuit breakers (breaker.go) take chronically failing peers
-// out of the rotation; a hedge monitor (hedge.go) re-sends straggling
-// shards to a healthy peer with first-completion-wins semantics; and
-// shard deadlines adapt to the fleet's observed pace instead of the
-// worst-case ShardTimeout.
+// One rule covers load balance, stragglers and failures. A runner that
+// finds the queue empty takes the back half of the in-flight shard with
+// the most undelivered points; a one-point remainder is run again instead,
+// the first copy to finish wins and the other is cancelled. A failed
+// attempt puts its undelivered remainder back at the queue head, charged
+// against MaxAttempts, and the peer that failed it may not take it back
+// while another peer has not failed it yet. Attempts always start at the
+// shard's delivered high-water mark, so no point is skipped and none
+// reaches the result twice.
 package cluster
 
 import (
@@ -21,70 +20,68 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"delta/internal/durable"
 	"delta/internal/obs"
 	"delta/internal/pipeline"
 	"delta/internal/scenario"
+	"delta/internal/spec"
 )
 
 // Fleet metric names, package-level constants by house rule (delta-vet's
 // metrichygiene analyzer): one greppable block for the whole
 // delta_cluster_ namespace.
 const (
-	metricShards       = "delta_cluster_shards_total"
-	metricRetries      = "delta_cluster_shard_retries_total"
-	metricInFlight     = "delta_cluster_shards_in_flight"
-	metricMerged       = "delta_cluster_points_merged_total"
-	metricMergeLag     = "delta_cluster_merge_lag"
-	metricPeerUp       = "delta_cluster_peer_up"
-	metricBreakerState = "delta_cluster_breaker_state"
-	metricHedged       = "delta_cluster_hedged_shards_total"
-	metricHedgeWins    = "delta_cluster_hedge_wins_total"
-	metricDeadline     = "delta_cluster_adaptive_deadline_seconds"
+	metricShards   = "delta_cluster_shards_total"
+	metricRetries  = "delta_cluster_shard_retries_total"
+	metricInFlight = "delta_cluster_shards_in_flight"
+	metricMerged   = "delta_cluster_points_merged_total"
+	metricMergeLag = "delta_cluster_merge_lag"
+	metricPeerUp   = "delta_cluster_peer_up"
+	metricHedged   = "delta_cluster_hedged_shards_total"
+	metricSplits   = "delta_cluster_shard_splits_total"
 )
 
+// statusCancelled is the metricShards status of an attempt that lost to a
+// re-run of the same window, beside durable's done and failed.
+const statusCancelled = "cancelled"
+
 // Metrics is the fleet's instrumentation; register with NewMetrics and
-// share one instance across sweeps. A nil *Metrics disables recording.
+// share one instance across sweeps.
 type Metrics struct {
-	Shards       *obs.CounterVec // metricShards{peer,status}
-	Retries      *obs.Counter    // metricRetries
-	InFlight     *obs.Gauge      // metricInFlight
-	Merged       *obs.Counter    // metricMerged
-	MergeLag     *obs.Gauge      // metricMergeLag
-	PeerUp       *obs.GaugeVec   // metricPeerUp{peer}
-	BreakerState *obs.GaugeVec   // metricBreakerState{peer}
-	Hedged       *obs.Counter    // metricHedged
-	HedgeWins    *obs.Counter    // metricHedgeWins
-	Deadline     *obs.Gauge      // metricDeadline
+	Shards   *obs.CounterVec // metricShards{peer,status}
+	Retries  *obs.Counter    // metricRetries
+	InFlight *obs.Gauge      // metricInFlight
+	Merged   *obs.Counter    // metricMerged
+	MergeLag *obs.Gauge      // metricMergeLag
+	PeerUp   *obs.GaugeVec   // metricPeerUp{peer}
+	Hedged   *obs.Counter    // metricHedged
+	Splits   *obs.Counter    // metricSplits
 }
 
 // NewMetrics registers the fleet series on r.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		Shards:       r.CounterVec(metricShards, "Finished shard attempts by peer and outcome.", "peer", "status"),
-		Retries:      r.Counter(metricRetries, "Shard attempts retried on another peer after a failure."),
-		InFlight:     r.Gauge(metricInFlight, "Shard attempts currently streaming from peers."),
-		Merged:       r.Counter(metricMerged, "Scenario points merged into coordinator results."),
-		MergeLag:     r.Gauge(metricMergeLag, "Points received out of order, buffered awaiting the in-order merge."),
-		PeerUp:       r.GaugeVec(metricPeerUp, "Last observed peer reachability (1 ready, 0 unreachable or degraded).", "peer"),
-		BreakerState: r.GaugeVec(metricBreakerState, "Per-peer circuit breaker state (0 closed, 1 half-open, 2 open).", "peer"),
-		Hedged:       r.Counter(metricHedged, "Straggling shard attempts speculatively re-dispatched to another peer."),
-		HedgeWins:    r.Counter(metricHedgeWins, "Hedged re-dispatches that finished before the original attempt."),
-		Deadline:     r.Gauge(metricDeadline, "Most recent adaptive shard deadline derived from the fleet's pace."),
+		Shards:   r.CounterVec(metricShards, "Finished shard attempts by peer and outcome (done, failed, cancelled).", "peer", "status"),
+		Retries:  r.Counter(metricRetries, "Failed shard remainders put back on the queue."),
+		InFlight: r.Gauge(metricInFlight, "Shard attempts currently streaming from peers."),
+		Merged:   r.Counter(metricMerged, "Scenario points merged into coordinator results."),
+		MergeLag: r.Gauge(metricMergeLag, "Points received out of order, buffered awaiting the in-order merge."),
+		PeerUp:   r.GaugeVec(metricPeerUp, "Last observed peer reachability (1 ready, 0 unreachable or degraded).", "peer"),
+		Hedged:   r.Counter(metricHedged, "One-point shard remainders re-run on a second peer."),
+		Splits:   r.Counter(metricSplits, "In-flight shards whose back half an idle peer took over."),
 	}
 }
 
 // Recorder persists shard lifecycle transitions (the durable store's
 // RecordShard). Recording failures are logged, never fatal to the sweep.
+// RecordShard runs under the sweep's lock, so a shard's records arrive in
+// the order its state changed; it must not call back into the Coordinator.
 type Recorder interface {
 	RecordShard(job string, shard, offset, count int, peer string, attempt int, status string) error
 }
@@ -94,56 +91,27 @@ type Config struct {
 	// Peers are the workers' base URLs (e.g. http://host:8080).
 	Peers []string
 
-	// ShardsPerPeer scales the shard count: the sweep splits into
-	// len(Peers)*ShardsPerPeer shards (capped at the point count), small
-	// enough for memo affinity to matter, large enough that losing a
-	// worker reassigns fractions of the sweep, not halves. Default 4.
+	// ShardsPerPeer scales the initial split: the sweep is queued as
+	// len(Peers)*ShardsPerPeer dense shards (capped at the point count).
+	// Default 4.
 	ShardsPerPeer int
 
-	// MaxAttempts bounds failed dispatch attempts per shard; default
-	// max(3, len(Peers)+1) so a single dead peer can never exhaust a
-	// shard's budget before every other peer has had a turn.
+	// MaxAttempts bounds failed attempts per shard; default
+	// max(3, len(Peers)+1), so every peer can fail a shard once before
+	// its budget is gone.
 	MaxAttempts int
 
-	// ShardTimeout is the hard ceiling on one shard attempt end to end
-	// (default 10m). Once the fleet's pace is known, attempts run under
-	// the tighter adaptive deadline instead (see DeadlineSafety).
+	// ShardTimeout bounds one shard attempt end to end (default 10m).
 	ShardTimeout time.Duration
 
-	// RetryBackoff is the initial reassignment delay (default 250ms),
-	// doubled per attempt up to MaxBackoff (default 5s), jittered ±50%.
+	// RetryBackoff and MaxBackoff pace a runner after its n-th
+	// consecutive failed attempt: RetryBackoff (default 250ms) doubled
+	// n-1 times, capped at MaxBackoff (default 5s), jittered ±50%.
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
 
 	// HealthTimeout bounds one peer /healthz probe (default 2s).
 	HealthTimeout time.Duration
-
-	// BreakerThreshold opens a peer's circuit breaker after this many
-	// consecutive failures (default 3); BreakerCooldown is how long it
-	// stays open before a half-open probe (default 10s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// HedgeMultiplier calls an in-flight attempt a straggler when its
-	// elapsed time exceeds HedgeMultiplier × the fleet's median pace for
-	// the points it should have delivered (default 4; negative disables
-	// hedging). HedgeInterval is the monitor's poll period (default
-	// 500ms); HedgeFloor is the minimum age before any attempt may be
-	// hedged (default 2s), keeping short shards un-hedged no matter the
-	// multiplier.
-	HedgeMultiplier float64
-	HedgeInterval   time.Duration
-	HedgeFloor      time.Duration
-
-	// DeadlineFloor and DeadlineSafety shape adaptive shard deadlines:
-	// expected points × median seconds-per-point × DeadlineSafety,
-	// clamped to [DeadlineFloor, ShardTimeout] (defaults 30s and 4).
-	DeadlineFloor  time.Duration
-	DeadlineSafety float64
-
-	// RerouteDelay spaces out queue hops when a peer's breaker rejects a
-	// dispatch (default 100ms) so a fully-open fleet doesn't spin.
-	RerouteDelay time.Duration
 
 	// Token authenticates against the workers' bearer-auth middleware.
 	Token string
@@ -157,18 +125,15 @@ type Config struct {
 	ClientRetries int
 	ClientBackoff time.Duration
 
+	// Metrics records fleet series; nil records into a private registry.
 	Metrics  *Metrics
 	Recorder Recorder
 	Log      *log.Logger
 }
 
-// Coordinator fans a scenario sweep out across a worker fleet. Breakers
-// and the pace EWMA persist across sweeps: the coordinator remembers
-// which peers are broken and how fast the fleet runs.
+// Coordinator fans scenario sweeps out across a worker fleet.
 type Coordinator struct {
-	cfg      Config
-	breakers []*Breaker
-	rates    *peerRates
+	cfg Config
 }
 
 // New validates the config and applies defaults.
@@ -192,10 +157,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.ShardsPerPeer = 4
 	}
 	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(peers) + 1
-		if cfg.MaxAttempts < 3 {
-			cfg.MaxAttempts = 3
-		}
+		cfg.MaxAttempts = max(3, len(peers)+1)
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 10 * time.Minute
@@ -209,47 +171,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = 2 * time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 10 * time.Second
-	}
-	if cfg.HedgeMultiplier == 0 {
-		cfg.HedgeMultiplier = 4
-	}
-	if cfg.HedgeInterval <= 0 {
-		cfg.HedgeInterval = 500 * time.Millisecond
-	}
-	if cfg.HedgeFloor <= 0 {
-		cfg.HedgeFloor = 2 * time.Second
-	}
-	if cfg.DeadlineFloor <= 0 {
-		cfg.DeadlineFloor = 30 * time.Second
-	}
-	if cfg.DeadlineSafety <= 0 {
-		cfg.DeadlineSafety = 4
-	}
-	if cfg.RerouteDelay <= 0 {
-		cfg.RerouteDelay = 100 * time.Millisecond
-	}
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{}
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(obs.NewRegistry())
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
-	c := &Coordinator{cfg: cfg, rates: newPeerRates(len(peers))}
-	c.breakers = make([]*Breaker, len(peers))
-	for i, p := range peers {
-		var onChange func(BreakerState)
-		if cfg.Metrics != nil && cfg.Metrics.BreakerState != nil {
-			gauge, label := cfg.Metrics.BreakerState, peerLabel(p)
-			onChange = func(s BreakerState) { gauge.With(label).Set(int64(s)) }
-		}
-		c.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, onChange)
-	}
-	return c, nil
+	return &Coordinator{cfg: cfg}, nil
 }
 
 // Peers returns the normalized peer URLs.
@@ -278,8 +209,8 @@ type Sweep struct {
 	Doc json.RawMessage
 
 	// Scenario is the same document resolved locally — the coordinator
-	// expands it once for totals and affinity routing, and trusts workers
-	// to expand identically (scenario.Expand is deterministic).
+	// expands it once for the point count, and trusts workers to expand
+	// identically (scenario.Expand is deterministic).
 	Scenario scenario.Scenario
 
 	// Offset resumes a sweep: points before it are already merged
@@ -292,112 +223,64 @@ type Sweep struct {
 	Policy pipeline.ErrorPolicy
 }
 
-// Sentinel cancellation causes for the run context.
+// Sentinel causes: the run context's completion causes, and the emit
+// abort that ends an attempt at the split point of its shortened shard.
 var (
 	errSweepDone    = errors.New("cluster: sweep complete")
 	errSweepStopped = errors.New("cluster: sweep stopped at failing point")
+	errSplitEnd     = errors.New("cluster: shard ends at split point")
 )
 
-// shardTask is one shard's mutable dispatch state. With hedging, a shard
-// can have several attempts in flight at once, so state moves under mu.
-type shardTask struct {
-	idx int
-	rng scenario.Range
+// shard is one dense window [off, end) of the sweep. A split lowers end
+// and queues the back half as a new shard; next is the first point no
+// attempt has delivered to the merger yet.
+type shard struct {
+	idx, off, end, next int
 
-	mu         sync.Mutex
-	got        int // high-water of points merged from this shard (monotone)
-	attempts   int // failed attempts, charged against MaxAttempts
-	dispatches int // total dispatches (including hedges): attempt numbering
-	done       bool
-	inflight   []*shardAttempt
+	fails    int    // failed attempts, charged against MaxAttempts
+	failedBy []bool // per peer: an attempt on this window failed there
+	attempts int    // dispatches, numbering attempts in shard records
+	running  []*attempt
+	done     bool
 }
 
-// liftGot raises the shard's merged high-water mark; concurrent hedged
-// attempts only ever push it forward.
-func (t *shardTask) liftGot(n int) {
-	t.mu.Lock()
-	if n > t.got {
-		t.got = n
+// mayTake reports whether peer may run s: not once it has failed s, while
+// another peer has not failed it yet.
+func (s *shard) mayTake(peer int) bool {
+	if !s.failedBy[peer] {
+		return true
 	}
-	t.mu.Unlock()
-}
-
-// dispatch is one queue entry: a shard bound for a peer's runner. hops
-// counts breaker-rejected reroutes, so a fully-open fleet eventually
-// forces the dispatch through instead of circulating it forever.
-type dispatch struct {
-	t     *shardTask
-	hedge bool
-	hops  int
-}
-
-// sweepState is one Run's shared machinery: the queues, the merger, the
-// live-attempt set the hedge monitor watches, and the completion counter.
-type sweepState struct {
-	c         *Coordinator
-	sw        Sweep
-	m         *merger
-	queues    []chan dispatch
-	runCtx    context.Context
-	cancel    context.CancelCauseFunc
-	wg        *sync.WaitGroup
-	remaining atomic.Int64
-
-	mu   sync.Mutex
-	live map[*shardAttempt]struct{}
-}
-
-func (st *sweepState) track(att *shardAttempt) {
-	st.mu.Lock()
-	st.live[att] = struct{}{}
-	st.mu.Unlock()
-}
-
-func (st *sweepState) untrack(att *shardAttempt) {
-	st.mu.Lock()
-	delete(st.live, att)
-	st.mu.Unlock()
-}
-
-// attempts snapshots the live set for the hedge monitor. The set is a
-// map, so the snapshot is sorted (shard index, then originals before
-// hedges) to keep the monitor's scan order — and therefore hedge pacing —
-// independent of map iteration order.
-func (st *sweepState) attempts() []*shardAttempt {
-	st.mu.Lock()
-	out := make([]*shardAttempt, 0, len(st.live))
-	for att := range st.live {
-		out = append(out, att)
+	for _, failed := range s.failedBy {
+		if !failed {
+			return false
+		}
 	}
-	st.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].t.idx != out[j].t.idx {
-			return out[i].t.idx < out[j].t.idx
-		}
-		return !out[i].hedge && out[j].hedge
-	})
-	return out
+	return true
 }
 
-// enqueue hands a dispatch to a peer's queue from a goroutine, optionally
-// after a delay, giving up when the sweep ends — so no send ever blocks a
-// runner or leaks past Run.
-func (st *sweepState) enqueue(peer int, d dispatch, delay time.Duration) {
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-st.runCtx.Done():
-				return
-			}
-		}
-		select {
-		case st.queues[peer] <- d:
-		case <-st.runCtx.Done():
-		}
-	}()
+// attempt is one peer's stream of a shard's window [from, to).
+type attempt struct {
+	s        *shard
+	peer, no int
+	from, to int
+	ctx      context.Context
+	cancel   context.CancelFunc
+}
+
+// sweep is one Run's dispatch state. mu guards the queue and every shard;
+// the merger has its own lock and is never called with mu held.
+type sweep struct {
+	c      *Coordinator
+	sw     Sweep
+	m      *merger
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+
+	mu      sync.Mutex
+	queue   []*shard      // waiting shards, head first
+	shards  []*shard      // every shard, by index
+	pending int           // shards not yet done
+	wake    chan struct{} // closed by notify when take may find new work
 }
 
 // Run executes the sweep, delivering merged updates in expansion order via
@@ -411,75 +294,39 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep, emit func(Update) error
 		return err
 	}
 	size := len(points)
-	offset := sw.Offset
-	if offset < 0 {
-		offset = 0
-	}
+	offset := max(sw.Offset, 0)
 	if offset >= size {
 		return nil
 	}
-	peers := c.cfg.Peers
-	ranges := scenario.SplitSpan(offset, size-offset, len(peers)*c.cfg.ShardsPerPeer)
-	tasks := make([]*shardTask, len(ranges))
-	for i, r := range ranges {
-		tasks[i] = &shardTask{idx: i, rng: r}
-	}
-
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	m := &merger{
-		next: offset, total: size, buf: make(map[int]Update),
-		emit: emit, failFast: sw.Policy == pipeline.FailFast,
-		stop: func() { cancel(errSweepStopped) }, metrics: c.cfg.Metrics,
+	st := &sweep{
+		c: c, sw: sw, ctx: runCtx, cancel: cancel, wake: make(chan struct{}),
+		m: &merger{
+			next: offset, total: size, buf: make(map[int]Update),
+			emit: emit, failFast: sw.Policy == pipeline.FailFast,
+			stop: func() { cancel(errSweepStopped) }, metrics: c.cfg.Metrics,
+		},
 	}
-	var wg sync.WaitGroup
-	st := &sweepState{
-		c: c, sw: sw, m: m, runCtx: runCtx, cancel: cancel, wg: &wg,
-		live: make(map[*shardAttempt]struct{}),
+	for _, r := range scenario.SplitSpan(offset, size-offset, len(c.cfg.Peers)*c.cfg.ShardsPerPeer) {
+		st.shards = append(st.shards, &shard{
+			idx: len(st.shards), off: r.Offset, end: r.End(), next: r.Offset,
+			failedBy: make([]bool, len(c.cfg.Peers)),
+		})
 	}
-	st.remaining.Store(int64(len(tasks)))
-	st.queues = make([]chan dispatch, len(peers))
-	for i := range st.queues {
-		st.queues[i] = make(chan dispatch, len(tasks))
-	}
-	for _, t := range tasks {
-		st.queues[c.affinity(points[t.rng.Offset])] <- dispatch{t: t}
-	}
+	st.queue = append(st.queue, st.shards...)
+	st.pending = len(st.shards)
 
-	for i := range peers {
-		wg.Add(1)
-		go func(peer int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case d := <-st.queues[peer]:
-					if !c.breakers[peer].Allow() && d.hops < len(peers) {
-						// Breaker open: pass the shard along instead of
-						// burning an attempt on a peer known broken. After a
-						// full loop of rejections it runs anyway — the
-						// attempt budget, not the breakers, decides when a
-						// sweep with no healthy peers dies.
-						d.hops++
-						st.enqueue((peer+1)%len(peers), d, c.cfg.RerouteDelay)
-						continue
-					}
-					c.runShard(st, peer, d)
-				}
-			}
-		}(i)
-	}
-	if c.cfg.HedgeMultiplier > 0 && len(peers) > 1 {
+	var wg sync.WaitGroup
+	for peer := range c.cfg.Peers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.hedgeLoop()
+			st.run(peer)
 		}()
 	}
-	<-runCtx.Done()
-	wg.Wait()
+	wg.Wait() // runners return once runCtx ends
 
 	cause := context.Cause(runCtx)
 	switch {
@@ -492,154 +339,189 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep, emit func(Update) error
 	}
 }
 
-// runShard runs one dispatch attempt and handles its outcome: completion
-// (first finisher wins, cancelling hedge siblings), reassignment with
-// backoff, or sweep failure when the budget is spent.
-func (c *Coordinator) runShard(st *sweepState, peer int, d dispatch) {
-	t := d.t
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return
+// run is one peer's runner: it takes work until the sweep ends, and after
+// its n-th consecutive failed attempt waits out backoff n first.
+func (st *sweep) run(peer int) {
+	fails := 0
+	for {
+		a, wake := st.take(peer)
+		if a == nil {
+			select {
+			case <-wake:
+				continue
+			case <-st.ctx.Done():
+				return
+			}
+		}
+		switch st.finish(a, st.stream(a)) {
+		case durable.ShardDone:
+			fails = 0
+		case durable.ShardFailed:
+			fails++
+			if !sleepCtx(st.ctx, backoffFor(st.c.cfg.RetryBackoff, st.c.cfg.MaxBackoff, fails)) {
+				return
+			}
+		}
 	}
-	t.dispatches++
-	attemptNo := t.dispatches
-	startGot := t.got
-	//lint:ignore determinism attempt start times pace hedging/backoff only; merged results are ordered by shard index, never by wall clock
-	att := &shardAttempt{t: t, peer: peer, hedge: d.hedge, start: time.Now()}
-	t.inflight = append(t.inflight, att)
-	t.mu.Unlock()
+}
 
-	peerURL := c.cfg.Peers[peer]
-	c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardDispatched)
-	if mt := c.cfg.Metrics; mt != nil {
-		mt.InFlight.Inc()
+// take starts peer's next attempt: the first queued shard it may run, else
+// the back half of the in-flight shard with the most undelivered points,
+// else a re-run of a one-point remainder. With nothing to take it returns
+// a channel that closes when that may have changed.
+func (st *sweep) take(peer int) (*attempt, <-chan struct{}) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, s := range st.queue {
+		if s.mayTake(peer) {
+			st.queue = append(st.queue[:i], st.queue[i+1:]...)
+			return st.start(s, peer), nil
+		}
 	}
-	actx, acancel := context.WithCancel(st.runCtx)
-	att.cancel = acancel
-	st.track(att)
-	err := c.streamShard(actx, st.sw, peer, att, st.m, startGot)
-	acancel()
-	st.untrack(att)
-	if mt := c.cfg.Metrics; mt != nil {
-		mt.InFlight.Dec()
+	var big *shard
+	for _, s := range st.shards {
+		if len(s.running) == 1 && s.end > s.next && s.mayTake(peer) &&
+			(big == nil || s.end-s.next > big.end-big.next) {
+			big = s
+		}
 	}
+	switch {
+	case big == nil:
+		return nil, st.wake
+	case big.end-big.next == 1:
+		st.c.cfg.Metrics.Hedged.Inc()
+		return st.start(big, peer), nil
+	}
+	// The running attempt keeps the front half: it is already computing
+	// its next point.
+	mid := big.next + (big.end-big.next+1)/2
+	back := &shard{
+		idx: len(st.shards), off: mid, end: big.end, next: mid,
+		fails: big.fails, failedBy: append([]bool(nil), big.failedBy...),
+	}
+	big.end = mid
+	st.shards = append(st.shards, back)
+	st.pending++
+	st.c.cfg.Metrics.Splits.Inc()
+	return st.start(back, peer), nil
+}
 
-	t.mu.Lock()
-	for i, a := range t.inflight {
-		if a == att {
-			t.inflight = append(t.inflight[:i], t.inflight[i+1:]...)
+// start opens peer's attempt on s's undelivered window. Callers hold st.mu.
+func (st *sweep) start(s *shard, peer int) *attempt {
+	s.attempts++
+	a := &attempt{s: s, peer: peer, no: s.attempts, from: s.next, to: s.end}
+	a.ctx, a.cancel = context.WithTimeout(st.ctx, st.c.cfg.ShardTimeout)
+	s.running = append(s.running, a)
+	st.c.cfg.Metrics.InFlight.Inc()
+	st.record(a, durable.ShardDispatched)
+	st.notify()
+	return a
+}
+
+// advance notes that a has delivered every point before next, and reports
+// whether a split has ended a's shard there, short of a's request.
+func (st *sweep) advance(a *attempt, next int) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a.s.next = max(a.s.next, next)
+	return next >= a.s.end && a.s.end < a.to
+}
+
+// finish settles a and returns its outcome: done, failed, cancelled when
+// a re-run of the same window won, or "" when the sweep ended first.
+func (st *sweep) finish(a *attempt, err error) string {
+	a.cancel()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s, mt := a.s, st.c.cfg.Metrics
+	for i, r := range s.running {
+		if r == a {
+			s.running = append(s.running[:i], s.running[i+1:]...)
 			break
 		}
 	}
-	if t.done || st.runCtx.Err() != nil {
-		// A hedge sibling already finished this shard, or the sweep ended
-		// (done, stopped, cancelled, or failed elsewhere) while this
-		// attempt was in flight; its outcome no longer matters.
-		t.mu.Unlock()
-		return
-	}
-	if err == nil {
-		t.done = true
-		losers := append([]*shardAttempt(nil), t.inflight...)
-		t.mu.Unlock()
-		for _, l := range losers {
-			l.cancel()
+	mt.InFlight.Dec()
+	st.notify()
+	peer := peerLabel(st.c.cfg.Peers[a.peer])
+	switch {
+	case s.done:
+		mt.Shards.With(peer, statusCancelled).Inc()
+		return statusCancelled
+	case st.ctx.Err() != nil:
+		return ""
+	case err == nil:
+		s.done = true
+		for _, r := range s.running {
+			r.cancel()
 		}
-		c.breakers[peer].Success()
-		c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardDone)
-		if mt := c.cfg.Metrics; mt != nil {
-			mt.Shards.With(peerLabel(peerURL), durable.ShardDone).Inc()
-			mt.PeerUp.With(peerLabel(peerURL)).Set(1)
-			if att.hedge {
-				mt.HedgeWins.Inc()
-			}
-		}
-		if st.remaining.Add(-1) == 0 {
+		st.record(a, durable.ShardDone)
+		mt.Shards.With(peer, durable.ShardDone).Inc()
+		mt.PeerUp.With(peer).Set(1)
+		if st.pending--; st.pending == 0 {
 			st.cancel(errSweepDone)
 		}
-		return
+		return durable.ShardDone
 	}
 
-	t.attempts++
-	fails := t.attempts
-	siblings := len(t.inflight)
-	t.mu.Unlock()
-
-	c.breakers[peer].Failure()
-	c.record(st.sw.JobID, t, peerURL, attemptNo, durable.ShardFailed)
-	if mt := c.cfg.Metrics; mt != nil {
-		mt.Shards.With(peerLabel(peerURL), durable.ShardFailed).Inc()
-		mt.PeerUp.With(peerLabel(peerURL)).Set(0)
-	}
+	s.fails++
+	s.failedBy[a.peer] = true
+	st.record(a, durable.ShardFailed)
+	mt.Shards.With(peer, durable.ShardFailed).Inc()
+	mt.PeerUp.With(peer).Set(0)
 	var ee errEmit
-	if errors.As(err, &ee) {
-		st.cancel(fmt.Errorf("cluster: merging shard %d: %w", t.idx, ee.err))
-		return
-	}
-	if siblings > 0 {
-		// A hedge (or the original) is still streaming this shard; it
-		// inherits sole responsibility for the next move.
-		return
-	}
-	if fails >= c.cfg.MaxAttempts {
-		st.cancel(fmt.Errorf("cluster: shard %d [%d,+%d) failed after %d attempt(s), last on %s: %w",
-			t.idx, t.rng.Offset, t.rng.Count, fails, peerURL, err))
-		return
-	}
-	if mt := c.cfg.Metrics; mt != nil {
+	switch {
+	case errors.As(err, &ee):
+		st.cancel(fmt.Errorf("cluster: merging shard %d: %w", s.idx, ee.err))
+	case len(s.running) > 0:
+		// A re-run still streams the window.
+	case s.fails >= st.c.cfg.MaxAttempts:
+		st.cancel(fmt.Errorf("cluster: shard %d [%d,%d) failed after %d attempt(s), last on %s: %w",
+			s.idx, s.off, s.end, s.fails, peer, err))
+	default:
 		mt.Retries.Inc()
+		st.c.cfg.Log.Printf("cluster: shard %d attempt %d on %s failed (%v); requeued", s.idx, a.no, peer, err)
+		st.queue = append([]*shard{s}, st.queue...)
 	}
-	c.cfg.Log.Printf("cluster: shard %d attempt %d on %s failed (%v); reassigning", t.idx, attemptNo, peerURL, err)
-	st.enqueue((peer+1)%len(st.queues), dispatch{t: t},
-		backoffFor(c.cfg.RetryBackoff, c.cfg.MaxBackoff, fails))
+	return durable.ShardFailed
 }
 
-// streamShard runs one SSE attempt against a peer, merging results and
-// advancing the shard's resume high-water as in-order frames arrive. The
-// request window starts at the shard's merged high-water when the attempt
-// began, so retries after partial progress re-request only the remainder.
-func (c *Coordinator) streamShard(actx context.Context, sw Sweep, peer int, att *shardAttempt, m *merger, startGot int) error {
-	t := att.t
-	window := t.rng.Count - startGot
-	body, err := json.Marshal(struct {
-		Scenario json.RawMessage `json:"scenario"`
-		Offset   int             `json:"offset"`
-		Limit    int             `json:"limit"`
-	}{sw.Doc, t.rng.Offset + startGot, window})
+// notify wakes the runners waiting in take. Callers hold st.mu.
+func (st *sweep) notify() {
+	close(st.wake)
+	st.wake = make(chan struct{})
+}
+
+// stream runs one attempt: POST the window to the peer's /v2/shards and
+// merge result frames as they arrive. It returns nil once the shard's
+// window, which a split may have shortened, is delivered.
+func (st *sweep) stream(a *attempt) error {
+	c := st.c
+	body, err := json.Marshal(spec.ShardSpec{Scenario: st.sw.Doc, Offset: a.from, Limit: a.to - a.from})
 	if err != nil {
 		return errEmit{err} // malformed sweep doc: retrying cannot help
 	}
-	sctx, scancel := context.WithTimeout(actx, c.shardDeadline(window))
-	defer scancel()
 	cli := &Client{
 		HTTP: c.cfg.HTTP, Token: c.cfg.Token,
 		Retries: c.cfg.ClientRetries, Backoff: c.cfg.ClientBackoff,
 	}
-	expected := t.rng.Offset + startGot
-	end := t.rng.Offset + t.rng.Count
-	var doneCount int
-	last := att.start
-	err = cli.Stream(sctx, c.cfg.Peers[peer]+"/v2/shards", body, func(ev Event) error {
+	next, doneCount := a.from, 0
+	err = cli.Stream(a.ctx, c.cfg.Peers[a.peer]+"/v2/shards", body, func(ev Event) error {
 		switch ev.Type {
 		case "result":
 			var res wireResult
 			if uerr := json.Unmarshal(ev.Data, &res); uerr != nil {
 				return BadFrameError{fmt.Errorf("cluster: bad result frame: %w", uerr)}
 			}
-			if res.Index != expected {
-				return BadFrameError{fmt.Errorf("cluster: shard %d: point %d out of order (want %d)", t.idx, res.Index, expected)}
+			if res.Index != next {
+				return BadFrameError{fmt.Errorf("cluster: shard %d: point %d out of order (want %d)", a.s.idx, res.Index, next)}
 			}
-			if merr := m.deliver(Update{Index: res.Index, Err: res.Error, Payload: res.Payload}); merr != nil {
+			if merr := st.m.deliver(Update{Index: res.Index, Err: res.Error, Payload: res.Payload}); merr != nil {
 				return merr
 			}
-			expected++
-			att.delivered.Add(1)
-			//lint:ignore determinism inter-frame pacing feeds the hedge EWMA, not the merged result stream
-			now := time.Now()
-			c.rates.observe(peer, now.Sub(last).Seconds())
-			last = now
-			t.liftGot(expected - t.rng.Offset)
+			next++
+			if st.advance(a, next) {
+				return errSplitEnd
+			}
 		case "done":
 			var d wireDone
 			if uerr := json.Unmarshal(ev.Data, &d); uerr != nil {
@@ -652,39 +534,29 @@ func (c *Coordinator) streamShard(actx context.Context, sw Sweep, peer int, att 
 		}
 		return nil
 	})
-	if err != nil {
+	switch {
+	case errors.Is(err, errSplitEnd):
+		return nil
+	case err != nil:
 		return err
-	}
-	// The worker's done frame counts this attempt's request window, not
-	// the whole shard — an attempt resuming after partial progress
-	// streams only the remainder.
-	if expected != end || doneCount != window {
-		return fmt.Errorf("cluster: shard %d short: got %d of %d point(s) (done frame said %d of %d)",
-			t.idx, expected-t.rng.Offset, t.rng.Count, doneCount, window)
+	case next != a.to || doneCount != a.to-a.from:
+		// The done frame counts this attempt's window, not the shard's.
+		return fmt.Errorf("cluster: shard %d short: got %d of %d point(s) (done frame said %d)",
+			a.s.idx, next-a.from, a.to-a.from, doneCount)
 	}
 	return nil
 }
 
-// record persists one shard transition, logging (not failing) on error.
-func (c *Coordinator) record(job string, t *shardTask, peerURL string, attempt int, status string) {
-	if c.cfg.Recorder == nil || job == "" {
+// record persists one transition of a's shard, logging (not failing) on
+// error. Callers hold st.mu, so records land in state order.
+func (st *sweep) record(a *attempt, status string) {
+	c, s := st.c, a.s
+	if c.cfg.Recorder == nil || st.sw.JobID == "" {
 		return
 	}
-	if err := c.cfg.Recorder.RecordShard(job, t.idx, t.rng.Offset, t.rng.Count, peerLabel(peerURL), attempt, status); err != nil {
-		c.cfg.Log.Printf("cluster: recording shard %d %s: %v", t.idx, status, err)
+	if err := c.cfg.Recorder.RecordShard(st.sw.JobID, s.idx, s.off, s.end-s.off, peerLabel(c.cfg.Peers[a.peer]), a.no, status); err != nil {
+		c.cfg.Log.Printf("cluster: recording shard %d %s: %v", s.idx, status, err)
 	}
-}
-
-// affinity routes a shard (by its leading point) to a peer: a stable hash
-// of the workload/device axes, so re-runs and related sweeps land the same
-// axis combinations on the same workers and their pipeline memo,
-// StreamCache, and shared-stream tiers stay hot.
-func (c *Coordinator) affinity(p scenario.Point) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(p.Workload))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(p.Device.Name))
-	return int(h.Sum32() % uint32(len(c.cfg.Peers)))
 }
 
 // peerLabel is the metric/WAL label for a peer URL (scheme stripped to
@@ -698,10 +570,10 @@ func peerLabel(u string) string {
 
 // merger folds concurrent shard results back into expansion order: updates
 // buffer until their index is next, then emit in order. Stale duplicates
-// (reconnect replays racing an advanced resume offset, or a hedge pair
-// covering the same window) are dropped; under FailFast the first erroring
-// in-order point stops the sweep exactly where a single-node fail-fast
-// stream would.
+// (reconnect replays racing an advanced resume offset, or both copies of a
+// re-run point) are dropped; under FailFast the first erroring in-order
+// point stops the sweep exactly where a single-node fail-fast stream
+// would.
 type merger struct {
 	mu       sync.Mutex
 	next     int
@@ -752,37 +624,24 @@ func (m *merger) deliver(u Update) error {
 
 // PeerStatus is one peer's probed health.
 type PeerStatus struct {
-	Peer    string `json:"peer"`
-	OK      bool   `json:"ok"`
-	Err     string `json:"error,omitempty"`
-	Breaker string `json:"breaker,omitempty"`
+	Peer string `json:"peer"`
+	OK   bool   `json:"ok"`
+	Err  string `json:"error,omitempty"`
 }
 
 // PeerHealth probes every peer's /healthz concurrently (bounded by
 // HealthTimeout) and updates the per-peer reachability gauge. A peer is OK
 // only on HTTP 200 — reachable-but-degraded workers count against quorum.
-// Probes ride the same circuit breakers as shard traffic: an open breaker
-// skips the HTTP probe entirely (reporting the peer down with "breaker
-// open"), and probe outcomes feed the breaker, so /healthz polling is what
-// walks a recovering peer through half-open back to closed.
+// Only /healthz is probed: a peer whose /v2/shards fails still reads as
+// up; the shard queue routes around it.
 func (c *Coordinator) PeerHealth(ctx context.Context) []PeerStatus {
 	out := make([]PeerStatus, len(c.cfg.Peers))
 	var wg sync.WaitGroup
-	for i, p := range c.cfg.Peers {
+	for i, peerURL := range c.cfg.Peers {
 		wg.Add(1)
-		go func(i int, peerURL string) {
+		go func() {
 			defer wg.Done()
-			br := c.breakers[i]
 			st := PeerStatus{Peer: peerLabel(peerURL)}
-			if !br.Allow() {
-				st.Err = "breaker open"
-				st.Breaker = br.State().String()
-				if mt := c.cfg.Metrics; mt != nil {
-					mt.PeerUp.With(st.Peer).Set(0)
-				}
-				out[i] = st
-				return
-			}
 			pctx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, peerURL+"/healthz", nil)
@@ -801,21 +660,13 @@ func (c *Coordinator) PeerHealth(ctx context.Context) []PeerStatus {
 			if err != nil {
 				st.Err = err.Error()
 			}
+			up := int64(0)
 			if st.OK {
-				br.Success()
-			} else {
-				br.Failure()
+				up = 1
 			}
-			st.Breaker = br.State().String()
-			if mt := c.cfg.Metrics; mt != nil {
-				up := int64(0)
-				if st.OK {
-					up = 1
-				}
-				mt.PeerUp.With(st.Peer).Set(up)
-			}
+			c.cfg.Metrics.PeerUp.With(st.Peer).Set(up)
 			out[i] = st
-		}(i, p)
+		}()
 	}
 	wg.Wait()
 	return out

@@ -1,6 +1,6 @@
 // Adversarial completion-order tests for the merger: whatever order
-// shards (and hedged duplicates of shards) finish in, the emitted stream
-// is the dense in-order point sequence, each point exactly once.
+// shards (and re-run duplicates of their points) finish in, the emitted
+// stream is the dense in-order point sequence, each point exactly once.
 package cluster
 
 import (
@@ -72,8 +72,8 @@ func TestMergerInterleavedShards(t *testing.T) {
 	checkDense(t, *out, 12)
 }
 
-// TestMergerHedgedDuplicates: a hedged shard's window arrives twice —
-// once from the straggling original, once from the hedge — partially
+// TestMergerHedgedDuplicates: a window arrives twice — once from a
+// straggling original attempt, once from the re-run (hedge) — partially
 // interleaved and racing the merge cursor. Every duplicate is dropped,
 // whether it is still buffered (same index waiting) or already emitted
 // (index below the cursor).

@@ -126,10 +126,7 @@ func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(
 		// Capped, jittered exponential backoff; the jitter keeps a fleet
 		// of coordinators from thundering back in lockstep after a shared
 		// outage.
-		d := backoffFor(base, maxB, fails)
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
+		if !sleepCtx(ctx, backoffFor(base, maxB, fails)) {
 			return ctx.Err()
 		}
 	}
@@ -231,7 +228,9 @@ func parseSSE(r io.Reader, emit func(Event) error) error {
 		return err
 	}
 	for sc.Scan() {
-		line := sc.Text()
+		// ScanLines drops one CR of a CRLF ending; trim any left so a value
+		// never ends in CR, which would not survive a write and re-read.
+		line := strings.TrimRight(sc.Text(), "\r")
 		switch {
 		case line == "":
 			if err := flush(); err != nil {

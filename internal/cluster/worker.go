@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,7 +81,12 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sh, err := spec.ReadShard(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		shardError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		shardError(w, code, err)
 		return
 	}
 	skip := 0

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -59,4 +61,39 @@ func TestReadShardFullWindow(t *testing.T) {
 			t.Errorf("valid shard rejected: %v\n%s", err, doc)
 		}
 	}
+}
+
+// FuzzReadShard: ReadShard never panics; an accepted shard's window lies
+// inside its scenario, and re-encoding the accepted document reads back
+// the same window.
+func FuzzReadShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		sh, err := ReadShard(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		size, err := sh.Scenario.SizeChecked()
+		if err != nil {
+			t.Fatalf("accepted a shard whose scenario has no point count: %v", err)
+		}
+		if sh.Offset < 0 || sh.Limit < 0 || sh.Offset > size || sh.Limit > size-sh.Offset {
+			t.Fatalf("accepted window [%d,+%d) outside %d point(s)", sh.Offset, sh.Limit, size)
+		}
+		var raw ShardSpec
+		if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&raw); err != nil {
+			t.Fatalf("accepted document does not decode: %v", err)
+		}
+		re, err := json.Marshal(ShardSpec{Scenario: raw.Scenario, Offset: sh.Offset, Limit: sh.Limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadShard(bytes.NewReader(re))
+		if err != nil {
+			t.Fatalf("re-encoded shard rejected: %v\n%s", err, re)
+		}
+		if back.Offset != sh.Offset || back.Limit != sh.Limit || back.Scenario.Size() != size {
+			t.Fatalf("re-encoded shard reads back as [%d,+%d) of %d, want [%d,+%d) of %d",
+				back.Offset, back.Limit, back.Scenario.Size(), sh.Offset, sh.Limit, size)
+		}
+	})
 }

@@ -64,7 +64,7 @@ func TestFacadeContextHelpers(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	oldRS, err := delta.EstimateAll(net.Layers, delta.TitanXp(), delta.TrafficOptions{})
+	oldRS, err := delta.EstimateAllContext(context.Background(), net.Layers, delta.TitanXp(), delta.TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFacadeContextHelpers(t *testing.T) {
 		}
 	}
 
-	_, oldTotal, err := delta.EstimateNetworkTraining(net, delta.TitanXp(), delta.TrafficOptions{})
+	_, oldTotal, err := delta.EstimateNetworkTrainingContext(context.Background(), net, delta.TitanXp(), delta.TrafficOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,29 +4,31 @@
 # coordinator's merged sweep must be identical point for point to a
 # single-node run of the same scenario, no matter what the fleet suffered.
 #
-#   kill           two workers + coordinator; kill -9 the busy worker
-#                  mid-sweep; assert reassignment, fleet metrics, and
+#   kill           two workers + coordinator; kill -9 a worker mid-sweep;
+#                  assert the survivor takes over, the killed worker has an
+#                  attempt counted failed or cancelled, fleet metrics, and
 #                  quorum-loss 503 (the original smoke).
 #   chaos-stream   workers run under -chaos rules that cut a shard stream
 #                  mid-frame and corrupt an SSE frame; assert the SSE
 #                  client recovers in-stream (no shard retries burned) and
 #                  results stay identical.
-#   chaos-hedge    a worker turns slow (injected per-frame latency); the
-#                  straggling shards are hedged to the healthy worker;
-#                  assert hedge metrics moved and results stay identical.
-#   chaos-breaker  a worker refuses every shard connection; its circuit
-#                  breaker opens (visible in /metrics and /healthz),
-#                  shards reroute, and after the cooldown a health probe
-#                  walks the breaker half-open -> closed.
+#   chaos-slow     one worker is slow from its first request (injected
+#                  per-frame latency); the free worker splits its shard or
+#                  re-runs its last point; assert a split or re-run was
+#                  counted and results stay identical.
+#   chaos-refuse   one worker refuses every shard connection; assert the
+#                  other worker served every point, results stay
+#                  identical, and the refuser still reads as up in
+#                  /healthz (only /v2/shards fails there).
 #
 # Run by the CI fleet-e2e (LEGS=kill) and chaos-e2e (the three chaos legs)
-# jobs; usable locally: ./scripts/fleet_e2e.sh [LEGS="kill chaos-hedge"]
+# jobs; usable locally: ./scripts/fleet_e2e.sh [LEGS="kill chaos-slow"]
 set -Eeuo pipefail
 # -E propagates the ERR trap into the leg functions: any failing command
 # names its line and text before the EXIT trap tears the fleet down.
 trap 'echo "fleet-e2e: FAIL at ${BASH_SOURCE[0]}:$LINENO: $BASH_COMMAND" >&2' ERR
 
-LEGS="${LEGS:-kill chaos-stream chaos-hedge chaos-breaker}"
+LEGS="${LEGS:-kill chaos-stream chaos-slow chaos-refuse}"
 REF="${REF:-127.0.0.1:18090}"
 
 TMP=$(mktemp -d)
@@ -104,17 +106,6 @@ metric() { # host, exact metric name (no labels) -> value (0 if absent)
   curl -fsS "http://$1/metrics" | awk -v m="$2" '$1 == m {print $2; found=1} END {if (!found) print 0}'
 }
 
-busy_peer() { # coordinator host -> peer label with shard attempts counted
-  curl -fsS "http://$1/metrics" | python3 -c '
-import re, sys
-for l in sys.stdin:
-    m = re.match(r"delta_cluster_shards_total\{.*peer=\"([^\"]+)\".*\} (\S+)", l)
-    if m and float(m.group(2)) > 0:
-        print(m.group(1))
-        break
-'
-}
-
 # A six-point simulation sweep, slow enough that a worker dies mid-stream:
 # several L2 configurations over a mid-size layer.
 SIM_SCENARIO='{"scenario": {
@@ -169,11 +160,10 @@ print("fleet-e2e: healthz quorum OK")
   sim_reference
 
   # The same sweep through the coordinator; kill -9 a worker once results
-  # are flowing but before the sweep can be finished. The scenario has a
-  # single workload x device, so memo-key affinity routes every shard to
-  # the same peer — find that peer in the shard metrics and kill it, so the
-  # kill always lands on the worker holding the remaining shards.
-  local FLEET_ID DONE=0 STATUS=running BUSY KILL_PID
+  # are flowing but before the sweep can be finished. Both workers pull
+  # shards from the queue until it is drained, so either one holds an
+  # attempt when it dies.
+  local FLEET_ID DONE=0 STATUS=running
   FLEET_ID=$(submit "$CO" "$SIM_SCENARIO")
   echo "fleet-e2e: submitted fleet job $FLEET_ID"
   for _ in $(seq 1 400); do
@@ -183,18 +173,13 @@ print("fleet-e2e: healthz quorum OK")
     [ "$STATUS" != running ] && break
     sleep 0.05
   done
-  BUSY=$(busy_peer "$CO")
-  case "$BUSY" in
-    "$W1"|"$W2") KILL_PID=${ADDR_PID[$BUSY]} ;;
-    *) echo "fleet-e2e: cannot identify busy worker from metrics (got '$BUSY')" >&2; exit 1 ;;
-  esac
-  kill -9 "$KILL_PID"
-  wait "$KILL_PID" 2>/dev/null || true
+  kill -9 "${ADDR_PID[$W1]}"
+  wait "${ADDR_PID[$W1]}" 2>/dev/null || true
   if [ "$STATUS" != running ] || [ "$DONE" -lt 1 ] || [ "$DONE" -ge 6 ]; then
     echo "fleet-e2e: fleet job was done=$DONE status=$STATUS at kill time; not a mid-sweep kill" >&2
     exit 1
   fi
-  echo "fleet-e2e: killed -9 busy worker $BUSY with $DONE/6 results merged"
+  echo "fleet-e2e: killed -9 worker $W1 with $DONE/6 results merged"
 
   STATUS=$(poll_done "$CO" "$FLEET_ID")
   if [ "$STATUS" != done ]; then
@@ -205,10 +190,12 @@ print("fleet-e2e: healthz quorum OK")
   curl -fsS "http://$CO/v2/jobs/$FLEET_ID" > "$TMP/kill_merged.json"
   identical "$TMP/kill_merged.json" "$TMP/ref_sim.json" 6
 
-  # The fleet metrics must show the reassignment: retries moved, every
-  # point merged, nothing left in flight.
+  # The fleet metrics must show the takeover: the killed worker's attempt
+  # ended failed (its stream died) or cancelled (the survivor re-ran its
+  # point first), every point merged, nothing left in flight.
   curl -fsS "http://$CO/metrics" | python3 -c '
 import sys
+killed = sys.argv[1]
 metrics = {}
 for l in sys.stdin:
     if l.strip() and not l.startswith("#"):
@@ -218,13 +205,15 @@ for l in sys.stdin:
 def total(prefix):
     return sum(v for k, v in metrics.items() if k.startswith(prefix))
 
-assert metrics.get("delta_cluster_shard_retries_total", 0) > 0, "no shard retries counted"
+lost = sum(metrics.get("delta_cluster_shards_total{peer=\"%s\",status=\"%s\"}" % (killed, s), 0)
+           for s in ("failed", "cancelled"))
+assert lost > 0, "no failed or cancelled attempt counted for the killed worker " + killed
 assert metrics.get("delta_cluster_points_merged_total", 0) >= 6, "points not merged"
 assert metrics.get("delta_cluster_shards_in_flight", -1) == 0, "shards still in flight"
 assert metrics.get("delta_cluster_peers", 0) == 2, "peer gauge missing"
 assert total("delta_cluster_shards_total") > 0, "no shard attempts counted"
 print("fleet-e2e: fleet metrics OK")
-'
+' "$W1"
 
   # One of two workers is gone: the fleet has lost quorum (majority), so
   # the coordinator must degrade readiness.
@@ -282,136 +271,64 @@ leg_chaos_stream() {
   echo "fleet-e2e: chaos-stream leg PASS"
 }
 
-# --------------------------------------------------------- chaos-hedge leg
-# After a clean warm-up sweep seeds the fleet's pace EWMA, the busy worker
-# turns slow: every SSE frame is delayed 1.5s (rules arm after each
-# worker's first two shard requests). The hedge monitor must re-dispatch
-# the straggling shards to the healthy worker and win.
-leg_chaos_hedge() {
+# ---------------------------------------------------------- chaos-slow leg
+# One worker is slow from its first request: every SSE frame it sends is
+# delayed 1.5s. The free worker must relieve it — split its shard or re-run
+# its last point — and the first copy to merge wins.
+leg_chaos_slow() {
   local W1=127.0.0.1:18097 W2=127.0.0.1:18098 CO=127.0.0.1:18099
-  local RULES='[{"fault":"latency","where":"frame","latency_ms":1500,"path":"/v2/shards","after_requests":2}]'
-  start "$W1" -chaos "$RULES"
-  start "$W2" -chaos "$RULES"
-  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1 \
-    -hedge-interval 200ms -hedge-floor 500ms -shard-deadline-floor 1s
+  start "$W1"
+  start "$W2" -chaos '[{"fault":"latency","where":"frame","latency_ms":1500,"path":"/v2/shards"}]'
+  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   fast_reference
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/hedge_warmup.json"
-  identical "$TMP/hedge_warmup.json" "$TMP/ref_fast.json" 2
-  echo "fleet-e2e: hedge warm-up sweep done (pace EWMA seeded)"
+  run_job "$CO" "$FAST_SCENARIO" "$TMP/slow_merged.json"
+  identical "$TMP/slow_merged.json" "$TMP/ref_fast.json" 2
 
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/hedge_merged.json"
-  identical "$TMP/hedge_merged.json" "$TMP/ref_fast.json" 2
-
-  local HEDGED WINS DEADLINE
-  HEDGED=$(metric "$CO" delta_cluster_hedged_shards_total)
-  WINS=$(metric "$CO" delta_cluster_hedge_wins_total)
-  DEADLINE=$(metric "$CO" delta_cluster_adaptive_deadline_seconds)
-  if [ "${HEDGED%.*}" -lt 1 ]; then
-    echo "fleet-e2e: no hedge fired against the slow worker (hedged=$HEDGED)" >&2; exit 1
+  local RERUNS SPLITS
+  RERUNS=$(metric "$CO" delta_cluster_hedged_shards_total)
+  SPLITS=$(metric "$CO" delta_cluster_shard_splits_total)
+  if [ $(( ${RERUNS%.*} + ${SPLITS%.*} )) -lt 1 ]; then
+    echo "fleet-e2e: no split or re-run relieved the slow worker" >&2; exit 1
   fi
-  if [ "${WINS%.*}" -lt 1 ]; then
-    echo "fleet-e2e: hedges fired but none won (wins=$WINS)" >&2; exit 1
-  fi
-  if [ "${DEADLINE%.*}" -lt 1 ]; then
-    echo "fleet-e2e: adaptive deadline gauge never moved ($DEADLINE)" >&2; exit 1
-  fi
-  echo "fleet-e2e: chaos-hedge leg PASS (hedged=$HEDGED wins=$WINS deadline=${DEADLINE}s)"
+  echo "fleet-e2e: chaos-slow leg PASS (re-runs=$RERUNS splits=$SPLITS)"
 }
 
-# ------------------------------------------------------- chaos-breaker leg
-# A clean warm-up finds the busy (affinity) worker; it restarts refusing
-# every /v2/shards connection. The next sweep must still complete (shards
-# reroute), the busy worker's breaker must open — visible in /metrics and
-# /healthz — and once the cooldown passes a health probe must walk it
-# half-open -> closed.
-leg_chaos_breaker() {
+# -------------------------------------------------------- chaos-refuse leg
+# One worker refuses every /v2/shards connection from the start. Its
+# shards go back on the queue for the other worker, which must serve every
+# point. Its /healthz still answers, so the coordinator reads it as up.
+leg_chaos_refuse() {
   local W1=127.0.0.1:18100 W2=127.0.0.1:18101 CO=127.0.0.1:18102
-  start "$W1"; start "$W2"
-  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1 \
-    -breaker-threshold 2 -breaker-cooldown 8s
+  start "$W1"
+  start "$W2" -chaos '[{"fault":"refuse","path":"/v2/shards"}]'
+  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   fast_reference
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/breaker_warmup.json"
-  identical "$TMP/breaker_warmup.json" "$TMP/ref_fast.json" 2
+  run_job "$CO" "$FAST_SCENARIO" "$TMP/refuse_merged.json"
+  identical "$TMP/refuse_merged.json" "$TMP/ref_fast.json" 2
 
-  local BUSY
-  BUSY=$(busy_peer "$CO")
-  case "$BUSY" in
-    "$W1"|"$W2") ;;
-    *) echo "fleet-e2e: cannot identify busy worker from metrics (got '$BUSY')" >&2; exit 1 ;;
-  esac
-  kill -9 "${ADDR_PID[$BUSY]}"
-  wait "${ADDR_PID[$BUSY]}" 2>/dev/null || true
-  start "$BUSY" -chaos '[{"fault":"refuse","path":"/v2/shards"}]'
-  wait_up "$BUSY"
-  echo "fleet-e2e: restarted busy worker $BUSY refusing all shard connections"
-
-  run_job "$CO" "$FAST_SCENARIO" "$TMP/breaker_merged.json"
-  identical "$TMP/breaker_merged.json" "$TMP/ref_fast.json" 2
-
-  # Exactly the threshold's worth of failures, then the breaker fenced the
-  # peer: two reassignments, breaker gauge open (2).
-  if [ "$(metric "$CO" delta_cluster_shard_retries_total)" != 2 ]; then
-    echo "fleet-e2e: retries != 2 (got $(metric "$CO" delta_cluster_shard_retries_total))" >&2; exit 1
+  local SERVED REFUSED
+  SERVED=$(metric "$W1" delta_scenario_points_total)
+  REFUSED=$(metric "$W2" delta_scenario_points_total)
+  if [ "${SERVED%.*}" != 2 ] || [ "${REFUSED%.*}" != 0 ]; then
+    echo "fleet-e2e: points served: $W1=$SERVED $W2=$REFUSED, want 2 and 0" >&2; exit 1
   fi
-  curl -fsS "http://$CO/metrics" > "$TMP/breaker_metrics.txt"
-  python3 - "$BUSY" "$TMP/breaker_metrics.txt" <<'EOF'
-import re, sys
-busy = sys.argv[1]
-for l in open(sys.argv[2]):
-    m = re.match(r"delta_cluster_breaker_state\{peer=\"([^\"]+)\"\} (\S+)", l)
-    if m and m.group(1) == busy:
-        assert float(m.group(2)) == 2, f"breaker gauge {m.group(2)}, want 2 (open)"
-        print("fleet-e2e: breaker gauge open OK")
-        break
-else:
-    raise SystemExit(f"no breaker gauge for {busy}")
-EOF
 
-  # While open, the coordinator reports the peer down with its breaker
-  # state, and the fleet has lost quorum.
   local CODE
-  CODE=$(curl -s -o "$TMP/breaker_health.json" -w '%{http_code}' "http://$CO/healthz")
-  if [ "$CODE" != 503 ]; then
-    echo "fleet-e2e: open-breaker /healthz answered $CODE, want 503" >&2
-    cat "$TMP/breaker_health.json" >&2
-    exit 1
-  fi
-  python3 - "$TMP/breaker_health.json" "$BUSY" <<'EOF'
+  CODE=$(curl -s -o "$TMP/refuse_health.json" -w '%{http_code}' "http://$CO/healthz")
+  python3 - "$TMP/refuse_health.json" "$CODE" "$W2" <<'EOF'
 import json, sys
 j = json.load(open(sys.argv[1]))
-busy = sys.argv[2]
-assert j["fleet"]["quorum"] is False, j["fleet"]
-peer = next(p for p in j["fleet"]["peers"] if p["peer"] == busy)
-assert peer["ok"] is False, peer
-assert peer.get("breaker") == "open", peer
-print("fleet-e2e: open breaker visible in healthz OK")
+assert sys.argv[2] == "200", "/healthz answered " + sys.argv[2]
+assert j["fleet"]["quorum"] is True, j["fleet"]
+peer = next(p for p in j["fleet"]["peers"] if p["peer"] == sys.argv[3])
+assert peer["ok"] is True, peer
+print("fleet-e2e: refusing worker reads as up in healthz OK")
 EOF
-
-  # After the cooldown a half-open probe (the worker's /healthz is not
-  # refused — only its shard endpoint is) recovers the breaker.
-  local RECOVERED=0
-  for _ in $(seq 1 60); do
-    CODE=$(curl -s -o "$TMP/breaker_recovered.json" -w '%{http_code}' "http://$CO/healthz")
-    if [ "$CODE" = 200 ] && python3 - "$TMP/breaker_recovered.json" "$BUSY" <<'EOF'
-import json, sys
-j = json.load(open(sys.argv[1]))
-busy = sys.argv[2]
-peer = next(p for p in j["fleet"]["peers"] if p["peer"] == busy)
-raise SystemExit(0 if j["fleet"]["quorum"] and peer["ok"] and peer.get("breaker", "closed") == "closed" else 1)
-EOF
-    then RECOVERED=1; break; fi
-    sleep 0.5
-  done
-  if [ "$RECOVERED" != 1 ]; then
-    echo "fleet-e2e: breaker never recovered after cooldown" >&2
-    cat "$TMP/breaker_recovered.json" >&2
-    exit 1
-  fi
-  echo "fleet-e2e: chaos-breaker leg PASS"
+  echo "fleet-e2e: chaos-refuse leg PASS"
 }
 
 # shellcheck disable=SC2086 # LEGS is a deliberate space-separated list
@@ -420,8 +337,8 @@ for leg in $LEGS; do
   case "$leg" in
     kill) leg_kill ;;
     chaos-stream) leg_chaos_stream ;;
-    chaos-hedge) leg_chaos_hedge ;;
-    chaos-breaker) leg_chaos_breaker ;;
+    chaos-slow) leg_chaos_slow ;;
+    chaos-refuse) leg_chaos_refuse ;;
     *) echo "fleet-e2e: unknown leg '$leg'" >&2; exit 2 ;;
   esac
 done
