@@ -233,11 +233,6 @@ func BenchmarkSimSuiteSerial(b *testing.B) { benchkit.SuiteSerial(b) }
 // worker pool (cacheless, so every layer really simulates).
 func BenchmarkSimSuiteParallel(b *testing.B) { benchkit.SuiteParallel(b) }
 
-// BenchmarkSimEngineParallelParts measures the two-phase engine with the
-// shared-L2 replay itself partitioned across two set-partition workers —
-// the configuration that lifts the serial-replay Amdahl ceiling.
-func BenchmarkSimEngineParallelParts(b *testing.B) { benchkit.EngineRunParts(b, 0, 2) }
-
 // BenchmarkSimStreamSweepPrivate measures an L2-capacity sweep with
 // per-run private stream generation (the pre-tier behaviour).
 func BenchmarkSimStreamSweepPrivate(b *testing.B) { benchkit.StreamSweepPrivate(b) }

@@ -18,8 +18,7 @@
 // or — on hosts with GOMAXPROCS >= 4 — when the parallel engine fails to
 // beat serial by >= 1.05x or the suite fan-out falls below 1.0x (the CI
 // guards). -workers-sweep additionally measures engine throughput at
-// 1/2/4/max workers and several replay-partition counts into a "scaling"
-// section. -cpuprofile and -memprofile capture pprof profiles of the
+// 1/2/4/max workers into a "scaling" section. -cpuprofile and -memprofile capture pprof profiles of the
 // benchmark workload for offline analysis (CI uploads them as artifacts).
 // Compare two checkouts with `go test -bench 'BenchmarkSim' -count 10`
 // piped through benchstat for statistically grounded deltas.
@@ -66,8 +65,7 @@ type baseline struct {
 	Speedup map[string]float64 `json:"speedup"`
 
 	// Scaling (with -workers-sweep) holds EngineRun measurements at
-	// several worker and replay-partition counts, keyed engine_w<N> and
-	// engine_w<N>_p<P> (w0 = GOMAXPROCS workers).
+	// several worker counts, keyed engine_w<N>.
 	Scaling map[string]entry `json:"scaling,omitempty"`
 
 	// Throughput tracks the Scenario-API overhead: whole-network points/s
@@ -110,7 +108,7 @@ func main() {
 func run() int {
 	out := flag.String("o", "BENCH_sim.json", "output path for the benchmark trajectory")
 	checkAgainst := flag.String("check-against", "", "baseline BENCH_sim.json to compare against; exit non-zero on >10% EngineSerial regression or failed speedup gates")
-	workersSweep := flag.Bool("workers-sweep", false, "measure engine throughput at 1/2/4/max workers and several replay-partition counts into a scaling section")
+	workersSweep := flag.Bool("workers-sweep", false, "measure engine throughput at 1/2/4/max workers into a scaling section")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark workload to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the benchmark workload to this file")
 	flag.Parse()
@@ -144,24 +142,14 @@ func run() int {
 		doc.Benchmarks[name] = e
 		return e
 	}
-	// The parallel engine measurement uses partitioned L2 replay on hosts
-	// with cores to run it (the configuration that lifts the serial-replay
-	// Amdahl ceiling); on one core partitions would only add harness
-	// overhead the engine is designed to avoid, so the replay stays serial
-	// there, matching the engine's own degradation behaviour.
-	engineParts := 0
-	if doc.GOMAXPROCS >= 2 {
-		engineParts = 2
-	}
 	engSerial := run("EngineSerial", func(b *testing.B) { benchkit.EngineRun(b, 1) })
-	engPar := run("EngineParallel", func(b *testing.B) { benchkit.EngineRunParts(b, 0, engineParts) })
+	engPar := run("EngineParallel", func(b *testing.B) { benchkit.EngineRun(b, 0) })
 	suiteSerial := run("SuiteSerial", benchkit.SuiteSerial)
 	suitePar := run("SuiteParallel", benchkit.SuiteParallel)
 	streamPrivate := run("StreamSweepPrivate", benchkit.StreamSweepPrivate)
 	streamShared := run("StreamSweepShared", benchkit.StreamSweepShared)
 
 	doc.Speedup["engine_parallel_vs_serial"] = engSerial.NsPerOp / engPar.NsPerOp
-	doc.Speedup["engine_replay_partitions"] = float64(engineParts)
 	doc.Speedup["suite_parallel_vs_serial"] = suiteSerial.NsPerOp / suitePar.NsPerOp
 	doc.Speedup["stream_shared_vs_private"] = streamPrivate.NsPerOp / streamShared.NsPerOp
 
@@ -175,10 +163,6 @@ func run() int {
 			seen[w] = true
 			doc.Scaling[fmt.Sprintf("engine_w%d", w)] =
 				run(fmt.Sprintf("EngineW%d", w), func(b *testing.B) { benchkit.EngineRun(b, w) })
-		}
-		for _, p := range []int{2, 4} {
-			doc.Scaling[fmt.Sprintf("engine_w0_p%d", p)] =
-				run(fmt.Sprintf("EngineW0P%d", p), func(b *testing.B) { benchkit.EngineRunParts(b, 0, p) })
 		}
 	}
 

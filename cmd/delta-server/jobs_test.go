@@ -279,6 +279,12 @@ func TestJobBadRequests(t *testing.T) {
 		{`{"scenario": {"workloads": []}}`, "no workloads"},
 		{`{"scenario": {"workloads": [{"network": "skynet"}]}}`, "skynet"},
 		{`{"scenario": {"workloads": [{"network": "alexnet"}]}, "error_policy": "explode"}`, "error_policy"},
+		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"replay_partitions": 2}]}}`, "replay_partitions"},
+		// Cache geometries the simulator cannot build: a 400 at submit,
+		// not a 202 followed by a crash in the pipeline goroutine.
+		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}}`, "L2"},
+		{`{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "name": "tiny", "l2_size_mb": 0.001}}], "sim_configs": [{}]}}`, "L2"},
+		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l1_ways": -1}]}}`, "L1"},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v2/jobs", tc.body, nil)
@@ -289,6 +295,9 @@ func TestJobBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
 			t.Errorf("%q: status %d, err %q (want %q)", tc.body, resp.StatusCode, e.Error, tc.want)
 		}
+	}
+	if resp := postGet(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after bad submits: status %d", resp.StatusCode)
 	}
 	resp := postGet(t, ts.URL+"/v2/jobs/nope", nil)
 	if resp.StatusCode != http.StatusNotFound {

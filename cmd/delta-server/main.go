@@ -80,12 +80,10 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS)")
-		maxJobs     = flag.Int("max-jobs", 0, "bound on stored /v2 jobs (0 = default)")
-		jobTTL      = flag.Duration("job-ttl", 0, "retention of finished /v2 jobs (0 = default)")
-		replayParts = flag.Int("replay-partitions", 0,
-			"L2 replay partitions per simulation request; bit-identical results (0/1 = serial replay)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		workers = flag.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS)")
+		maxJobs = flag.Int("max-jobs", 0, "bound on stored /v2 jobs (0 = default)")
+		jobTTL  = flag.Duration("job-ttl", 0, "retention of finished /v2 jobs (0 = default)")
 
 		authToken = flag.String("auth-token", "",
 			"bearer token guarding all endpoints but /healthz and /metrics (empty = $DELTA_AUTH_TOKEN, unset = no auth)")
@@ -144,9 +142,7 @@ func main() {
 		}
 	}
 
-	p := delta.NewPipeline(
-		delta.WithPipelineWorkers(*workers),
-		delta.WithPipelineReplayPartitions(*replayParts))
+	p := delta.NewPipeline(delta.WithPipelineWorkers(*workers))
 	jobs := newJobStore(jobStoreConfig{MaxJobs: *maxJobs, TTL: *jobTTL})
 	defer jobs.Close()
 	if *dataDir != "" {

@@ -77,7 +77,6 @@ const (
 	metricStreamCacheHits    = "delta_stream_cache_hits_total"
 	metricStreamCacheMisses  = "delta_stream_cache_misses_total"
 	metricStreamCacheEntries = "delta_stream_cache_entries"
-	metricReplayPartitions   = "delta_replay_partitions"
 	metricJobsStored         = "delta_jobs_stored"
 	metricJobsRunning        = "delta_jobs_running"
 	metricJobsCapacity       = "delta_jobs_capacity"
@@ -153,9 +152,6 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 	reg.GaugeFunc(metricStreamCacheEntries,
 		"Shared stream-cache tier occupancy (published streams).",
 		func() float64 { return float64(p.Stats().StreamEntries) })
-	reg.GaugeFunc(metricReplayPartitions,
-		"L2 replay partitions the pipeline applies to simulation requests.",
-		func() float64 { return float64(p.Stats().ReplayPartitions) })
 	reg.GaugeFunc(metricJobsStored,
 		"Jobs held in the /v2 job store.",
 		func() float64 { stored, _ := jobs.occupancy(); return float64(stored) })

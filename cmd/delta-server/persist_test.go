@@ -158,6 +158,35 @@ func TestCrashRecoveryResume(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsRemovedField: a durable job recorded with a scenario
+// field the decoder no longer accepts ("replay_partitions", removed with
+// set-partitioned L2 replay) finishes failed on resume, carrying the
+// decoder's message, instead of running.
+func TestResumeRejectsRemovedField(t *testing.T) {
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.StoreOptions{Fsync: durable.FsyncNever, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := json.RawMessage(`{"workloads": [{"network": "alexnet"}], "sim_configs": [{"replay_partitions": 2}]}`)
+	created := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	if err := st.RecordSubmit("legacy01", "legacy", 1, created, doc, "fail_fast"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dur := openTestDurability(t, dir, durable.SinkConfig{Kind: "none"})
+	defer dur.close(context.Background())
+	ts, _, sv := durableTestServer(t, dur, jobStoreConfig{})
+	sv.resumeJobs()
+	got := pollJob(t, ts, "legacy01")
+	if got.Status != string(jobFailed) || !strings.Contains(got.Error, "replay_partitions") {
+		t.Fatalf("resumed legacy job = %+v, want failed naming replay_partitions", got.jobSummary)
+	}
+}
+
 // readSSEResults consumes an SSE stream until the done frame, returning
 // the result frames' ids and payloads.
 func readSSEResults(t *testing.T, req *http.Request) (ids []int, results []pointResult) {

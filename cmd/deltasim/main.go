@@ -30,7 +30,6 @@ func main() {
 		skipPad = flag.Bool("skippad", false, "predicate off zero-padding loads")
 		timing  = flag.Bool("timing", false, "also run the event-driven timing simulator")
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = serial reference engine)")
-		parts   = flag.Int("partitions", 0, "L2 replay partitions (0/1 = serial replay; results are bit-identical at any count)")
 		rowMaj  = flag.Bool("rowmajor", false, "row-major CTA scheduling ablation (paper assumes column-wise)")
 		maxWav  = flag.Int("maxwaves", 0, "truncate after N CTA waves (0 = simulate everything; counters are not scaled)")
 		verify  = flag.Bool("verify", false, "also run the serial reference engine and check the parallel result is bit-identical")
@@ -44,8 +43,7 @@ func main() {
 	l := delta.Conv{Name: "layer", B: *batch, Ci: *ci, Hi: *hw, Wi: *hw,
 		Co: *co, Hf: *f, Wf: *f, Stride: *stride, Pad: *pad}
 	cfg := delta.SimConfig{Device: dev, SkipPadding: *skipPad,
-		RowMajorScheduling: *rowMaj, MaxWaves: *maxWav, Workers: *workers,
-		ReplayPartitions: *parts}
+		RowMajorScheduling: *rowMaj, MaxWaves: *maxWav, Workers: *workers}
 
 	est, err := delta.EstimateTraffic(l, dev, delta.TrafficOptions{})
 	if err != nil {
@@ -60,13 +58,12 @@ func main() {
 		if eff < 1 {
 			eff = runtime.GOMAXPROCS(0)
 		}
-		if eff <= 1 && *parts <= 1 {
+		if eff <= 1 {
 			fmt.Println("verify: skipped — the engine resolved to the serial reference path" +
-				" (use -workers >= 2 or -partitions >= 2 to exercise the parallel engine)")
+				" (use -workers >= 2 to exercise the parallel engine)")
 		} else {
 			ref := cfg
 			ref.Workers = 1
-			ref.ReplayPartitions = 1
 			serial, err := delta.Simulate(l, ref)
 			if err != nil {
 				fatal(err)

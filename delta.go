@@ -502,15 +502,6 @@ func WithPipelineWorkers(n int) PipelineOption { return pipeline.WithWorkers(n) 
 // WithoutPipelineCache disables a new pipeline's memo cache.
 func WithoutPipelineCache() PipelineOption { return pipeline.WithoutCache() }
 
-// WithPipelineReplayPartitions makes simulations run through the pipeline
-// split their shared-L2 replay into n set partitions, each replayed by its
-// own goroutine. Counters stay bit-identical to serial replay at any
-// partition count; n < 2 leaves replay serial. Requests that set
-// SimConfig.ReplayPartitions themselves are not overridden.
-func WithPipelineReplayPartitions(n int) PipelineOption {
-	return pipeline.WithReplayPartitions(n)
-}
-
 // WithoutPipelineStreamSharing disables the shared stream tier that lets
 // simulations of the same layer geometry reuse coalesced tile streams
 // across runs and sweep points.

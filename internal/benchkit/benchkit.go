@@ -44,18 +44,11 @@ func SuiteLayers() []layers.Conv {
 // EngineLayer at the given worker count (1 = serial reference, 0 =
 // GOMAXPROCS parallel).
 func EngineRun(b *testing.B, workers int) {
-	EngineRunParts(b, workers, 0)
-}
-
-// EngineRunParts is EngineRun with an explicit L2 replay-partition count
-// (0/1 = serial replay): the scaling body behind the delta-bench workers
-// sweep and the partitioned-replay speedup measurement.
-func EngineRunParts(b *testing.B, workers, parts int) {
 	b.ReportAllocs()
 	d := gpu.TitanXp()
 	var sectors uint64
 	for i := 0; i < b.N; i++ {
-		r, err := engine.Run(EngineLayer, engine.Config{Device: d, Workers: workers, ReplayPartitions: parts})
+		r, err := engine.Run(EngineLayer, engine.Config{Device: d, Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -184,6 +184,7 @@ func TestShardHandlerRejects(t *testing.T) {
 		{"bad json", `{`, http.StatusBadRequest},
 		{"window past end", fmt.Sprintf(`{"scenario": %s, "offset": 10, "limit": 10}`, testDoc), http.StatusBadRequest},
 		{"missing scenario", `{"offset": 0, "limit": 1}`, http.StatusBadRequest},
+		{"unbuildable L2", `{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}, "offset": 0, "limit": 1}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(tc.body))
 		if err != nil {

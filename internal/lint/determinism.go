@@ -7,7 +7,7 @@ import (
 )
 
 // determinismScope names the subtrees whose results must be bit-identical
-// at any worker/partition/fleet configuration: the simulator, the scenario
+// at any worker/fleet configuration: the simulator, the scenario
 // expansion, the pipeline, and the cluster merge paths.
 var determinismScope = []string{
 	"delta/internal/sim",

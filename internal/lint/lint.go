@@ -1,7 +1,7 @@
 // Package lint is delta's repo-specific static-analysis suite: a set of
 // analyzers that machine-check the house contracts the test suite can only
-// spot-check — bit-identical simulation results at any worker/partition/
-// fleet configuration, context threading through everything that blocks,
+// spot-check — bit-identical simulation results at any worker or fleet
+// configuration, context threading through everything that blocks,
 // lock discipline on the SSE-broadcast paths, bounded metric cardinality,
 // and the SSE resume contract.
 //

@@ -169,11 +169,6 @@ type Stats struct {
 	StreamHits    uint64
 	StreamMisses  uint64
 	StreamEntries uint64
-
-	// ReplayPartitions is the L2 replay-partition count the evaluator
-	// applies to simulation requests that leave the knob unset (0 = serial
-	// replay).
-	ReplayPartitions uint64
 }
 
 // DefaultCacheLimit caps the memo cache's entry count unless overridden
@@ -193,11 +188,10 @@ const DefaultCacheLimit = 1 << 16
 // analytical models it was saving — the "warm slower than cold" scenario
 // regression. Typed maps hash the key in place; a hit is allocation-free.
 type Evaluator struct {
-	workers     int
-	noCache     bool
-	cacheLimit  int
-	noStreams   bool
-	replayParts int
+	workers    int
+	noCache    bool
+	cacheLimit int
+	noStreams  bool
 
 	// streams is the shared stream-cache tier handed to every engine run
 	// (unless the request brings its own): scenario sweeps and repeated
@@ -311,18 +305,6 @@ func WithoutStreamSharing() Option {
 	return func(e *Evaluator) { e.noStreams = true }
 }
 
-// WithReplayPartitions sets the L2 replay-partition count applied to
-// simulation requests that leave Config.ReplayPartitions unset (n < 2
-// keeps the replay serial). Counters are bit-identical at every setting.
-func WithReplayPartitions(n int) Option {
-	return func(e *Evaluator) {
-		if n < 2 {
-			n = 0
-		}
-		e.replayParts = n
-	}
-}
-
 // New constructs an Evaluator; by default the pool is GOMAXPROCS wide and
 // the cache is enabled with DefaultCacheLimit entries.
 func New(opts ...Option) *Evaluator {
@@ -360,7 +342,6 @@ func (e *Evaluator) Stats() Stats {
 	st := Stats{
 		Hits: e.hits.Load(), Misses: e.misses.Load(),
 		Entries: uint64(size), ScenarioPoints: e.points.Load(),
-		ReplayPartitions: uint64(e.replayParts),
 	}
 	if e.streams != nil {
 		ss := e.streams.Stats()

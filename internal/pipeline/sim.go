@@ -22,25 +22,20 @@ type SimRequest struct {
 }
 
 // simKey is the comparable identity of a SimRequest. The engine config is
-// normalized (defaults applied; Workers, ReplayPartitions, and Streams
-// cleared) because every execution strategy produces bit-identical
-// counters — a serial run may legitimately serve a later parallel request,
-// and vice versa.
+// normalized (defaults applied; Workers and Streams cleared) because every
+// execution strategy produces bit-identical counters — a serial run may
+// legitimately serve a later parallel request, and vice versa.
 type simKey struct {
 	layer layers.Conv
 	cfg   engine.Config
 }
 
-// withSharedState applies the evaluator's engine execution defaults to a
-// request: the shared stream tier (unless the request brings its own) and
-// the configured replay-partition count (unless set explicitly). Neither
-// affects counters, only how fast the engine produces them.
+// withSharedState hands a request the evaluator's shared stream tier
+// (unless the request brings its own). The tier never affects counters,
+// only how fast the engine produces them.
 func (e *Evaluator) withSharedState(cfg engine.Config) engine.Config {
 	if cfg.Streams == nil {
 		cfg.Streams = e.streams
-	}
-	if cfg.ReplayPartitions == 0 {
-		cfg.ReplayPartitions = e.replayParts
 	}
 	return cfg
 }

@@ -65,35 +65,9 @@ func TestSimSharedStreamsParity(t *testing.T) {
 	}
 }
 
-// TestSimReplayPartitionsDefault: the evaluator-level partition knob is
-// applied to requests that leave it unset, is reported by Stats, and does
-// not change results.
-func TestSimReplayPartitionsDefault(t *testing.T) {
-	base := New(WithoutCache(), WithoutStreamSharing())
-	parted := New(WithoutCache(), WithoutStreamSharing(), WithReplayPartitions(3))
-	if got := parted.Stats().ReplayPartitions; got != 3 {
-		t.Fatalf("Stats().ReplayPartitions = %d, want 3", got)
-	}
-	if got := base.Stats().ReplayPartitions; got != 0 {
-		t.Fatalf("default Stats().ReplayPartitions = %d, want 0", got)
-	}
-	cfg := engine.Config{Device: xp, Workers: 2}
-	want, err := base.SimulateLayers(ctxBg(), simLayers[:1], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parted.SimulateLayers(ctxBg(), simLayers[:1], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != want[0] {
-		t.Fatalf("partitioned replay diverged:\n%+v\n%+v", got[0], want[0])
-	}
-}
-
 // TestSimCacheKeyIgnoresExecutionKnobs: requests differing only in
-// ReplayPartitions or an explicit Streams tier share one memo entry —
-// execution strategy is not identity.
+// Workers or an explicit Streams tier share one memo entry — execution
+// strategy is not identity.
 func TestSimCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 	e := New()
 	req := SimRequest{Layer: simLayers[1], Config: engine.Config{Device: xp, Workers: 1}}
@@ -101,7 +75,7 @@ func TestSimCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Config.ReplayPartitions = 4
+	req.Config.Workers = 2
 	req.Config.Streams = trace.NewSharedStreams(8)
 	r2, err := e.Simulate(ctxBg(), req)
 	if err != nil {

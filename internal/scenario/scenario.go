@@ -169,8 +169,9 @@ func skipped(model, pass string) bool {
 
 // Validate rejects malformed scenarios before expansion: empty axes,
 // unknown model/pass names, unresolvable workloads, invalid devices and
-// layers. Validation resolves named workloads, so a valid scenario is
-// guaranteed to expand.
+// layers, and simulator configs whose cache geometry a device cannot hold
+// (engine.Config.Caches, checked for every device x sim config). Validation
+// resolves named workloads, so a valid scenario is guaranteed to expand.
 func (s Scenario) Validate() error {
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("scenario %q: no workloads", s.Name)
@@ -203,6 +204,12 @@ func (s Scenario) Validate() error {
 	for i, d := range s.Devices {
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("scenario %q: device %d: %w", s.Name, i, err)
+		}
+		for j, sc := range s.SimConfigs {
+			sc.Device = d
+			if _, _, err := sc.Caches(); err != nil {
+				return fmt.Errorf("scenario %q: device %d sim config %d: %w", s.Name, i, j, err)
+			}
 		}
 	}
 	for i, w := range s.Workloads {

@@ -204,7 +204,7 @@ func (c *Cache) AccessSector(byteAddr int64) bool {
 	}
 
 	// Line absent: evict LRU way, install line with this sector.
-	c.install(base, set, lineAddr, sector, false, c.tick, &c.stats)
+	c.install(base, set, lineAddr, sector, false)
 	c.stats.SectorMisses++
 	return false
 }
@@ -214,17 +214,12 @@ func (c *Cache) AccessSector(byteAddr int64) bool {
 // without fetching it (no read traffic), marking it dirty. The dirty data
 // reaches the next level only on eviction (DirtyWritebacks).
 func (c *Cache) WriteSector(byteAddr int64) {
+	c.tick++
+	c.stats.SectorWrites++
+
 	lineAddr := byteAddr >> c.lineShift
-	c.writeSector(byteAddr, lineAddr, c.setIndex(lineAddr), &c.tick, &c.stats)
-}
-
-// writeSector is the shared store core behind WriteSector and the Shard
-// view; see accessLineSectors for the clock/counter argument.
-func (c *Cache) writeSector(byteAddr, lineAddr, set int64, tick *uint64, stats *Stats) {
-	*tick++
-	stats.SectorWrites++
-
 	sector := uint(byteAddr&c.lineMask) >> c.sectorShift
+	set := c.setIndex(lineAddr)
 	base := int(set) * c.ways
 
 	w := base + int(c.mru[set])
@@ -238,13 +233,13 @@ func (c *Cache) writeSector(byteAddr, lineAddr, set int64, tick *uint64, stats *
 		}
 	}
 	if w >= 0 {
-		c.lastUse[w] = *tick
+		c.lastUse[w] = c.tick
 		c.mru[set] = int32(w - base)
 		c.valid[w] |= 1 << sector
 		c.dirty[w] |= 1 << sector
 		return
 	}
-	c.install(base, set, lineAddr, sector, true, *tick, stats)
+	c.install(base, set, lineAddr, sector, true)
 }
 
 // install evicts the LRU way of the set (counting dirty writebacks) and
@@ -252,7 +247,7 @@ func (c *Cache) writeSector(byteAddr, lineAddr, set int64, tick *uint64, stats *
 // way order, preferring the first empty way, else the smallest lastUse —
 // the exact order of the original div/mod implementation, so fill patterns
 // (and therefore every downstream counter) are bit-identical.
-func (c *Cache) install(base int, set, lineAddr int64, sector uint, dirty bool, tick uint64, stats *Stats) {
+func (c *Cache) install(base int, set, lineAddr int64, sector uint, dirty bool) {
 	victim := base
 	for i := base + 1; i < base+c.ways; i++ {
 		if c.tags[i] == invalidTag {
@@ -264,12 +259,12 @@ func (c *Cache) install(base int, set, lineAddr int64, sector uint, dirty bool, 
 		}
 	}
 	if c.tags[victim] != invalidTag {
-		stats.LineEvictions++
-		stats.DirtyWritebacks += uint64(bits.OnesCount64(c.dirty[victim]))
+		c.stats.LineEvictions++
+		c.countWritebacks(c.dirty[victim])
 	}
 	c.tags[victim] = lineAddr
 	c.valid[victim] = 1 << sector
-	c.lastUse[victim] = tick
+	c.lastUse[victim] = c.tick
 	c.mru[set] = int32(victim - base)
 	if dirty {
 		c.dirty[victim] = 1 << sector
@@ -304,24 +299,14 @@ func (c *Cache) FlushDirty() uint64 {
 // sector: the engine's fastest entry for the coalesced tile streams, whose
 // sectors arrive as runs within one line.
 func (c *Cache) AccessLineSectors(lineAddr int64, mask uint64) (missMask uint64) {
-	return c.accessLineSectors(lineAddr, c.setIndex(lineAddr), mask, &c.tick, &c.stats)
-}
-
-// accessLineSectors is the shared access core behind both the whole-cache
-// entry (AccessLineSectors) and the partitioned Shard view: the set index
-// is precomputed by the caller, and the LRU clock and event counters are
-// passed explicitly so a shard can keep private ones. LRU decisions depend
-// only on the relative order of lastUse values within one set, so any
-// clock that ticks per access in set-restricted program order — the global
-// clock or a per-shard one — produces identical evictions.
-func (c *Cache) accessLineSectors(lineAddr, set int64, mask uint64, tick *uint64, stats *Stats) (missMask uint64) {
 	if mask == 0 {
 		return 0
 	}
 	n := uint64(bits.OnesCount64(mask))
-	*tick += n
-	stats.SectorAccesses += n
+	c.tick += n
+	c.stats.SectorAccesses += n
 
+	set := c.setIndex(lineAddr)
 	base := int(set) * c.ways
 
 	w := base + int(c.mru[set])
@@ -338,26 +323,26 @@ func (c *Cache) accessLineSectors(lineAddr, set int64, mask uint64, tick *uint64
 		// Line present: every set bit already valid is a hit, the rest are
 		// sector fills. The line's lastUse lands on the tick of the run's
 		// last access, exactly as sequential accesses would leave it.
-		c.lastUse[w] = *tick
+		c.lastUse[w] = c.tick
 		c.mru[set] = int32(w - base)
 		missMask = mask &^ c.valid[w]
 		c.valid[w] |= mask
 		misses := uint64(bits.OnesCount64(missMask))
-		stats.SectorHits += n - misses
-		stats.SectorMisses += misses
+		c.stats.SectorHits += n - misses
+		c.stats.SectorMisses += misses
 		return missMask
 	}
 
 	// Line absent: one install covers the whole run (sequentially, the
 	// first sector installs and the rest are sector fills on the fresh
 	// line, so eviction bookkeeping happens exactly once either way).
-	c.installMask(base, set, lineAddr, mask, *tick, stats)
-	stats.SectorMisses += n
+	c.installMask(base, set, lineAddr, mask)
+	c.stats.SectorMisses += n
 	return mask
 }
 
 // installMask is install for a whole run of sectors at once.
-func (c *Cache) installMask(base int, set, lineAddr int64, mask uint64, tick uint64, stats *Stats) {
+func (c *Cache) installMask(base int, set, lineAddr int64, mask uint64) {
 	victim := base
 	for i := base + 1; i < base+c.ways; i++ {
 		if c.tags[i] == invalidTag {
@@ -369,13 +354,13 @@ func (c *Cache) installMask(base int, set, lineAddr int64, mask uint64, tick uin
 		}
 	}
 	if c.tags[victim] != invalidTag {
-		stats.LineEvictions++
-		stats.DirtyWritebacks += uint64(bits.OnesCount64(c.dirty[victim]))
+		c.stats.LineEvictions++
+		c.countWritebacks(c.dirty[victim])
 	}
 	c.tags[victim] = lineAddr
 	c.valid[victim] = mask
 	c.dirty[victim] = 0
-	c.lastUse[victim] = tick
+	c.lastUse[victim] = c.tick
 	c.mru[set] = int32(victim - base)
 }
 

@@ -10,22 +10,9 @@
 // Two execution strategies produce bit-identical counters: the serial
 // reference engine (Config.Workers = 1) walks the wave schedule on one
 // goroutine, and the default parallel engine fans per-SM L1 simulation out
-// across workers and replays the recorded L1 miss segments through the
-// shared L2 in the exact serial interleave order (see runParallel).
-//
-// The L2 replay itself parallelizes without breaking that guarantee
-// (Config.ReplayPartitions): the L2's sets are split into disjoint
-// partitions, each owned by one replay worker holding a cache.Shard view.
-// A line address maps to exactly one set, LRU replacement compares
-// timestamps only within a set, and a shard's private clock assigns
-// timestamps in set-restricted program order — the same relative order per
-// set as the serial clock — so every eviction, hit, miss, and writeback
-// decision is identical to the serial replay's. Each worker consumes its
-// partition's pre-bucketed miss segments in the serial interleave order and
-// counts into private uint64 counters; the coordinator folds shards back in
-// fixed partition order, and integer sums are exact, so totals are
-// bit-identical at any partition count (see internal/sim/cache/partition.go
-// and TestPartitionedReplayBitIdentical).
+// across workers, then replays the recorded L1 miss segments through the
+// one shared L2, on the coordinating goroutine, in the exact serial
+// interleave order (see runParallel).
 package engine
 
 import (
@@ -68,15 +55,6 @@ type Config struct {
 	// above the SM count). Every setting yields bit-identical counters.
 	Workers int
 
-	// ReplayPartitions splits the shared-L2 replay across that many
-	// workers by partitioning the L2's sets (clamped to the set count;
-	// 0 or 1 keeps the replay serial). Partitioned replay lifts the
-	// serial-L2 Amdahl ceiling of the parallel engine; counters stay
-	// bit-identical at every partition count (see the package comment).
-	// Ignored by the serial reference engine unless > 1, which forces the
-	// two-phase engine even at Workers = 1.
-	ReplayPartitions int
-
 	// Streams, when non-nil, backs every worker's private stream memo
 	// with a process-level shared tier, so coalesced tile streams are
 	// generated once per identity (layer, grid, geometry, axis, index,
@@ -98,15 +76,53 @@ func (c Config) withDefaults() Config {
 }
 
 // Normalized returns the config with cache-geometry defaults applied and
-// the execution-strategy knobs (Workers, ReplayPartitions, Streams)
-// cleared: the equivalence class under which results are bit-identical, so
-// it is usable as a memoization key.
+// the execution-strategy knobs (Workers, Streams) cleared: the equivalence
+// class under which results are bit-identical, so it is usable as a
+// memoization key.
 func (c Config) Normalized() Config {
 	c = c.withDefaults()
 	c.Workers = 0
-	c.ReplayPartitions = 0
 	c.Streams = nil
 	return c
+}
+
+// Caches derives the cache geometries a run simulates: the per-SM L1 and
+// the shared L2, each sized to the device's capacity rounded down to whole
+// sets of LineBytes x ways. It returns an error — never a panic — for an
+// invalid device, a non-positive way count, a level too small to hold one
+// set, or any geometry the cache model rejects, so a caller validating
+// untrusted configs (internal/scenario) rejects exactly what a run would.
+func (c Config) Caches() (l1, l2 cache.Config, err error) {
+	if err := c.Device.Validate(); err != nil {
+		return cache.Config{}, cache.Config{}, err
+	}
+	c = c.withDefaults()
+	if l1, err = levelConfig("L1", c.Device.L1SizeKBPerSM*1024, c.Device, c.L1Ways); err != nil {
+		return cache.Config{}, cache.Config{}, err
+	}
+	if l2, err = levelConfig("L2", c.Device.L2SizeBytes(), c.Device, c.L2Ways); err != nil {
+		return cache.Config{}, cache.Config{}, err
+	}
+	return l1, l2, nil
+}
+
+// levelConfig sizes one cache level. The way count is bounded by the
+// level's line count before any multiplication, so no way count can
+// overflow the set size.
+func levelConfig(level string, sizeBytes float64, d gpu.Device, ways int) (cache.Config, error) {
+	size := int(sizeBytes)
+	if ways <= 0 || ways > size/d.LineBytes {
+		return cache.Config{}, fmt.Errorf("engine: %s of %d B cannot hold one set of %d ways of %d B lines",
+			level, size, ways, d.LineBytes)
+	}
+	cfg := cache.Config{
+		SizeBytes: size - size%(d.LineBytes*ways), LineBytes: d.LineBytes,
+		SectorBytes: d.SectorBytes, Ways: ways,
+	}
+	if err := cfg.Validate(); err != nil {
+		return cache.Config{}, fmt.Errorf("engine: %s: %w", level, err)
+	}
+	return cfg, nil
 }
 
 // Result holds the simulated ("measured") traffic of one layer.
@@ -182,15 +198,14 @@ func RunGrid(l layers.Conv, grid tiling.Grid, cfg Config) (Result, error) {
 }
 
 func runGrid(l layers.Conv, grid tiling.Grid, cfg Config) (Result, error) {
-	if err := cfg.Device.Validate(); err != nil {
+	l1, l2, err := cfg.Caches()
+	if err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-	s := newSim(l, grid, cfg)
+	s := newSim(l, grid, cfg.withDefaults(), l1, l2)
 	defer s.release()
-	w, p := s.workerCount(), s.partitionCount()
-	if w > 1 || p > 1 {
-		s.runParallel(w, p)
+	if w := s.workerCount(); w > 1 {
+		s.runParallel(w)
 	} else {
 		s.runSerial()
 	}
@@ -217,7 +232,7 @@ type sim struct {
 	res         Result
 }
 
-func newSim(l layers.Conv, grid tiling.Grid, cfg Config) *sim {
+func newSim(l layers.Conv, grid tiling.Grid, cfg Config, l1Cfg, l2Cfg cache.Config) *sim {
 	d := cfg.Device
 	gen := trace.New(l, grid, cfg.SkipPadding)
 
@@ -225,23 +240,10 @@ func newSim(l layers.Conv, grid tiling.Grid, cfg Config) *sim {
 	// alone is ~1 MB of way state) are reset and reused across layers
 	// instead of re-allocated per run.
 	l1s := make([]*cache.Cache, d.NumSM)
-	l1Size := int(d.L1SizeKBPerSM * 1024)
-	l1Size -= l1Size % (d.LineBytes * cfg.L1Ways)
-	if l1Size < d.LineBytes*cfg.L1Ways {
-		l1Size = d.LineBytes * cfg.L1Ways
-	}
 	for i := range l1s {
-		l1s[i] = cache.Acquire(cache.Config{
-			SizeBytes: l1Size, LineBytes: d.LineBytes,
-			SectorBytes: d.SectorBytes, Ways: cfg.L1Ways,
-		})
+		l1s[i] = cache.Acquire(l1Cfg)
 	}
-	l2Size := int(d.L2SizeBytes())
-	l2Size -= l2Size % (d.LineBytes * cfg.L2Ways)
-	l2 := cache.Acquire(cache.Config{
-		SizeBytes: l2Size, LineBytes: d.LineBytes,
-		SectorBytes: d.SectorBytes, Ways: cfg.L2Ways,
-	})
+	l2 := cache.Acquire(l2Cfg)
 
 	// CTAs execute in waves of NumSM x ActiveCTAs (Section IV-C), assigned
 	// round-robin to SMs. MaxWaves truncates the schedule to whole waves.
@@ -278,15 +280,6 @@ func (s *sim) workerCount() int {
 	return w
 }
 
-// partitionCount resolves the Config.ReplayPartitions knob (the clamp to
-// the L2 set count happens in cache.Shards).
-func (s *sim) partitionCount() int {
-	if p := s.cfg.ReplayPartitions; p > 1 {
-		return p
-	}
-	return 1
-}
-
 // ctaAt maps a schedule index to CTA grid coordinates: column-major order
 // (Section IV-C: column-wise scheduling for the skinny im2col GEMM) or
 // row-major under the ablation knob.
@@ -314,28 +307,6 @@ func (s *sim) storeCTA(row, col int) {
 		end := s.ofmapBase + (int64(m)*int64(g.N)+int64(nEnd))*layers.ElemBytes
 		for sec := start / sb; sec*sb < end; sec++ {
 			s.l2.WriteSector(sec * sb)
-		}
-	}
-}
-
-// storeCTAShard is storeCTA against one L2 set-partition view: every replay
-// worker walks the identical store stream and the shard keeps only the
-// sectors of its own partition, so together the workers perform the serial
-// store sequence exactly once.
-func (s *sim) storeCTAShard(sh *cache.Shard, row, col int) {
-	g := s.grid
-	sb := int64(s.d.SectorBytes)
-	m0 := row * g.Tile.BlkM
-	n0 := col * g.Tile.BlkN
-	nEnd := n0 + g.Tile.BlkN
-	if nEnd > g.N {
-		nEnd = g.N
-	}
-	for m := m0; m < m0+g.Tile.BlkM && m < g.M; m++ {
-		start := s.ofmapBase + (int64(m)*int64(g.N)+int64(n0))*layers.ElemBytes
-		end := s.ofmapBase + (int64(m)*int64(g.N)+int64(nEnd))*layers.ElemBytes
-		for sec := start / sb; sec*sb < end; sec++ {
-			sh.WriteSector(sec * sb)
 		}
 	}
 }

@@ -217,12 +217,29 @@ func TestBatchScalingApproxLinear(t *testing.T) {
 	}
 }
 
+// TestInvalidInputs: every input a run cannot simulate — including cache
+// geometries the cache model would panic on — comes back as an error.
 func TestInvalidInputs(t *testing.T) {
-	if _, err := Run(layers.Conv{Name: "bad"}, Config{Device: xp}); err == nil {
-		t.Error("invalid layer accepted")
+	tinyL2 := gpu.V100()
+	tinyL2.L2SizeMB = 0.001
+	cases := []struct {
+		name  string
+		layer layers.Conv
+		cfg   Config
+	}{
+		{"invalid layer", layers.Conv{Name: "bad"}, Config{Device: xp}},
+		{"zero device", testLayer, Config{}},
+		{"L2 rounds to zero sets", testLayer, Config{Device: xp, L2Ways: 100000}},
+		{"L2 smaller than one set", testLayer, Config{Device: tinyL2}},
+		{"negative L1 ways", testLayer, Config{Device: xp, L1Ways: -1}},
+		{"negative L2 ways", testLayer, Config{Device: xp, L2Ways: -1}},
+		{"L1 ways beyond its lines", testLayer, Config{Device: xp, L1Ways: 1 << 20}},
+		{"set size overflows", testLayer, Config{Device: xp, L2Ways: 1 << 60}},
 	}
-	if _, err := Run(testLayer, Config{}); err == nil {
-		t.Error("zero device accepted")
+	for _, tc := range cases {
+		if _, err := Run(tc.layer, tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

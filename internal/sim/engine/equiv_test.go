@@ -38,13 +38,9 @@ func equivConfigs(d gpu.Device) []Config {
 
 // TestParallelBitIdentical asserts the two-phase parallel engine reproduces
 // the serial reference engine's Result exactly — every counter, byte total,
-// and cache stat — across the corpus, for several worker and replay-
-// partition counts (including partitioned replay under a single L1 worker).
-// Run under -race in CI, this is also the engine's data-race gauntlet.
+// and cache stat — across the corpus, for several worker counts. Run under
+// -race in CI, this is also the engine's data-race gauntlet.
 func TestParallelBitIdentical(t *testing.T) {
-	combos := []struct{ workers, parts int }{
-		{0, 0}, {2, 0}, {3, 2}, {0, 4}, {1, 3},
-	}
 	for _, d := range []gpu.Device{gpu.TitanXp(), gpu.V100()} {
 		for _, l := range equivCorpus {
 			for ci, cfg := range equivConfigs(d) {
@@ -57,17 +53,16 @@ func TestParallelBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("serial: %v", err)
 					}
-					for _, wp := range combos {
+					for _, workers := range []int{0, 2, 3} {
 						par := cfg
-						par.Workers = wp.workers
-						par.ReplayPartitions = wp.parts
+						par.Workers = workers
 						got, err := Run(l, par)
 						if err != nil {
-							t.Fatalf("workers=%d parts=%d: %v", wp.workers, wp.parts, err)
+							t.Fatalf("workers=%d: %v", workers, err)
 						}
 						if got != want {
-							t.Errorf("workers=%d parts=%d diverged from serial:\n got %+v\nwant %+v",
-								wp.workers, wp.parts, got, want)
+							t.Errorf("workers=%d diverged from serial:\n got %+v\nwant %+v",
+								workers, got, want)
 						}
 					}
 				})
@@ -76,13 +71,13 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionedReplayBitIdentical is the partitioned-replay differential
-// gauntlet: randomized layer geometries and cache associativities — on the
-// TITAN Xp these hit the non-pow2 fastmod set counts (96 L1 / 1536 L2 sets
-// at the default ways) — replayed at 2, 3, and max (>= set count, clamped)
-// partitions, and additionally with a shared stream tier, all of which must
+// TestRandomGeometryBitIdentical is the parallel engine's differential
+// gauntlet over randomized layer geometries and cache associativities,
+// including non-power-of-two way counts — on the TITAN Xp these hit the
+// non-pow2 fastmod set counts (96 L1 / 1536 L2 sets at the default ways).
+// Every run goes through a shared stream tier, cold and then warm, and must
 // reproduce the serial reference Result exactly.
-func TestPartitionedReplayBitIdentical(t *testing.T) {
+func TestRandomGeometryBitIdentical(t *testing.T) {
 	devices := []gpu.Device{gpu.TitanXp(), gpu.V100()}
 	rng := rand.New(rand.NewSource(42))
 	const trials = 8
@@ -119,30 +114,26 @@ func TestPartitionedReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			for _, parts := range []int{2, 3, 1 << 20} {
-				for _, workers := range []int{1, 3} {
-					par := cfg
-					par.Workers = workers
-					par.ReplayPartitions = parts
-					par.Streams = trace.NewSharedStreams(0)
-					got, err := Run(l, par)
-					if err != nil {
-						t.Fatalf("workers=%d parts=%d: %v", workers, parts, err)
-					}
-					if got != want {
-						t.Errorf("workers=%d parts=%d diverged:\n got %+v\nwant %+v",
-							workers, parts, got, want)
-					}
-					// Second run against the now-warm tier: hits must be as
-					// exact as generation.
-					again, err := Run(l, par)
-					if err != nil {
-						t.Fatalf("warm rerun: %v", err)
-					}
-					if again != want {
-						t.Errorf("workers=%d parts=%d warm-tier rerun diverged:\n got %+v\nwant %+v",
-							workers, parts, again, want)
-					}
+			for _, workers := range []int{2, 3} {
+				par := cfg
+				par.Workers = workers
+				par.Streams = trace.NewSharedStreams(0)
+				got, err := Run(l, par)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got != want {
+					t.Errorf("workers=%d diverged:\n got %+v\nwant %+v", workers, got, want)
+				}
+				// Second run against the now-warm tier: hits must be as
+				// exact as generation.
+				again, err := Run(l, par)
+				if err != nil {
+					t.Fatalf("warm rerun: %v", err)
+				}
+				if again != want {
+					t.Errorf("workers=%d warm-tier rerun diverged:\n got %+v\nwant %+v",
+						workers, again, want)
 				}
 			}
 		})

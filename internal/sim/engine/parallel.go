@@ -8,22 +8,12 @@ import (
 	"delta/internal/sim/trace"
 )
 
-// partSeg buffers the slice of one CTA's L1 miss stream that falls in one
-// L2 set partition: misses holds the missed line runs of every main loop
-// back to back, in issue order, and loopEnd[i] is the end offset (in runs)
-// of loop i's segment.
-type partSeg struct {
+// waveSlot buffers one CTA's L1 miss stream for one wave: misses holds the
+// missed line runs of every main loop back to back, in issue order, and
+// loopEnd[i] is the end offset (in runs) of loop i's segment.
+type waveSlot struct {
 	misses  []trace.LineRun
 	loopEnd []int32
-}
-
-// waveSlot buffers one CTA's L1 miss stream for one wave, bucketed by L2
-// replay partition (a single segment when the replay is serial). Bucketing
-// happens in the parallel L1 phase — PartitionOf reads only immutable cache
-// geometry — so replay workers consume their partition's runs directly
-// instead of rescanning every miss.
-type waveSlot struct {
-	parts []partSeg
 }
 
 // waveBuf is one wave's slots plus its schedule-index range. Two buffers
@@ -38,7 +28,7 @@ type waveBuf struct {
 // geometry, reusing slot and segment capacity.
 var waveBufPool sync.Pool
 
-func getWaveBuf(waveSize, loops, parts int) *waveBuf {
+func getWaveBuf(waveSize, loops int) *waveBuf {
 	b, _ := waveBufPool.Get().(*waveBuf)
 	if b == nil {
 		b = &waveBuf{}
@@ -51,20 +41,11 @@ func getWaveBuf(waveSize, loops, parts int) *waveBuf {
 	b.slots = b.slots[:waveSize]
 	for i := range b.slots {
 		s := &b.slots[i]
-		if cap(s.parts) < parts {
-			ps := make([]partSeg, parts)
-			copy(ps, s.parts[:cap(s.parts)])
-			s.parts = ps
+		s.misses = s.misses[:0]
+		if cap(s.loopEnd) < loops {
+			s.loopEnd = make([]int32, loops)
 		}
-		s.parts = s.parts[:parts]
-		for p := range s.parts {
-			seg := &s.parts[p]
-			seg.misses = seg.misses[:0]
-			if cap(seg.loopEnd) < loops {
-				seg.loopEnd = make([]int32, loops)
-			}
-			seg.loopEnd = seg.loopEnd[:loops]
-		}
+		s.loopEnd = s.loopEnd[:loops]
 	}
 	return b
 }
@@ -77,31 +58,20 @@ func getWaveBuf(waveSize, loops, parts int) *waveBuf {
 // order (loop-major lockstep, wave order within a loop). Per-SM L1
 // simulation is independent within a wave: instead of touching the shared
 // L2, workers record each CTA's L1 sector misses into its (loop, slot)
-// segment of a reusable wave buffer, bucketed by L2 set partition. Each
-// worker owns a StreamCache, so tile streams shared by its CTAs are
-// generated and coalesced once, then replayed; streams are pure functions
-// of (axis, index, loop), so per-worker memoization cannot diverge from the
-// serial engine.
+// segment of a reusable wave buffer. Each worker owns a StreamCache, so
+// tile streams shared by its CTAs are generated and coalesced once, then
+// replayed; streams are pure functions of (axis, index, loop), so
+// per-worker memoization cannot diverge from the serial engine.
 //
-// Phase 2: the recorded miss segments replay through the L2 in the exact
-// serial interleave order — loop-major, wave order within a loop, then the
-// wave's epilogue stores — so L2 state transitions, DRAM sector counts, and
-// dirty writebacks are bit-identical to runSerial. With parts == 1 the
-// coordinating goroutine replays serially; with parts > 1 each replay
-// worker owns one disjoint L2 set-partition shard and drains only its
-// partition's segments (in the same interleave order), which preserves
-// every per-set decision — see the package comment and
-// internal/sim/cache/partition.go for the determinism argument. Wave w's
-// replay overlaps wave w+1's L1 phase; the two phases always touch disjoint
-// buffers, and replay workers only ever touch their own partition's sets.
-func (s *sim) runParallel(workers, parts int) {
+// Phase 2: the coordinating goroutine replays the recorded miss segments
+// through the L2 in the exact serial interleave order — loop-major, wave
+// order within a loop, then the wave's epilogue stores — so L2 state
+// transitions, DRAM sector counts, and dirty writebacks are bit-identical
+// to runSerial. Wave w's replay overlaps wave w+1's L1 phase; the two
+// phases always touch disjoint buffers.
+func (s *sim) runParallel(workers int) {
 	nsm := s.d.NumSM
-	shards := s.l2.Shards(parts)
-	parts = len(shards)
-	bufs := [2]*waveBuf{
-		getWaveBuf(s.waveSize, s.loops, parts),
-		getWaveBuf(s.waveSize, s.loops, parts),
-	}
+	bufs := [2]*waveBuf{getWaveBuf(s.waveSize, s.loops), getWaveBuf(s.waveSize, s.loops)}
 
 	var wave sync.WaitGroup // per-wave L1 phase barrier
 	var exit sync.WaitGroup
@@ -121,12 +91,7 @@ func (s *sim) runParallel(workers, parts int) {
 				reqs += st.Requests
 				for _, r := range st.Runs {
 					if m := l1.AccessLineSectors(r.Line, r.Mask); m != 0 {
-						p := 0
-						if parts > 1 {
-							p = s.l2.PartitionOf(r.Line, parts)
-						}
-						seg := &slot.parts[p]
-						seg.misses = append(seg.misses, trace.LineRun{Line: r.Line, Mask: m})
+						slot.misses = append(slot.misses, trace.LineRun{Line: r.Line, Mask: m})
 					}
 				}
 			}
@@ -142,9 +107,7 @@ func (s *sim) runParallel(workers, parts int) {
 						row, col := s.ctaAt(idx)
 						drive(slot, l1, sc.IFmap(row, loop))
 						drive(slot, l1, sc.Filter(col, loop))
-						for p := range slot.parts {
-							slot.parts[p].loopEnd[loop] = int32(len(slot.parts[p].misses))
-						}
+						slot.loopEnd[loop] = int32(len(slot.misses))
 					}
 				}
 				wave.Done()
@@ -153,72 +116,10 @@ func (s *sim) runParallel(workers, parts int) {
 		}(w)
 	}
 
-	// Replay workers (parts > 1): one per L2 set partition, each draining
-	// its own shard's segments in the serial interleave order with private
-	// DRAM sector counters, merged in partition order after exit.
-	var replayWave sync.WaitGroup
-	var replayExit sync.WaitGroup
-	var replayChans []chan *waveBuf
-	drams := make([]uint64, parts)
-	if parts > 1 {
-		replayChans = make([]chan *waveBuf, parts)
-		for p := 0; p < parts; p++ {
-			replayChans[p] = make(chan *waveBuf, 1)
-			replayExit.Add(1)
-			go func(p int) {
-				defer replayExit.Done()
-				sh := shards[p]
-				var dram uint64
-				for b := range replayChans[p] {
-					n := b.end - b.start
-					for loop := 0; loop < s.loops; loop++ {
-						for si := 0; si < n; si++ {
-							seg := &b.slots[si].parts[p]
-							lo := int32(0)
-							if loop > 0 {
-								lo = seg.loopEnd[loop-1]
-							}
-							for _, r := range seg.misses[lo:seg.loopEnd[loop]] {
-								if m := sh.AccessLineSectors(r.Line, r.Mask); m != 0 {
-									dram += uint64(bits.OnesCount64(m))
-								}
-							}
-						}
-					}
-					for idx := b.start; idx < b.end; idx++ {
-						row, col := s.ctaAt(idx)
-						s.storeCTAShard(sh, row, col)
-					}
-					replayWave.Done()
-				}
-				drams[p] = dram
-			}(p)
-		}
-	}
-
-	// replay drains one completed wave buffer through the L2 — inline when
-	// the replay is serial, fanned across the partition workers otherwise.
-	// Either way it returns only once the buffer is reusable; the L1 phase
-	// of the next wave (dispatched before the call) runs concurrently.
-	replay := func(b *waveBuf) {
-		if parts == 1 {
-			s.replaySerial(b)
-			return
-		}
-		replayWave.Add(parts)
-		for _, ch := range replayChans {
-			ch <- b
-		}
-		replayWave.Wait()
-		s.res.SimulatedCTAs += b.end - b.start
-	}
-
 	dispatch := func(b *waveBuf, start, end int) {
 		b.start, b.end = start, end
 		for i := range b.slots[:end-start] {
-			for p := range b.slots[i].parts {
-				b.slots[i].parts[p].misses = b.slots[i].parts[p].misses[:0]
-			}
+			b.slots[i].misses = b.slots[i].misses[:0]
 		}
 		wave.Add(workers)
 		for _, ch := range chans {
@@ -235,7 +136,7 @@ func (s *sim) runParallel(workers, parts int) {
 		}
 		dispatch(bufs[cur], start, end)
 		if pending != nil {
-			replay(pending)
+			s.replay(pending)
 		}
 		wave.Wait()
 		pending = bufs[cur]
@@ -246,17 +147,7 @@ func (s *sim) runParallel(workers, parts int) {
 	}
 	exit.Wait()
 	if pending != nil {
-		replay(pending)
-	}
-	for _, ch := range replayChans {
-		close(ch)
-	}
-	replayExit.Wait()
-	if parts > 1 {
-		for _, d := range drams {
-			s.dramSectors += d
-		}
-		s.l2.MergeShards(shards)
+		s.replay(pending)
 	}
 	for _, r := range requests {
 		s.res.L1Requests += r
@@ -265,19 +156,19 @@ func (s *sim) runParallel(workers, parts int) {
 	waveBufPool.Put(bufs[1])
 }
 
-// replaySerial runs one wave's recorded L1 miss segments through the shared
-// L2 on the coordinating goroutine, in the serial interleave order, then
-// issues the wave's epilogue stores.
-func (s *sim) replaySerial(b *waveBuf) {
+// replay runs one wave's recorded L1 miss segments through the shared L2 on
+// the coordinating goroutine, in the serial interleave order, then issues
+// the wave's epilogue stores.
+func (s *sim) replay(b *waveBuf) {
 	n := b.end - b.start
 	for loop := 0; loop < s.loops; loop++ {
 		for si := 0; si < n; si++ {
-			seg := &b.slots[si].parts[0]
+			slot := &b.slots[si]
 			lo := int32(0)
 			if loop > 0 {
-				lo = seg.loopEnd[loop-1]
+				lo = slot.loopEnd[loop-1]
 			}
-			for _, r := range seg.misses[lo:seg.loopEnd[loop]] {
+			for _, r := range slot.misses[lo:slot.loopEnd[loop]] {
 				if m := s.l2.AccessLineSectors(r.Line, r.Mask); m != 0 {
 					s.dramSectors += uint64(bits.OnesCount64(m))
 				}

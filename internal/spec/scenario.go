@@ -129,7 +129,6 @@ type SimConfigSpec struct {
 	RowMajorScheduling bool `json:"row_major_scheduling,omitempty"`
 	MaxWaves           int  `json:"max_waves,omitempty"`
 	Workers            int  `json:"workers,omitempty"`
-	ReplayPartitions   int  `json:"replay_partitions,omitempty"`
 }
 
 func (s SimConfigSpec) toModel() engine.Config {
@@ -137,7 +136,6 @@ func (s SimConfigSpec) toModel() engine.Config {
 		L1Ways: s.L1Ways, L2Ways: s.L2Ways,
 		SkipPadding: s.SkipPadding, RowMajorScheduling: s.RowMajorScheduling,
 		MaxWaves: s.MaxWaves, Workers: s.Workers,
-		ReplayPartitions: s.ReplayPartitions,
 	}
 }
 

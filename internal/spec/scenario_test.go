@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestReadScenarioSim(t *testing.T) {
 	doc := `{
 	  "workloads": [{"network": "alexnet"}],
 	  "batches": [2],
-	  "sim_configs": [{"max_waves": 1, "row_major_scheduling": true, "replay_partitions": 2}]
+	  "sim_configs": [{"max_waves": 1, "row_major_scheduling": true, "workers": 2}]
 	}`
 	sc, err := ReadScenario(strings.NewReader(doc))
 	if err != nil {
@@ -75,8 +76,8 @@ func TestReadScenarioSim(t *testing.T) {
 	if len(sc.SimConfigs) != 1 || !sc.SimConfigs[0].RowMajorScheduling || sc.SimConfigs[0].MaxWaves != 1 {
 		t.Fatalf("sim configs = %+v", sc.SimConfigs)
 	}
-	if sc.SimConfigs[0].ReplayPartitions != 2 {
-		t.Errorf("replay partitions = %d, want 2", sc.SimConfigs[0].ReplayPartitions)
+	if sc.SimConfigs[0].Workers != 2 {
+		t.Errorf("workers = %d, want 2", sc.SimConfigs[0].Workers)
 	}
 	if len(sc.Devices) != 1 || sc.Devices[0].Name != "TITAN Xp" {
 		t.Errorf("default device axis = %+v", sc.Devices)
@@ -103,6 +104,10 @@ func TestReadScenarioErrors(t *testing.T) {
 		{"base plus spec", `{"workloads": [{"network": "alexnet"}], "devices": [{"base": "V100", "spec": {"num_sm": 40}}]}`, "spec.base"},
 		{"bad model", `{"workloads": [{"network": "alexnet"}], "models": ["magic"]}`, "unknown model"},
 		{"cta in scale", `{"workloads": [{"network": "alexnet"}], "devices": [{"scale": {"cta_tile_dim": 64}}]}`, "tile_override"},
+		{"replay partitions", `{"workloads": [{"network": "alexnet"}], "sim_configs": [{"replay_partitions": 2}]}`, "replay_partitions"},
+		{"L2 ways", `{"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}`, "L2"},
+		{"tiny L2", `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l2_size_mb": 0.001}}], "sim_configs": [{}]}`, "L2"},
+		{"negative L1 ways", `{"workloads": [{"network": "alexnet"}], "sim_configs": [{"l1_ways": -1}]}`, "L1"},
 	}
 	for _, tc := range cases {
 		_, err := ReadScenario(strings.NewReader(tc.doc))
@@ -110,4 +115,36 @@ func TestReadScenarioErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want contains %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzReadScenario: ReadScenario never panics on arbitrary bytes, and an
+// accepted document is runnable — one of at most 4096 points expands
+// without error to exactly Size() points, and every simulation point's
+// cache geometry builds.
+func FuzzReadScenario(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		sc, err := ReadScenario(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		size := sc.Size()
+		if size > 4096 {
+			return
+		}
+		pts, err := sc.Expand()
+		if err != nil {
+			t.Fatalf("accepted scenario does not expand: %v", err)
+		}
+		if len(pts) != size {
+			t.Fatalf("expanded %d points, Size() = %d", len(pts), size)
+		}
+		for _, p := range pts {
+			if p.Sim == nil {
+				continue
+			}
+			if _, _, err := p.Sim.Caches(); err != nil {
+				t.Fatalf("accepted sim point %d cannot build its caches: %v", p.Index, err)
+			}
+		}
+	})
 }

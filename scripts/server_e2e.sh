@@ -2,10 +2,11 @@
 # End-to-end smoke of delta-server: build it, start it, submit a small
 # multi-axis scenario to the /v2 async job API, poll the job to completion,
 # check the SSE stream and a /v1 request, run a two-point simulation sweep
-# (exercising the shared stream-cache tier and partitioned L2 replay), then
-# scrape /metrics and assert the request/job/stream counters moved, exercise
-# the 413 oversize-body path, and rerun with tight limits to exercise 429
-# load shedding. Run by the CI
+# (exercising the shared stream-cache tier), check that a sim config whose
+# L2 cannot be built answers 400 and the server keeps serving, then scrape
+# /metrics and assert the request/job/stream counters moved, exercise the
+# 413 oversize-body path, and rerun with tight limits to exercise 429 load
+# shedding. Run by the CI
 # server-e2e job and usable locally: ./scripts/server_e2e.sh
 set -Eeuo pipefail
 # Fail fast and name the offender: the ERR trap fires before the EXIT
@@ -18,7 +19,7 @@ BIN="$(mktemp -d)/delta-server"
 
 go build -o "$BIN" ./cmd/delta-server
 
-"$BIN" -addr "$ADDR" -replay-partitions 2 &
+"$BIN" -addr "$ADDR" &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
@@ -98,6 +99,23 @@ if [ "$STATUS" != done ]; then
 fi
 echo "server-e2e: sim job OK"
 
+# A sim config whose L2 rounds down to zero sets is rejected at submit
+# (400), and the server is still up afterwards.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v2/jobs" -d '{"scenario": {
+  "workloads": [{"network": "alexnet"}],
+  "sim_configs": [{"l2_ways": 100000}]
+}}')
+if [ "$STATUS" != 400 ]; then
+  echo "server-e2e: unbuildable L2 answered $STATUS, want 400" >&2
+  exit 1
+fi
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
+if [ "$STATUS" != 200 ]; then
+  echo "server-e2e: /healthz answered $STATUS after the rejected job, want 200" >&2
+  exit 1
+fi
+echo "server-e2e: bad sim geometry 400 OK"
+
 # The /metrics scrape must show the traffic above: request counters and
 # latency histograms moved, the job sweep's 8 scenario points were counted,
 # and the pipeline cache did work.
@@ -119,7 +137,6 @@ assert total("delta_http_request_duration_seconds_count") > 0, "no latencies obs
 assert metrics.get("delta_scenario_points_total", 0) >= 10, "scenario points not counted"
 assert metrics.get("delta_pipeline_cache_misses_total", 0) > 0, "pipeline cache never exercised"
 assert metrics.get("delta_jobs_stored", -1) >= 1, "job store gauge missing"
-assert metrics.get("delta_replay_partitions", -1) == 2, "replay-partition gauge missing"
 assert metrics.get("delta_stream_cache_misses_total", 0) > 0, "stream tier never filled"
 assert metrics.get("delta_stream_cache_hits_total", 0) > 0, "stream tier never hit"
 assert metrics.get("delta_stream_cache_entries", 0) > 0, "stream tier occupancy missing"
