@@ -21,9 +21,9 @@ import (
 // runClusterJob drains a distributed sweep into the job record, the
 // coordinator-mode counterpart of runJob. The coordinator merges worker
 // shard streams back into expansion order, so appends land exactly as the
-// single-node stream would deliver them; terminal classification mirrors
-// runJob, with coordination failures (a shard out of attempts, a merge
-// error) failing the job with their cause.
+// single-node stream would deliver them, and a fail-fast merger stops
+// emitting at the failing point, so the stored prefix matches a
+// single-node run.
 func (s *server) runClusterJob(ctx context.Context, j *job, doc json.RawMessage, sc delta.Scenario, offset int, policy delta.StreamErrorPolicy) {
 	defer s.jobs.runners.Done()
 	defer j.cancel(nil)
@@ -37,33 +37,12 @@ func (s *server) runClusterJob(ctx context.Context, j *job, doc json.RawMessage,
 		}
 		seq := j.append(pr)
 		s.jobs.durable.recordResult(j.id, seq, pr)
-		if u.Err != "" && firstErr == "" {
+		if firstErr == "" {
 			firstErr = u.Err
 		}
 		return nil
 	})
-	now := s.jobs.cfg.now()
-	switch {
-	case ctx.Err() != nil:
-		cause := context.Cause(ctx)
-		j.finish(jobCancelled, cause.Error(), now)
-		// Like runJob: a shutdown cancellation stays "running" durably so
-		// the next process resumes the sweep from the merged prefix.
-		if !errors.Is(cause, errServerShutdown) {
-			s.jobs.durable.recordFinish(j.id, jobCancelled, cause.Error(), now)
-		}
-	case runErr != nil:
-		j.finish(jobFailed, runErr.Error(), now)
-		s.jobs.durable.recordFinish(j.id, jobFailed, runErr.Error(), now)
-	case firstErr != "" && policy == delta.StreamFailFast:
-		// The merger stopped emitting at the failing point; the stored
-		// prefix matches a single-node fail-fast run.
-		j.finish(jobFailed, firstErr, now)
-		s.jobs.durable.recordFinish(j.id, jobFailed, firstErr, now)
-	default:
-		j.finish(jobDone, "", now)
-		s.jobs.durable.recordFinish(j.id, jobDone, "", now)
-	}
+	s.finishJob(ctx, j, runErr, firstErr, policy)
 }
 
 // parsePeersFlag resolves -peers: a comma-separated list of worker base

@@ -12,10 +12,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +21,7 @@ import (
 
 	"delta"
 	"delta/internal/spec"
+	"delta/internal/sse"
 )
 
 // Job store bounds (overridable via jobStoreConfig / server flags).
@@ -497,41 +496,49 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.summary())
 }
 
-// runJob drains the stream into the job record. The terminal status is
-// classified from the cancellation cause, not the update count: a DELETE
-// (or shutdown) that lands after the final stream update would otherwise
-// be misreported as "done" — the client asked for cancellation and must
-// see it reflected, however late it raced in.
+// runJob drains the stream into the job record, then classifies it.
 func (s *server) runJob(ctx context.Context, j *job, ch <-chan delta.StreamUpdate, policy delta.StreamErrorPolicy) {
 	defer s.jobs.runners.Done()
 	defer j.cancel(nil)
-	var firstErr error
+	var firstErr string
 	for upd := range ch {
 		pr := renderPoint(upd)
 		seq := j.append(pr)
 		s.jobs.durable.recordResult(j.id, seq, pr)
-		if upd.Err != nil && firstErr == nil {
-			firstErr = upd.Err
+		if firstErr == "" {
+			firstErr = pr.Error
 		}
 	}
+	s.finishJob(ctx, j, nil, firstErr, policy)
+}
+
+// finishJob moves a drained sweep to its terminal status, durably. The
+// status is classified from the cancellation cause, not the update count:
+// a DELETE (or shutdown) that lands after the final stream update would
+// otherwise be misreported as "done" — the client asked for cancellation
+// and must see it reflected, however late it raced in. Otherwise a
+// coordination error (runErr: a shard out of attempts, a merge error)
+// fails the job, as does the first point error under fail-fast, whose
+// stream stopped at that point.
+func (s *server) finishJob(ctx context.Context, j *job, runErr error, firstErr string, policy delta.StreamErrorPolicy) {
 	now := s.jobs.cfg.now()
+	status, msg := jobDone, ""
 	switch {
 	case ctx.Err() != nil:
-		cause := context.Cause(ctx)
-		j.finish(jobCancelled, cause.Error(), now)
-		// A shutdown cancellation is deliberately NOT a durable terminal
-		// state: the job stays "running" on disk so the next process
-		// resumes the sweep from the results persisted above.
-		if !errors.Is(cause, errServerShutdown) {
-			s.jobs.durable.recordFinish(j.id, jobCancelled, cause.Error(), now)
-		}
-	case firstErr != nil && policy == delta.StreamFailFast:
-		j.finish(jobFailed, firstErr.Error(), now)
-		s.jobs.durable.recordFinish(j.id, jobFailed, firstErr.Error(), now)
-	default:
-		j.finish(jobDone, "", now)
-		s.jobs.durable.recordFinish(j.id, jobDone, "", now)
+		status, msg = jobCancelled, context.Cause(ctx).Error()
+	case runErr != nil:
+		status, msg = jobFailed, runErr.Error()
+	case firstErr != "" && policy == delta.StreamFailFast:
+		status, msg = jobFailed, firstErr
 	}
+	j.finish(status, msg, now)
+	// A shutdown cancellation is deliberately NOT a durable terminal
+	// state: the job stays "running" on disk so the next process resumes
+	// the sweep from the results persisted so far.
+	if status == jobCancelled && errors.Is(context.Cause(ctx), errServerShutdown) {
+		return
+	}
+	s.jobs.durable.recordFinish(j.id, status, msg, now)
 }
 
 // renderPoint converts a streamed update to its JSON shape.
@@ -622,86 +629,55 @@ func (s *server) handleJobDelete(w http.ResponseWriter, r *http.Request, id stri
 
 // handleJobEvents answers GET /v2/jobs/{id}/events: a Server-Sent-Events
 // stream replaying the results so far, then following the sweep live. Each
-// result is one `event: result` frame carrying an `id:` line (the count of
-// results delivered through that frame); a terminal `event: done` frame
-// carries the final status. A reconnecting client sends the standard
-// Last-Event-ID header to skip the results it already has — including
-// across a server restart, since the replayed durable results occupy the
-// same dense positions.
+// result is one `event: result` frame whose id counts the results
+// delivered through it; a terminal `event: done` frame carries the final
+// status. A reconnecting client sends the standard Last-Event-ID header to
+// skip the results it already has — including across a server restart,
+// since the replayed durable results occupy the same dense positions.
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	j, ok := s.jobs.get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+	// The snapshot clamps a Last-Event-ID past the results so far to
+	// their count, and ids continue from there.
+	status, errMsg, results, done, more := j.snapshot(sse.LastEventID(r))
+	sw, err := sse.Start(w, done-len(results))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	// Tell buffering reverse proxies (nginx and friends) to pass frames
-	// through as they arrive instead of batching the stream.
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
 
 	// Idle streams emit periodic comment frames so proxies and load
 	// balancers with idle-connection timeouts do not reap a healthy
 	// stream that is simply waiting on a slow sweep.
 	keepAlive := time.NewTicker(s.keepAlive)
 	defer keepAlive.Stop()
-
-	offset := 0
-	if lei := strings.TrimSpace(r.Header.Get("Last-Event-ID")); lei != "" {
-		// Ignore ids we did not mint (non-numeric or negative): the
-		// stream falls back to a full replay, which is always safe.
-		if n, err := strconv.Atoi(lei); err == nil && n > 0 {
-			offset = n
-		}
-	}
 	for {
-		status, errMsg, results, done, more := j.snapshot(offset)
-		for i, res := range results {
-			if err := writeSSE(w, offset+i+1, "result", res); err != nil {
+		for _, res := range results {
+			if err := sw.Result(res); err != nil {
 				return
 			}
 		}
-		offset = done
-		flusher.Flush()
+		sw.Flush()
 		if status != jobRunning {
-			_ = writeSSE(w, done, "done", map[string]any{
+			_ = sw.Done(map[string]any{
 				"status": string(status), "done": done, "total": j.total, "error": errMsg,
 			})
-			flusher.Flush()
+			sw.Flush()
 			return
 		}
 		select {
 		case <-more:
 		case <-keepAlive.C:
-			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
+			if err := sw.KeepAlive(); err != nil {
 				return
 			}
-			flusher.Flush()
+			sw.Flush()
 		case <-r.Context().Done():
 			return
 		}
+		status, errMsg, results, done, more = j.snapshot(sw.ID())
 	}
-}
-
-// writeSSE emits one Server-Sent-Events frame with a JSON payload. id > 0
-// adds an `id:` line so reconnecting clients can resume via Last-Event-ID.
-func writeSSE(w http.ResponseWriter, id int, event string, v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if id > 0 {
-		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, buf)
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, buf)
-	return err
 }

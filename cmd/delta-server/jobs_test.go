@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"delta"
+	"delta/internal/sse"
 )
 
 // jobTestServer wires a server with a controllable job store.
@@ -151,36 +153,25 @@ func TestJobEventsSSE(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type = %q", ct)
 	}
-	var (
-		events  []string
-		datas   []string
-		scanner = bufio.NewScanner(resp.Body)
-	)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if strings.HasPrefix(line, "event: ") {
-			events = append(events, strings.TrimPrefix(line, "event: "))
+	var events []sse.Event
+	if err := sse.Parse(resp.Body, func(ev sse.Event) error {
+		events = append(events, ev)
+		if ev.Type == "done" {
+			return sse.Stop
 		}
-		if strings.HasPrefix(line, "data: ") {
-			datas = append(datas, strings.TrimPrefix(line, "data: "))
-		}
-		if len(events) > 0 && events[len(events)-1] == "done" && len(datas) == len(events) {
-			break
-		}
-	}
-	if err := scanner.Err(); err != nil {
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 9 { // 8 results + done
 		t.Fatalf("events = %v", events)
 	}
 	for i := 0; i < 8; i++ {
-		if events[i] != "result" {
-			t.Errorf("event %d = %q", i, events[i])
+		if events[i].Type != "result" {
+			t.Errorf("event %d = %q", i, events[i].Type)
 		}
 		var res pointResult
-		if err := json.Unmarshal([]byte(datas[i]), &res); err != nil {
+		if err := json.Unmarshal(events[i].Data, &res); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if res.Index != i {
@@ -192,11 +183,87 @@ func TestJobEventsSSE(t *testing.T) {
 		Done   int    `json:"done"`
 		Total  int    `json:"total"`
 	}
-	if err := json.Unmarshal([]byte(datas[8]), &done); err != nil {
+	if err := json.Unmarshal(events[8].Data, &done); err != nil {
 		t.Fatal(err)
 	}
 	if done.Status != "done" || done.Done != 8 || done.Total != 8 {
 		t.Errorf("done frame = %+v", done)
+	}
+}
+
+// TestJobEventsWire pins the exact bytes of /v2/jobs/{id}/events: result
+// frames carry dense ids counted from the resume point, and the done
+// frame carries the result count as its id. Three streams: fresh, resumed
+// with Last-Event-ID 3, and resumed past the results so far, where ids
+// continue from the result count.
+func TestJobEventsWire(t *testing.T) {
+	ts, st := jobTestServer(t, jobStoreConfig{})
+	point := func(i int) pointResult {
+		return pointResult{Index: i, Workload: "w", Device: "d", Kind: "analytic", Done: i + 1, Total: 4}
+	}
+	frame := func(i int) string {
+		return fmt.Sprintf("id: %d\nevent: result\ndata: {\"index\":%d,\"workload\":\"w\",\"device\":\"d\",\"kind\":\"analytic\",\"done\":%d,\"total\":4}\n\n", i+1, i, i+1)
+	}
+	const done = "id: 4\nevent: done\ndata: {\"done\":4,\"error\":\"\",\"status\":\"done\",\"total\":4}\n\n"
+	newJob := func(results int) *job {
+		_, cancel := context.WithCancelCause(st.base)
+		t.Cleanup(func() { cancel(nil) })
+		j, err := st.submit("wire", 4, cancel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < results; i++ {
+			j.append(point(i))
+		}
+		return j
+	}
+	// stream reads one event stream to its end; then runs once the
+	// response headers are in, which the server sends with the first
+	// flushed batch, after the stream's first snapshot.
+	stream := func(j *job, lastEventID string, then func()) string {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/jobs/"+j.id+"/events", nil)
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		for k, v := range map[string]string{
+			"Content-Type": "text/event-stream", "Cache-Control": "no-cache", "X-Accel-Buffering": "no",
+		} {
+			if got := resp.Header.Get(k); got != v {
+				t.Errorf("%s = %q, want %q", k, got, v)
+			}
+		}
+		if then != nil {
+			then()
+		}
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	finished := newJob(4)
+	finished.finish(jobDone, "", st.cfg.now())
+	if got, want := stream(finished, "", nil), frame(0)+frame(1)+frame(2)+frame(3)+done; got != want {
+		t.Errorf("fresh stream:\n%q\nwant\n%q", got, want)
+	}
+	if got, want := stream(finished, "3", nil), frame(3)+done; got != want {
+		t.Errorf("Last-Event-ID 3:\n%q\nwant\n%q", got, want)
+	}
+	running := newJob(2)
+	got := stream(running, "9", func() {
+		running.append(point(2))
+		running.append(point(3))
+		running.finish(jobDone, "", st.cfg.now())
+	})
+	if want := frame(2) + frame(3) + done; got != want {
+		t.Errorf("Last-Event-ID 9 with 2 results:\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -285,6 +352,17 @@ func TestJobBadRequests(t *testing.T) {
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}}`, "L2"},
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "name": "tiny", "l2_size_mb": 0.001}}], "sim_configs": [{}]}}`, "L2"},
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l1_ways": -1}]}}`, "L1"},
+	}
+	// Devices whose caches would ask the simulator for unbounded memory:
+	// a 400 from both the job and the worker endpoint, not an allocation
+	// that takes the host down.
+	for _, field := range []string{`"l2_size_mb": 1048576`, `"num_sm": 100000000`, `"l1_size_kb_per_sm": 1e9`} {
+		sc := `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", ` + field + `}}], "sim_configs": [{}]}`
+		cases = append(cases, struct{ body, want string }{`{"scenario": ` + sc + `}`, "cache lines"})
+		resp := postJSON(t, ts.URL+"/v2/shards", `{"scenario": `+sc+`, "offset": 0, "limit": 1}`, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v2/shards with %s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v2/jobs", tc.body, nil)

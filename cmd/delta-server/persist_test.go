@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,6 +21,7 @@ import (
 
 	"delta"
 	"delta/internal/durable"
+	"delta/internal/sse"
 )
 
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
@@ -199,37 +199,26 @@ func readSSEResults(t *testing.T, req *http.Request) (ids []int, results []point
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("SSE status = %d", resp.StatusCode)
 	}
-	var (
-		lastID  int
-		event   string
-		scanner = bufio.NewScanner(resp.Body)
-	)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		line := scanner.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			if _, err := json.Number(strings.TrimPrefix(line, "id: ")).Int64(); err != nil {
-				t.Fatalf("bad id line %q", line)
-			}
-			n, _ := json.Number(strings.TrimPrefix(line, "id: ")).Int64()
-			lastID = int(n)
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			if event == "done" {
-				return ids, results
-			}
-			var res pointResult
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &res); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, lastID)
-			results = append(results, res)
+	done := false
+	if err := sse.Parse(resp.Body, func(ev sse.Event) error {
+		if ev.Type == "done" {
+			done = true
+			return sse.Stop
 		}
+		var res pointResult
+		if err := json.Unmarshal(ev.Data, &res); err != nil {
+			return err
+		}
+		ids = append(ids, ev.ID)
+		results = append(results, res)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("stream ended without a done frame")
-	return nil, nil
+	if !done {
+		t.Fatal("stream ended without a done frame")
+	}
+	return ids, results
 }
 
 // TestJobEventsLastEventID: a plain (in-memory) reconnect with

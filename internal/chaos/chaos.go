@@ -1,38 +1,34 @@
 // Package chaos is a seeded, deterministic fault-injection layer for the
-// fleet's network paths — the transport-level counterpart of the storage
-// faults in internal/durable (FlakySink, CorruptWAL). An Injector holds a
-// rule set and a PRNG seeded once at construction; every potential
-// injection consults the same PRNG under one lock, so the same seed over
-// the same request sequence injects the same fault sequence — a failed
-// chaos run replays identically from its seed.
+// fleet's network paths — the network counterpart of the storage faults
+// in internal/durable (FlakySink, CorruptWAL). An Injector holds a rule
+// set and a PRNG seeded once at construction; every potential injection
+// consults the same PRNG under one lock, so the same seed over the same
+// request sequence injects the same fault sequence — a failed chaos run
+// replays identically from its seed.
 //
-// Two surfaces share the rule engine:
+// Faults enter through one surface: Listener wraps a server's
+// net.Listener (delta-server's -chaos flag; in-process tests wrap an
+// httptest server's listener the same way) and injects them into
+// accepted connections: refusal (immediate close), raw 5xx answers,
+// latency at the dial, first-byte and per-frame sites, and frame-level
+// cut/truncate/corrupt on outbound SSE streams (a response that is not
+// text/event-stream passes untouched).
 //
-//   - Transport wraps an http.RoundTripper (client side — wrap the
-//     coordinator's HTTP client in tests) and can refuse connections,
-//     answer synthetic 5xx, delay the dial / first byte / every SSE
-//     frame, cut the response body mid-stream, and truncate or corrupt
-//     individual SSE frames.
-//
-//   - Listener wraps a net.Listener (server side — the delta-server
-//     -chaos flag) and injects the same faults into accepted
-//     connections: refusal (immediate close), raw 5xx answers, read/write
-//     latency, and frame-level cut/truncate/corrupt on the outbound
-//     stream.
-//
-// Rules match on peer (host substring) and path (prefix) and are
-// scheduled by matching-request count (AfterRequests/ForRequests), by
-// elapsed time since the injector started (AfterMS/ForMS), bounded by a
-// total injection Count, and gated by Prob through the seeded PRNG.
-// Every injection is appended to an event log (Events) so tests can
-// assert that two runs with one seed provoked the identical sequence.
+// Rules match on path (prefix) and are scheduled by matching-request
+// count (AfterRequests/ForRequests), by elapsed time since the injector
+// started (AfterMS/ForMS), bounded by a total injection Count, and gated
+// by Prob through the seeded PRNG. A spec is decoded strictly: a field
+// the Rule does not know is an error, not a rule that silently fires
+// everywhere. Every injection is appended to an event log (Events) so
+// tests can assert that two runs with one seed provoked the identical
+// sequence.
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,9 +58,8 @@ func Seed(explicit int64) int64 {
 
 // Fault names the injected failure modes.
 const (
-	// FaultRefuse refuses the connection: the transport errors without
-	// issuing the request; the listener closes the accepted conn before a
-	// byte is exchanged.
+	// FaultRefuse refuses the connection: the listener closes it before a
+	// response byte is written.
 	FaultRefuse = "refuse"
 
 	// FaultStatus answers a synthetic HTTP error (Rule.Status, default
@@ -96,14 +91,9 @@ type Rule struct {
 	// Fault is one of the Fault* constants; required.
 	Fault string `json:"fault"`
 
-	// Peer restricts the rule to requests whose host contains this
-	// substring (transport only; listener rules see no peer).
-	Peer string `json:"peer,omitempty"`
-
-	// Path restricts the rule to request paths with this prefix. On the
-	// listener, path-matched rules apply to stream faults and latency
-	// (the request line is sniffed from the inbound bytes); accept-time
-	// faults (refuse, status) fire only from rules with no Path.
+	// Path restricts the rule to request paths with this prefix; the
+	// request line is sniffed from the inbound bytes. Rules with no Path
+	// are planned once per accepted connection instead.
 	Path string `json:"path,omitempty"`
 
 	// AfterRequests arms the rule after this many matching requests have
@@ -191,8 +181,8 @@ type fault struct {
 }
 
 // Injector owns the rule set, the seeded PRNG, and the event log. One
-// Injector serves any number of Transports and Listeners; all share the
-// same deterministic schedule.
+// Injector serves any number of Listeners; all share the same
+// deterministic schedule.
 type Injector struct {
 	mu     sync.Mutex
 	rules  []*ruleState
@@ -205,35 +195,18 @@ type Injector struct {
 	log func(format string, args ...any)
 
 	// now/sleep are test seams; real time when sleep is nil. A non-nil
-	// sleep is honored verbatim (tests capture exact durations), bypassing
-	// the context-aware early wake of pause.
+	// sleep is honored verbatim, so tests capture exact durations.
 	now   func() time.Time
 	sleep func(time.Duration)
 }
 
-// doSleep waits d through the seam or real time (server-side paths with no
-// request context).
+// doSleep waits d through the seam or real time.
 func (inj *Injector) doSleep(d time.Duration) {
 	if inj.sleep != nil {
 		inj.sleep(d)
 		return
 	}
 	time.Sleep(d)
-}
-
-// pause waits d but wakes early when ctx ends: injected latency must delay
-// a live request, not hold a cancelled one hostage.
-func (inj *Injector) pause(ctx context.Context, d time.Duration) {
-	if inj.sleep != nil {
-		inj.sleep(d)
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-	}
 }
 
 // New builds an Injector from a validated spec.
@@ -279,26 +252,18 @@ func (inj *Injector) Events() []string {
 	return append([]string(nil), inj.events...)
 }
 
-// plan decides which faults fire for one request/connection against peer
-// and path ("" matches only rules without the corresponding selector for
-// path — see Rule.Path; an empty peer matches every Peer selector-free
-// rule). All counter movement and PRNG draws happen here, under one lock,
-// in rule order — the determinism contract.
-func (inj *Injector) plan(peer, path string, sniffed bool) []fault {
+// plan decides which faults fire for one accepted connection (path "")
+// or one sniffed request (its path). A connection plans the rules with no
+// Path, a request those whose Path prefixes its own, so no rule is
+// counted twice for one exchange. All counter movement and PRNG draws
+// happen here, under one lock, in rule order — the determinism contract.
+func (inj *Injector) plan(path string) []fault {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	elapsed := inj.now().Sub(inj.start)
 	var out []fault
 	for _, rs := range inj.rules {
-		if rs.Peer != "" && !containsStr(peer, rs.Peer) {
-			continue
-		}
-		if rs.Path != "" && (path == "" || !hasPrefixStr(path, rs.Path)) {
-			continue
-		}
-		if rs.Path == "" && sniffed {
-			// Path-free rules were already given their chance at accept
-			// time; do not double-count them on the sniff pass.
+		if (rs.Path == "") != (path == "") || !strings.HasPrefix(path, rs.Path) {
 			continue
 		}
 		rs.matched++
@@ -321,7 +286,7 @@ func (inj *Injector) plan(peer, path string, sniffed bool) []fault {
 		rs.injected++
 		inj.seq++
 		f := fault{Rule: rs.Rule, seq: inj.seq}
-		ev := fmt.Sprintf("#%d %s peer=%s path=%s", f.seq, describeRule(rs.Rule), peer, path)
+		ev := fmt.Sprintf("#%d %s path=%s", f.seq, describeRule(rs.Rule), path)
 		inj.events = append(inj.events, ev)
 		if inj.log != nil {
 			inj.log("chaos: inject %s", ev)
@@ -354,14 +319,3 @@ func statusOf(r Rule) int {
 	}
 	return 503
 }
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-func hasPrefixStr(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }

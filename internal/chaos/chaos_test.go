@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,26 +26,43 @@ func sseBody(n int) string {
 	return b.String()
 }
 
-func sseServer(t *testing.T, frames int) *httptest.Server {
+// listenerServer serves /stream (sseBody(frames), one flush per frame)
+// and /plain ("ok") through inj's Listener, and returns its base URL.
+func listenerServer(t *testing.T, inj *Injector, frames int) string {
 	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/stream" {
+			io.WriteString(w, "ok")
+			return
+		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		fl := w.(http.Flusher)
-		body := sseBody(frames)
-		for _, frame := range strings.SplitAfter(body, "\n\n") {
+		for _, frame := range strings.SplitAfter(sseBody(frames), "\n\n") {
 			if frame == "" {
 				continue
 			}
 			io.WriteString(w, frame)
 			fl.Flush()
 		}
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+	})}
+	go srv.Serve(inj.Listener(ln))
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + ln.Addr().String()
 }
 
-func get(t *testing.T, cl *http.Client, url string) (int, string, error) {
+// get fetches url on a fresh connection, so the listener's accept-level
+// rules see every request in order, and returns the status, the body up
+// to where the stream ended, and the read error.
+func get(t *testing.T, url string) (int, string, error) {
 	t.Helper()
+	return fetch(&http.Client{Transport: &http.Transport{DisableKeepAlives: true}}, url)
+}
+
+func fetch(cl *http.Client, url string) (int, string, error) {
 	res, err := cl.Get(url)
 	if err != nil {
 		return 0, "", err
@@ -83,11 +102,49 @@ func TestParseSpec(t *testing.T) {
 		`{"rules": [{"fault": "refuse", "prob": 1.5}]}`,
 		`@/does/not/exist`,
 		`{broken`,
+		`{"rules": [{"fault": "refuse"}]} []`,
+		// Strict decoding: a misspelled field, and the removed peer
+		// selector, would otherwise be a rule that fires everywhere.
+		`[{"fault": "cut", "after_frame": 3}]`,
+		`{"rules": [{"fault": "refuse", "peer": "18091"}]}`,
+		`{"seed": 1, "rules": [{"fault": "refuse"}], "extra": true}`,
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: the -chaos decoder never panics, and a spec it accepts
+// re-encodes (json.Marshal) to a document that parses back equal, with
+// every rule valid. Inputs naming a file (@path) are skipped, so the
+// fuzzer never reads the filesystem.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		if strings.HasPrefix(strings.TrimSpace(in), "@") {
+			t.Skip()
+		}
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		for i, r := range spec.Rules {
+			if err := r.validate(); err != nil {
+				t.Fatalf("accepted rule %d is invalid: %v", i, err)
+			}
+		}
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		again, err := ParseSpec(string(b))
+		if err != nil {
+			t.Fatalf("re-encoded spec %s does not parse: %v", b, err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("%s parsed back as %+v, want %+v", b, again, spec)
+		}
+	})
 }
 
 func TestSeedResolution(t *testing.T) {
@@ -107,139 +164,13 @@ func TestSeedResolution(t *testing.T) {
 	}
 }
 
-func TestTransportRefuseAndStatus(t *testing.T) {
-	srv := sseServer(t, 2)
-	inj := MustNew(Spec{Rules: []Rule{
-		{Fault: FaultRefuse, Count: 1},
-		{Fault: FaultStatus, AfterRequests: 1, Count: 1, Status: 502},
-	}})
-	cl := &http.Client{Transport: inj.Transport(nil)}
-
-	if _, _, err := get(t, cl, srv.URL); err == nil || !strings.Contains(err.Error(), "connection refused") {
-		t.Fatalf("want refusal, got %v", err)
-	}
-	code, body, err := get(t, cl, srv.URL)
-	if err != nil || code != 502 {
-		t.Fatalf("want synthetic 502, got %d %v", code, err)
-	}
-	if !strings.Contains(body, "chaos") {
-		t.Fatalf("synthetic body %q", body)
-	}
-	if code, _, err := get(t, cl, srv.URL); err != nil || code != 200 {
-		t.Fatalf("rules exhausted, want clean 200, got %d %v", code, err)
-	}
-	ev := inj.Events()
-	if len(ev) != 2 || !strings.Contains(ev[0], "refuse") || !strings.Contains(ev[1], "status=502") {
-		t.Fatalf("events %v", ev)
-	}
-}
-
-func TestTransportCut(t *testing.T) {
-	srv := sseServer(t, 4)
-	inj := MustNew(Spec{Rules: []Rule{{Fault: FaultCut, AfterFrames: 2}}})
-	cl := &http.Client{Transport: inj.Transport(nil)}
-
-	res, err := cl.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	b, err := io.ReadAll(res.Body)
-	if err != io.ErrUnexpectedEOF && !strings.Contains(fmt.Sprint(err), "unexpected EOF") {
-		t.Fatalf("want unexpected EOF, got %v", err)
-	}
-	got := string(b)
-	if n := strings.Count(got, "\n\n"); n != 2 {
-		t.Fatalf("want 2 complete frames before cut, got %d:\n%s", n, got)
-	}
-}
-
-func TestTransportTruncate(t *testing.T) {
-	srv := sseServer(t, 3)
-	inj := MustNew(Spec{Rules: []Rule{{Fault: FaultTruncate, AfterFrames: 1}}})
-	cl := &http.Client{Transport: inj.Transport(nil)}
-
-	res, err := cl.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	b, err := io.ReadAll(res.Body)
-	if err != nil {
-		t.Fatalf("truncate should read as clean EOF, got %v", err)
-	}
-	got := string(b)
-	if n := strings.Count(got, "\n\n"); n != 1 {
-		t.Fatalf("want 1 complete frame then torn tail, got %d:\n%s", n, got)
-	}
-	if strings.HasSuffix(got, "\n\n") {
-		t.Fatalf("tail not torn:\n%s", got)
-	}
-}
-
-func TestTransportCorrupt(t *testing.T) {
-	srv := sseServer(t, 3)
-	inj := MustNew(Spec{Rules: []Rule{{Fault: FaultCorrupt, AfterFrames: 1}}})
-	cl := &http.Client{Transport: inj.Transport(nil)}
-
-	_, got, err := get(t, cl, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := sseBody(3)
-	if got == clean {
-		t.Fatal("stream passed through uncorrupted")
-	}
-	if len(got) != len(clean) {
-		t.Fatalf("corruption changed length: %d != %d", len(got), len(clean))
-	}
-	frames := strings.SplitAfter(got, "\n\n")
-	if frames[0] != strings.SplitAfter(clean, "\n\n")[0] {
-		t.Fatal("frame 0 touched")
-	}
-	if frames[1] == strings.SplitAfter(clean, "\n\n")[1] {
-		t.Fatal("frame 1 not corrupted")
-	}
-}
-
-func TestTransportLatencySites(t *testing.T) {
-	srv := sseServer(t, 2)
-	inj := MustNew(Spec{Rules: []Rule{
-		{Fault: FaultLatency, Where: "dial", LatencyMS: 7, Count: 1},
-		{Fault: FaultLatency, Where: "frame", LatencyMS: 3, AfterRequests: 1},
-	}})
-	var mu sync.Mutex
-	var slept []time.Duration
-	inj.sleep = func(d time.Duration) {
-		mu.Lock()
-		slept = append(slept, d)
-		mu.Unlock()
-	}
-	cl := &http.Client{Transport: inj.Transport(nil)}
-
-	if _, _, err := get(t, cl, srv.URL); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 1 || slept[0] != 7*time.Millisecond {
-		t.Fatalf("dial latency slept %v", slept)
-	}
-	slept = nil
-	if _, _, err := get(t, cl, srv.URL); err != nil {
-		t.Fatal(err)
-	}
-	// 2 result frames + 1 done frame, each delayed.
-	if len(slept) != 3 || slept[0] != 3*time.Millisecond {
-		t.Fatalf("frame latency slept %v", slept)
-	}
-}
-
 func TestSchedulingWindows(t *testing.T) {
 	inj := MustNew(Spec{Rules: []Rule{
 		{Fault: FaultRefuse, AfterRequests: 2, ForRequests: 2},
 	}})
 	var fired []bool
 	for i := 0; i < 6; i++ {
-		fired = append(fired, len(inj.plan("w1", "/x", false)) > 0)
+		fired = append(fired, len(inj.plan("")) > 0)
 	}
 	want := []bool{false, false, true, true, false, false}
 	for i := range want {
@@ -257,7 +188,7 @@ func TestSchedulingWindows(t *testing.T) {
 		want bool
 	}{{0, false}, {50 * time.Millisecond, false}, {150 * time.Millisecond, true}, {250 * time.Millisecond, false}} {
 		inj.now = func() time.Time { return base.Add(tc.at) }
-		if got := len(inj.plan("", "", false)) > 0; got != tc.want {
+		if got := len(inj.plan("")) > 0; got != tc.want {
 			t.Fatalf("probe %d at %v: fired=%v want %v", i, tc.at, got, tc.want)
 		}
 	}
@@ -265,15 +196,15 @@ func TestSchedulingWindows(t *testing.T) {
 
 func TestSelectorMatching(t *testing.T) {
 	inj := MustNew(Spec{Rules: []Rule{
-		{Fault: FaultRefuse, Peer: "18091", Path: "/v2/shards"},
+		{Fault: FaultRefuse, Path: "/v2/shards"},
 	}})
-	if len(inj.plan("127.0.0.1:18092", "/v2/shards", false)) != 0 {
-		t.Fatal("wrong peer matched")
-	}
-	if len(inj.plan("127.0.0.1:18091", "/healthz", false)) != 0 {
+	if len(inj.plan("/healthz")) != 0 {
 		t.Fatal("wrong path matched")
 	}
-	if len(inj.plan("127.0.0.1:18091", "/v2/shards", false)) != 1 {
+	if len(inj.plan("")) != 0 {
+		t.Fatal("path rule planned at accept time")
+	}
+	if len(inj.plan("/v2/shards")) != 1 {
 		t.Fatal("exact match missed")
 	}
 }
@@ -285,7 +216,7 @@ func TestSeededReplayIdentical(t *testing.T) {
 			{Fault: FaultStatus, Prob: 0.3},
 		}})
 		for i := 0; i < 40; i++ {
-			inj.plan("w1", "/v2/shards", false)
+			inj.plan("")
 		}
 		return inj.Events()
 	}
@@ -308,7 +239,7 @@ func TestSeededReplayIdentical(t *testing.T) {
 		{Fault: FaultStatus, Prob: 0.3},
 	}})
 	for i := 0; i < 40; i++ {
-		inj.plan("w1", "/v2/shards", false)
+		inj.plan("")
 	}
 	c := inj.Events()
 	same := len(a) == len(c)
@@ -325,77 +256,187 @@ func TestSeededReplayIdentical(t *testing.T) {
 	}
 }
 
+// TestListenerFaults drives every fault through the Listener: accept-
+// level refusal and synthetic status, frame-level cut, truncate and
+// corrupt on a matched path, and the dial, first-byte and frame latency
+// sites.
 func TestListenerFaults(t *testing.T) {
-	inj := MustNew(Spec{Rules: []Rule{
-		{Fault: FaultRefuse, Count: 1},
-		{Fault: FaultStatus, AfterRequests: 1, Count: 1},
-		{Fault: FaultCut, Path: "/stream", AfterFrames: 1, Count: 1},
-	}})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/stream" {
-			io.WriteString(w, "ok")
-			return
+	clean := sseBody(3)
+	frames := strings.SplitAfter(clean, "\n\n")
+
+	t.Run("refuse_status", func(t *testing.T) {
+		inj := MustNew(Spec{Rules: []Rule{
+			{Fault: FaultRefuse, Count: 1},
+			{Fault: FaultStatus, AfterRequests: 1, Count: 1},
+			{Fault: FaultStatus, AfterRequests: 2, Count: 1, Status: 502},
+		}})
+		base := listenerServer(t, inj, 3)
+		// Request 1: accept-level refusal — the conn dies before HTTP.
+		if _, _, err := get(t, base+"/plain"); err == nil {
+			t.Fatal("refused accept still answered")
 		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		fl := w.(http.Flusher)
-		for _, frame := range strings.SplitAfter(sseBody(4), "\n\n") {
-			if frame == "" {
-				continue
+		// Requests 2 and 3: raw synthetic status, the default then an
+		// explicit one.
+		for _, want := range []int{503, 502} {
+			code, body, err := get(t, base+"/plain")
+			if err != nil || code != want || !strings.Contains(body, "chaos") {
+				t.Fatalf("want raw %d, got %d %q %v", want, code, body, err)
 			}
-			io.WriteString(w, frame)
-			fl.Flush()
 		}
-	})}
-	go srv.Serve(inj.Listener(ln))
-	t.Cleanup(func() { srv.Close() })
-	base := "http://" + ln.Addr().String()
+		// Request 4: clean — every rule budget is spent.
+		if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {
+			t.Fatalf("want clean 200, got %d %q %v", code, body, err)
+		}
+		ev := inj.Events()
+		if len(ev) != 3 || !strings.Contains(ev[0], "refuse") ||
+			!strings.Contains(ev[1], "status=503") || !strings.Contains(ev[2], "status=502") {
+			t.Fatalf("events %v", ev)
+		}
+	})
 
-	// Disable keep-alive so each request opens a fresh connection and
-	// the accept-level rules see them in order.
-	cl := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, tc := range []struct {
+		name  string
+		rule  Rule
+		check func(t *testing.T, body string, err error)
+	}{
+		{"cut", Rule{Fault: FaultCut, Path: "/stream", AfterFrames: 2}, func(t *testing.T, body string, err error) {
+			if err == nil || body != frames[0]+frames[1] {
+				t.Fatalf("want 2 whole frames then a dropped connection, got %v:\n%q", err, body)
+			}
+		}},
+		{"truncate", Rule{Fault: FaultTruncate, Path: "/stream", AfterFrames: 1}, func(t *testing.T, body string, err error) {
+			if err == nil || !strings.HasPrefix(body, frames[0]) || strings.Count(body, "\n\n") != 1 {
+				t.Fatalf("want 1 whole frame then a torn one, got %v:\n%q", err, body)
+			}
+		}},
+		{"corrupt", Rule{Fault: FaultCorrupt, Path: "/stream", AfterFrames: 1}, func(t *testing.T, body string, err error) {
+			if err != nil {
+				t.Fatalf("corrupted stream did not end cleanly: %v\n%q", err, body)
+			}
+			if len(body) != len(clean) {
+				t.Fatalf("corruption changed length: %d != %d\n%q", len(body), len(clean), body)
+			}
+			tail := len(frames[0]) + len(frames[1])
+			if body[:len(frames[0])] != frames[0] || body[tail:] != clean[tail:] {
+				t.Fatalf("frames other than 1 touched:\n%q", body)
+			}
+			if body[:tail] == clean[:tail] {
+				t.Fatal("frame 1 not corrupted")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := MustNew(Spec{Rules: []Rule{tc.rule}})
+			base := listenerServer(t, inj, 3)
+			// The path rule leaves other paths alone.
+			if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {
+				t.Fatalf("unmatched path: %d %q %v", code, body, err)
+			}
+			code, body, err := get(t, base+"/stream")
+			if code != 200 {
+				t.Fatalf("status %d (%v)", code, err)
+			}
+			tc.check(t, body, err)
+			if ev := inj.Events(); len(ev) != 1 || !strings.Contains(ev[0], tc.name) {
+				t.Fatalf("events %v", ev)
+			}
+		})
+	}
 
-	// Request 1: accept-level refusal — the conn dies before HTTP.
-	if _, _, err := get(t, cl, base+"/plain"); err == nil {
-		t.Fatal("refused accept still answered")
-	}
-	// Request 2: raw synthetic 503.
-	code, body, err := get(t, cl, base+"/plain")
-	if err != nil || code != 503 || !strings.Contains(body, "chaos") {
-		t.Fatalf("want raw 503, got %d %q %v", code, body, err)
-	}
-	// Request 3: clean — rule budget spent, path rule doesn't match.
-	if code, body, err := get(t, cl, base+"/plain"); err != nil || code != 200 || body != "ok" {
-		t.Fatalf("want clean 200, got %d %q %v", code, body, err)
-	}
-	// Request 4: stream cut after 1 frame on the matched path.
-	res, err := cl.Get(base + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, rerr := io.ReadAll(res.Body)
-	res.Body.Close()
-	if rerr == nil {
-		t.Fatalf("cut stream read cleanly: %q", b)
-	}
-	if n := strings.Count(string(b), "\n\n"); n > 1 {
-		t.Fatalf("want at most 1 frame before cut, got %d", n)
-	}
+	t.Run("latency_sites", func(t *testing.T) {
+		inj := MustNew(Spec{Rules: []Rule{
+			{Fault: FaultLatency, Where: "dial", LatencyMS: 7, Count: 1},
+			{Fault: FaultLatency, Where: "first_byte", LatencyMS: 5, AfterRequests: 1, Count: 1},
+			{Fault: FaultLatency, Where: "frame", LatencyMS: 3, AfterRequests: 2},
+		}})
+		var mu sync.Mutex
+		var slept []time.Duration
+		inj.sleep = func(d time.Duration) {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+		}
+		base := listenerServer(t, inj, 2)
+		for i, want := range [][]time.Duration{
+			{7 * time.Millisecond},
+			{5 * time.Millisecond},
+			// 2 result frames + 1 done frame, each delayed.
+			{3 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond},
+		} {
+			mu.Lock()
+			slept = nil
+			mu.Unlock()
+			if code, body, err := get(t, base+"/stream"); err != nil || code != 200 || body != sseBody(2) {
+				t.Fatalf("request %d: %d %q %v", i, code, body, err)
+			}
+			mu.Lock()
+			got := fmt.Sprint(slept)
+			mu.Unlock()
+			if got != fmt.Sprint(want) {
+				t.Fatalf("request %d slept %s, want %v", i, got, want)
+			}
+		}
+	})
+
+	// A connection-level stream rule filters every response on the
+	// connection; one that is not an event stream passes untouched.
+	t.Run("plain_passthrough", func(t *testing.T) {
+		base := listenerServer(t, MustNew(Spec{Rules: []Rule{{Fault: FaultCorrupt}}}), 3)
+		if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {
+			t.Fatalf("plain response filtered: %d %q %v", code, body, err)
+		}
+		if _, body, err := get(t, base+"/stream"); err != nil || len(body) != len(clean) || body[:len(frames[0])] == frames[0] {
+			t.Fatalf("want frame 0 corrupted and a clean end, got %v:\n%q", err, body)
+		}
+	})
+
+	// A filtered response still ends, so a kept-alive connection carries
+	// the next exchange.
+	t.Run("keep_alive", func(t *testing.T) {
+		base := listenerServer(t, MustNew(Spec{Rules: []Rule{
+			{Fault: FaultCorrupt, Path: "/stream", AfterFrames: 1, Count: 1},
+		}}), 3)
+		cl := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+		defer cl.CloseIdleConnections()
+		var reused []bool
+		for i, corrupt := range []bool{true, false} {
+			req, _ := http.NewRequest("GET", base+"/stream", nil)
+			req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+				GotConn: func(ci httptrace.GotConnInfo) { reused = append(reused, ci.Reused) },
+			}))
+			res, err := cl.Do(req)
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			b, err := io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil || len(b) != len(clean) || (string(b) != clean) != corrupt {
+				t.Fatalf("request %d (corrupt=%v): %v\n%q", i, corrupt, err, b)
+			}
+		}
+		if fmt.Sprint(reused) != "[false true]" {
+			t.Fatalf("connection reuse %v, want [false true]", reused)
+		}
+	})
 }
 
 func TestFrameFilterAcrossChunks(t *testing.T) {
-	// Frames arriving byte by byte must still be counted and corrupted
-	// exactly once.
+	// A chunked response arriving byte by byte must still have its
+	// frames counted and corrupted exactly once, and its closing chunk
+	// released.
 	ff := &frameFilter{plan: streamPlan{cutAfter: -1, truncAt: -1, corruptAt: 1}, sleep: func(time.Duration) {}}
-	in := sseBody(3)
+	in := "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nTransfer-Encoding: chunked\r\n\r\n"
+	for _, frame := range strings.SplitAfter(sseBody(3), "\n\n") {
+		if frame != "" {
+			in += fmt.Sprintf("%x\r\n%s\r\n", len(frame), frame)
+		}
+	}
+	in += "0\r\n\r\n"
 	var out []byte
 	for i := 0; i < len(in); i++ {
-		o, err := ff.process([]byte{in[i]}, i == len(in)-1)
-		if err != nil {
-			t.Fatalf("unexpected filter error %v", err)
+		o, end := ff.process([]byte{in[i]})
+		if end {
+			t.Fatal("corruption ended the stream")
 		}
 		out = append(out, o...)
 	}
@@ -404,5 +445,14 @@ func TestFrameFilterAcrossChunks(t *testing.T) {
 	}
 	if len(out) != len(in) {
 		t.Fatalf("length changed %d -> %d", len(in), len(out))
+	}
+	diff := 0
+	for i := range out {
+		if out[i] != in[i] {
+			diff++
+		}
+	}
+	if diff != 1 {
+		t.Fatalf("%d bytes changed, want 1", diff)
 	}
 }

@@ -1,5 +1,6 @@
-// Chaos-harness integration tests: drive real coordinator sweeps through
-// internal/chaos's fault-injecting transport and assert the tentpole
+// Chaos-harness integration tests: drive real coordinator sweeps against
+// workers whose listeners run internal/chaos's fault injector — the same
+// surface delta-server's -chaos flag arms — and assert the tentpole
 // invariant — the merged fleet result stays byte-identical to a
 // single-node run under every injected failure mode — plus the refusing-
 // and slowed-peer handling and seeded replay the harness exists to
@@ -21,15 +22,20 @@ import (
 	"delta/internal/pipeline"
 )
 
-// healthWorker is newWorker plus a 200 /healthz, for tests that also
-// probe peer health.
-func healthWorker(t *testing.T) *httptest.Server {
+// healthWorker is newWorker plus a 200 /healthz, with its listener
+// wrapped by inj, so the injector's faults hit the worker's accepted
+// connections as delta-server -chaos arms them; a nil inj serves clean.
+func healthWorker(t *testing.T, inj *chaos.Injector) *httptest.Server {
 	t.Helper()
 	shards := &ShardHandler{Eval: pipeline.New(), Render: testRender}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
 	mux.Handle("/", shards)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewUnstartedServer(mux)
+	if inj != nil {
+		srv.Listener = inj.Listener(srv.Listener)
+	}
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -43,11 +49,10 @@ func TestChaosMidStreamCutResume(t *testing.T) {
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
 		{Fault: chaos.FaultCut, Path: "/v2/shards", AfterFrames: 2, Count: 3},
 	}})
-	w := newWorker(t)
+	w := healthWorker(t, inj)
 	sc := testScenario(t)
 	c, err := New(Config{
 		Peers: []string{w.URL}, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		ClientRetries: 10, Log: quietLog(),
 	})
@@ -69,13 +74,12 @@ func TestChaosCorruptFrameRetryable(t *testing.T) {
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
 		{Fault: chaos.FaultCorrupt, Path: "/v2/shards", AfterFrames: 3, Count: 1},
 	}})
-	w := newWorker(t)
+	w := healthWorker(t, inj)
 	sc := testScenario(t)
 	reg := obs.NewRegistry()
 	mt := NewMetrics(reg)
 	c, err := New(Config{
 		Peers: []string{w.URL}, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		Metrics: mt, Log: quietLog(),
 	})
@@ -100,11 +104,10 @@ func TestChaosTruncatedFrameResume(t *testing.T) {
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
 		{Fault: chaos.FaultTruncate, Path: "/v2/shards", AfterFrames: 4, Count: 1},
 	}})
-	w := newWorker(t)
+	w := healthWorker(t, inj)
 	sc := testScenario(t)
 	c, err := New(Config{
 		Peers: []string{w.URL}, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond, Log: quietLog(),
 	})
 	if err != nil {
@@ -125,14 +128,13 @@ func TestChaosPartialProgressReassign(t *testing.T) {
 		{Fault: chaos.FaultCut, Path: "/v2/shards", AfterFrames: 2, Count: 1},
 		{Fault: chaos.FaultRefuse, Path: "/v2/shards", AfterRequests: 1, Count: 2},
 	}})
-	w := newWorker(t)
+	w := healthWorker(t, inj)
 	sc := testScenario(t)
 	reg := obs.NewRegistry()
 	mt := NewMetrics(reg)
 	rec := &fakeRecorder{}
 	c, err := New(Config{
 		Peers: []string{w.URL}, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		ClientRetries: 2, Metrics: mt, Recorder: rec, Log: quietLog(),
 	})
@@ -167,16 +169,15 @@ func TestChaosPartialProgressReassign(t *testing.T) {
 // retake a shard the healthy peer has not failed), and the merged result
 // stays byte-identical. Its /healthz still answers, so it reads as up.
 func TestChaosRefusingPeer(t *testing.T) {
-	wa, wb := healthWorker(t), healthWorker(t)
-	peers := []string{wa.URL, wb.URL}
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
-		{Fault: chaos.FaultRefuse, Peer: hostOf(wb.URL), Path: "/v2/shards"},
+		{Fault: chaos.FaultRefuse, Path: "/v2/shards"},
 	}})
+	wa, wb := healthWorker(t, nil), healthWorker(t, inj)
+	peers := []string{wa.URL, wb.URL}
 	mt := NewMetrics(obs.NewRegistry())
 	rec := &fakeRecorder{}
 	c, err := New(Config{
 		Peers: peers, ShardsPerPeer: 2,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		ClientRetries: 1, Metrics: mt, Recorder: rec, Log: quietLog(),
 	})
@@ -224,15 +225,13 @@ func TestChaosRefusingPeer(t *testing.T) {
 // shard and re-runs (hedges) the last point; the merged result — despite
 // two attempts streaming the same window — stays byte-identical.
 func TestChaosSlowPeerHedge(t *testing.T) {
-	wa, wb := newWorker(t), newWorker(t)
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
-		{Fault: chaos.FaultLatency, Where: "frame", LatencyMS: 300,
-			Peer: hostOf(wb.URL), Path: "/v2/shards"},
+		{Fault: chaos.FaultLatency, Where: "frame", LatencyMS: 300, Path: "/v2/shards"},
 	}})
+	wa, wb := newWorker(t), healthWorker(t, inj)
 	mt := NewMetrics(obs.NewRegistry())
 	c, err := New(Config{
 		Peers: []string{wa.URL, wb.URL}, ShardsPerPeer: 1,
-		HTTP:         &http.Client{Transport: inj.Transport(nil)},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		Metrics: mt, Log: quietLog(),
 	})
@@ -258,16 +257,15 @@ func TestChaosSlowPeerHedge(t *testing.T) {
 // identical fault sequence and drive the identical shard
 // dispatch/failure/done record log — the reproducibility contract.
 func TestChaosSeededReplay(t *testing.T) {
-	w := newWorker(t) // shared across runs so peer labels match
 	sc := testScenario(t)
 	run := func() ([]string, []string) {
 		inj := chaos.MustNew(chaos.Spec{Seed: 2, Rules: []chaos.Rule{
 			{Fault: chaos.FaultRefuse, Path: "/v2/shards", Prob: 0.4, Count: 4},
 		}})
+		w := healthWorker(t, inj)
 		rec := &fakeRecorder{}
 		c, err := New(Config{
 			Peers: []string{w.URL}, ShardsPerPeer: 2,
-			HTTP:         &http.Client{Transport: inj.Transport(nil)},
 			RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 			ClientRetries: 10, Recorder: rec, Log: quietLog(),
 		})
@@ -279,7 +277,13 @@ func TestChaosSeededReplay(t *testing.T) {
 			Policy: pipeline.CollectPartial,
 		})
 		checkMerged(t, upds, singleNodeRef(t, sc))
-		return inj.Events(), rec.all()
+		// Each run has its own worker, so the record logs name the peer
+		// by a placeholder to compare.
+		recs := rec.all()
+		for i := range recs {
+			recs[i] = strings.ReplaceAll(recs[i], hostOf(w.URL), "worker")
+		}
+		return inj.Events(), recs
 	}
 	ev1, rec1 := run()
 	ev2, rec2 := run()

@@ -22,6 +22,7 @@ import (
 	"delta/internal/pipeline"
 	"delta/internal/scenario"
 	"delta/internal/spec"
+	"delta/internal/sse"
 )
 
 // testDoc is the sweep document the coordinator forwards to workers:
@@ -86,7 +87,7 @@ func quietLog() *log.Logger { return log.New(os.Stderr, "", 0) }
 
 // dropAfter aborts the connection before writing the (n+1)-th result
 // frame, simulating a mid-shard connection loss with whole frames on the
-// wire (writeFrame emits one frame per Write call).
+// wire (the sse.Writer emits one frame per Write call).
 type dropAfter struct {
 	http.ResponseWriter
 	remaining *int
@@ -138,7 +139,7 @@ func TestShardHandlerWindow(t *testing.T) {
 	var results []wireResult
 	var ids []int
 	var done *wireDone
-	if err := parseSSE(resp.Body, func(ev Event) error {
+	if err := sse.Parse(resp.Body, func(ev sse.Event) error {
 		switch ev.Type {
 		case "result":
 			var r wireResult
@@ -152,7 +153,7 @@ func TestShardHandlerWindow(t *testing.T) {
 			if err := json.Unmarshal(ev.Data, done); err != nil {
 				return err
 			}
-			return errStreamEnd
+			return sse.Stop
 		}
 		return nil
 	}); err != nil {
@@ -185,6 +186,9 @@ func TestShardHandlerRejects(t *testing.T) {
 		{"window past end", fmt.Sprintf(`{"scenario": %s, "offset": 10, "limit": 10}`, testDoc), http.StatusBadRequest},
 		{"missing scenario", `{"offset": 0, "limit": 1}`, http.StatusBadRequest},
 		{"unbuildable L2", `{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}, "offset": 0, "limit": 1}`, http.StatusBadRequest},
+		{"huge L2", `{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l2_size_mb": 1048576}}], "sim_configs": [{}]}, "offset": 0, "limit": 1}`, http.StatusBadRequest},
+		{"huge SM count", `{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "num_sm": 100000000}}], "sim_configs": [{}]}, "offset": 0, "limit": 1}`, http.StatusBadRequest},
+		{"huge L1", `{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l1_size_kb_per_sm": 1e9}}], "sim_configs": [{}]}, "offset": 0, "limit": 1}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -227,7 +231,7 @@ func TestClientReconnect(t *testing.T) {
 	body := fmt.Sprintf(`{"scenario": %s, "offset": 0, "limit": 16}`, testDoc)
 	cli := &Client{Retries: 10, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 	var got []wireResult
-	err := cli.Stream(context.Background(), srv.URL, []byte(body), func(ev Event) error {
+	err := cli.Stream(context.Background(), srv.URL, []byte(body), func(ev sse.Event) error {
 		if ev.Type == "result" {
 			var r wireResult
 			if err := json.Unmarshal(ev.Data, &r); err != nil {
@@ -262,75 +266,13 @@ func TestClientTerminalStatus(t *testing.T) {
 	}))
 	defer srv.Close()
 	cli := &Client{Retries: 5, Backoff: time.Millisecond}
-	err := cli.Stream(context.Background(), srv.URL, []byte(`{}`), func(Event) error { return nil })
+	err := cli.Stream(context.Background(), srv.URL, []byte(`{}`), func(sse.Event) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("err = %v", err)
 	}
 	if requests.Load() != 1 {
 		t.Errorf("4xx retried %d times", requests.Load()-1)
 	}
-}
-
-// TestParseSSE pins the frame grammar: comments, multi-line data, default
-// event type, id tracking.
-func TestParseSSE(t *testing.T) {
-	in := ": keep-alive\n\nid: 3\nevent: result\ndata: {\"a\":1}\n\ndata: x\ndata: y\n\n"
-	var evs []Event
-	if err := parseSSE(strings.NewReader(in), func(ev Event) error {
-		evs = append(evs, ev)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("%d events, want 2", len(evs))
-	}
-	if evs[0].ID != 3 || evs[0].Type != "result" || string(evs[0].Data) != `{"a":1}` {
-		t.Errorf("event 0 = %+v", evs[0])
-	}
-	if evs[1].Type != "message" || string(evs[1].Data) != "x\ny" {
-		t.Errorf("event 1 = %+v", evs[1])
-	}
-}
-
-// encodeSSE writes ev in the wire grammar parseSSE reads.
-func encodeSSE(w io.Writer, ev Event) {
-	if ev.ID > 0 {
-		fmt.Fprintf(w, "id: %d\n", ev.ID)
-	}
-	fmt.Fprintf(w, "event: %s\n", ev.Type)
-	for _, line := range strings.Split(string(ev.Data), "\n") {
-		fmt.Fprintf(w, "data: %s\n", line)
-	}
-	fmt.Fprint(w, "\n")
-}
-
-// FuzzParseSSE: the SSE parser never panics on arbitrary bytes, and the
-// frames it returns, re-encoded, parse back to the same frames.
-func FuzzParseSSE(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in []byte) {
-		collect := func(dst *[]Event) func(Event) error {
-			return func(ev Event) error { *dst = append(*dst, ev); return nil }
-		}
-		var evs []Event
-		_ = parseSSE(bytes.NewReader(in), collect(&evs))
-		var buf bytes.Buffer
-		for _, ev := range evs {
-			encodeSSE(&buf, ev)
-		}
-		var again []Event
-		if err := parseSSE(bytes.NewReader(buf.Bytes()), collect(&again)); err != nil {
-			t.Fatalf("re-encoded frames do not parse: %v\n%q", err, buf.Bytes())
-		}
-		if len(again) != len(evs) {
-			t.Fatalf("%d frames parsed back, want %d\n%q", len(again), len(evs), buf.Bytes())
-		}
-		for i := range evs {
-			if again[i].ID != evs[i].ID || again[i].Type != evs[i].Type || !bytes.Equal(again[i].Data, evs[i].Data) {
-				t.Fatalf("frame %d: %+v parsed back as %+v", i, evs[i], again[i])
-			}
-		}
-	})
 }
 
 // shardRecord is one RecordShard call.

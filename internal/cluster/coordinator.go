@@ -31,6 +31,7 @@ import (
 	"delta/internal/pipeline"
 	"delta/internal/scenario"
 	"delta/internal/spec"
+	"delta/internal/sse"
 )
 
 // Fleet metric names, package-level constants by house rule (delta-vet's
@@ -505,7 +506,7 @@ func (st *sweep) stream(a *attempt) error {
 		Retries: c.cfg.ClientRetries, Backoff: c.cfg.ClientBackoff,
 	}
 	next, doneCount := a.from, 0
-	err = cli.Stream(a.ctx, c.cfg.Peers[a.peer]+"/v2/shards", body, func(ev Event) error {
+	err = cli.Stream(a.ctx, c.cfg.Peers[a.peer]+"/v2/shards", body, func(ev sse.Event) error {
 		switch ev.Type {
 		case "result":
 			var res wireResult

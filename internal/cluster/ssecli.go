@@ -1,14 +1,13 @@
 // SSE client: the coordinator's half of the shard stream protocol. One
-// Stream call POSTs a shard request and delivers parsed Server-Sent-Events
-// frames in order, transparently reconnecting dropped connections with the
-// standard Last-Event-ID header (the worker skips the results already
+// Stream call POSTs a shard request and delivers the frames internal/sse
+// parses, in order, transparently reconnecting dropped connections with
+// the standard Last-Event-ID header (the worker skips the results already
 // delivered, so the caller sees every frame exactly once). Reconnects use
 // jittered exponential backoff and give up after a bounded number of
 // consecutive failures without progress.
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -18,20 +17,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"delta/internal/sse"
 )
-
-// Event is one parsed SSE frame.
-type Event struct {
-	// ID is the frame's `id:` value (0 when the frame carried none); the
-	// client replays the last non-zero ID as Last-Event-ID on reconnect.
-	ID int
-
-	// Type is the frame's `event:` value ("message" when absent).
-	Type string
-
-	// Data is the frame's payload (multiple `data:` lines joined by \n).
-	Data []byte
-}
 
 // Client streams SSE responses with automatic resume. The zero value is
 // usable; fields tune the reconnect policy.
@@ -79,7 +67,7 @@ func (e BadFrameError) Unwrap() error { return e.Err }
 // after emitting a frame whose Type is "done" (the protocol's terminal
 // frame), and an error when the context ends, emit fails, the server
 // answers a non-retryable status, or reconnect attempts are exhausted.
-func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(Event) error) error {
+func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(sse.Event) error) error {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = &http.Client{}
@@ -139,7 +127,7 @@ type terminalErr struct{ msg string }
 func (e terminalErr) Error() string { return e.msg }
 
 // attempt runs one connection: POST, parse frames, track the resume id.
-func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, body []byte, resumeID int, lastID *int, emit func(Event) error) (progressed, done bool, err error) {
+func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, body []byte, resumeID int, lastID *int, emit func(sse.Event) error) (progressed, done bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return false, false, err
@@ -166,7 +154,7 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, bo
 		}
 		return false, false, err
 	}
-	perr := parseSSE(resp.Body, func(ev Event) error {
+	perr := sse.Parse(resp.Body, func(ev sse.Event) error {
 		// Emit first: the resume id and progress advance only past frames
 		// the caller accepted, so a frame rejected as corrupt is re-served
 		// on reconnect instead of silently skipped.
@@ -183,7 +171,7 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, bo
 		progressed = true
 		if ev.Type == "done" {
 			done = true
-			return errStreamEnd
+			return sse.Stop
 		}
 		return nil
 	})
@@ -196,66 +184,4 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, bo
 		perr = errors.New("stream ended before done frame")
 	}
 	return progressed, false, perr
-}
-
-// errStreamEnd stops parseSSE after the terminal frame without reading to
-// connection close.
-var errStreamEnd = errors.New("stream end")
-
-// parseSSE reads Server-Sent-Events frames from r and hands each complete
-// frame to emit. Comment lines (leading ':') are skipped; a blank line
-// dispatches the accumulated frame. Returns nil on EOF, emit's error when
-// it aborts (errStreamEnd is swallowed), or the read error otherwise.
-func parseSSE(r io.Reader, emit func(Event) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var (
-		ev      Event
-		data    []string
-		hasData bool
-	)
-	flush := func() error {
-		if !hasData {
-			ev = Event{}
-			return nil
-		}
-		if ev.Type == "" {
-			ev.Type = "message"
-		}
-		ev.Data = []byte(strings.Join(data, "\n"))
-		err := emit(ev)
-		ev, data, hasData = Event{}, nil, false
-		return err
-	}
-	for sc.Scan() {
-		// ScanLines drops one CR of a CRLF ending; trim any left so a value
-		// never ends in CR, which would not survive a write and re-read.
-		line := strings.TrimRight(sc.Text(), "\r")
-		switch {
-		case line == "":
-			if err := flush(); err != nil {
-				if errors.Is(err, errStreamEnd) {
-					return nil
-				}
-				return err
-			}
-		case strings.HasPrefix(line, ":"):
-			// comment / keep-alive
-		default:
-			field, value, _ := strings.Cut(line, ":")
-			value = strings.TrimPrefix(value, " ")
-			switch field {
-			case "id":
-				if n, err := strconv.Atoi(value); err == nil && n > 0 {
-					ev.ID = n
-				}
-			case "event":
-				ev.Type = value
-			case "data":
-				data = append(data, value)
-				hasData = true
-			}
-		}
-	}
-	return sc.Err()
 }

@@ -1,10 +1,10 @@
 // Worker side of the shard protocol: an http.Handler for POST /v2/shards.
 // The request body is a spec shard document ({scenario, offset, limit});
-// the response is an SSE stream of `event: result` frames — one per point
-// of the window, in expansion order, each carrying an `id:` line counting
-// results delivered within the shard — closed by a terminal `event: done`
-// frame. A reconnecting coordinator sends Last-Event-ID to skip the
-// results it already holds; because the evaluator's offset+limit window is
+// the response is an internal/sse stream of `event: result` frames — one
+// per point of the window, in expansion order, each id counting results
+// delivered within the shard — closed by a terminal `event: done` frame.
+// A reconnecting coordinator sends Last-Event-ID to skip the results it
+// already holds; because the evaluator's offset+limit window is
 // bit-identical to the same slice of a full run, resumed shards never
 // recompute or diverge.
 package cluster
@@ -13,14 +13,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"delta/internal/pipeline"
 	"delta/internal/spec"
+	"delta/internal/sse"
 )
 
 // wireResult is the data payload of one `event: result` frame.
@@ -89,21 +87,8 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		shardError(w, code, err)
 		return
 	}
-	skip := 0
-	if lei := strings.TrimSpace(r.Header.Get("Last-Event-ID")); lei != "" {
-		// Ignore ids we did not mint; a full replay is always safe.
-		if n, aerr := strconv.Atoi(lei); aerr == nil && n > 0 {
-			skip = n
-			if skip > sh.Limit {
-				skip = sh.Limit
-			}
-		}
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		shardError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
+	// A Last-Event-ID past the window resumes at its end.
+	skip := min(sse.LastEventID(r), sh.Limit)
 	// Always collect-partial: the coordinator owns the error policy and
 	// applies it to the merged in-order stream, so a fail-fast sweep still
 	// matches single-node output even when the failing point's shard runs
@@ -116,14 +101,12 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		shardError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	hd := w.Header()
-	hd.Set("Content-Type", "text/event-stream")
-	hd.Set("Cache-Control", "no-cache")
-	hd.Set("Connection", "keep-alive")
-	hd.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	sw, err := sse.Start(w, skip)
+	if err != nil {
+		shardError(w, http.StatusInternalServerError, err)
+		return
+	}
+	sw.Flush()
 
 	keepAlive := h.KeepAlive
 	if keepAlive <= 0 {
@@ -132,7 +115,6 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(keepAlive)
 	defer ticker.Stop()
 
-	count := skip
 	for {
 		select {
 		case upd, open := <-ch:
@@ -140,8 +122,8 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				if r.Context().Err() != nil {
 					return // client gone; no terminal frame
 				}
-				_ = writeFrame(w, 0, "done", wireDone{Count: count})
-				flusher.Flush()
+				_ = sw.Done(wireDone{Count: sw.ID()})
+				sw.Flush()
 				return
 			}
 			res := wireResult{Index: upd.Point.Index}
@@ -154,41 +136,25 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					// Rendering is infrastructure, not evaluation: report
 					// through the done frame so the coordinator retries
 					// the attempt instead of recording a bogus point.
-					_ = writeFrame(w, 0, "done", wireDone{Count: count, Error: rerr.Error()})
-					flusher.Flush()
+					_ = sw.Done(wireDone{Count: sw.ID(), Error: rerr.Error()})
+					sw.Flush()
 					return
 				}
 				res.Payload = payload
 			}
-			count++
-			if err := writeFrame(w, count, "result", res); err != nil {
+			if err := sw.Result(res); err != nil {
 				return
 			}
-			flusher.Flush()
+			sw.Flush()
 		case <-ticker.C:
-			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
+			if err := sw.KeepAlive(); err != nil {
 				return
 			}
-			flusher.Flush()
+			sw.Flush()
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-// writeFrame emits one SSE frame with a JSON payload; id > 0 adds an `id:`
-// line for Last-Event-ID resume.
-func writeFrame(w io.Writer, id int, event string, v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if id > 0 {
-		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, buf)
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, buf)
-	return err
 }
 
 // shardError answers a pre-stream failure in the server's JSON error shape.

@@ -3,7 +3,7 @@
 // spot-check — bit-identical simulation results at any worker or fleet
 // configuration, context threading through everything that blocks,
 // lock discipline on the SSE-broadcast paths, bounded metric cardinality,
-// and the SSE resume contract.
+// and event streams served through internal/sse, resumable and live.
 //
 // The suite is built on the stdlib toolchain only (go/parser, go/types,
 // go/ast via the loader in load.go) so it inherits the module's

@@ -6,34 +6,42 @@ import (
 	"strings"
 )
 
-// SSEContract checks every handler that serves `text/event-stream`
-// against the resume-and-liveness contract the jobs API and shard
-// streaming rely on:
+// ssePkg owns the Server-Sent-Events wire format.
+const ssePkg = "delta/internal/sse"
+
+// SSEContract checks the serving side of every event stream against the
+// resume-and-liveness contract the jobs API and shard streaming rely on.
+// Frames are written by internal/sse alone, whose Writer gives every
+// result frame an `id:` line, so reconnecting clients (and the fleet's
+// SSE client) can resume via Last-Event-ID instead of replaying or —
+// worse — double-merging results; that package's tests pin it. So:
 //
-//   - frames carry `id:` lines, so reconnecting clients (and the fleet's
-//     SSE client) can resume via Last-Event-ID instead of replaying or —
-//     worse — double-merging results;
-//   - the handler calls Flush, so frames actually leave the process
-//     instead of sitting in the response buffer until the sweep ends;
-//   - the handler selects on the request context's Done channel, so an
+//   - setting a text/event-stream Content-Type outside internal/sse is a
+//     finding: a hand-rolled stream bypasses the writer and its ids
+//     (setting Accept on an outgoing client request does not count);
+//   - a handler — any function that calls sse.Start — must call Flush,
+//     so frames actually leave the process instead of sitting in the
+//     response buffer until the sweep ends;
+//   - and must select on the request context's Done channel, so an
 //     abandoned client releases its stream goroutine instead of leaking.
-//
-// A handler is any function that sets the Content-Type header to
-// text/event-stream (setting Accept on an outgoing client request does
-// not count). The id: emission may live in a same-package helper called
-// directly from the handler (the writeSSE/writeFrame shape).
 var SSEContract = &Analyzer{
 	Name: "ssecontract",
-	Doc: "text/event-stream handlers must emit id: frames, call Flush, " +
-		"and select on ctx.Done()",
+	Doc: "event streams are served through internal/sse, and handlers " +
+		"calling sse.Start call Flush and select on ctx.Done()",
 	Run: runSSEContract,
 }
 
 func runSSEContract(p *Package) []Diagnostic {
+	if p.Path == ssePkg {
+		return nil
+	}
 	var diags []Diagnostic
-	decls := p.funcDeclIndex()
 	p.eachFunc(func(fd *ast.FuncDecl) {
-		if !p.setsEventStreamContentType(fd.Body) {
+		for _, call := range eventStreamContentTypes(fd.Body) {
+			diags = append(diags, p.diag("ssecontract", call,
+				"%s sets a text/event-stream Content-Type by hand: serve the stream through internal/sse (sse.Start), whose writer gives every result frame the id Last-Event-ID resume needs", fd.Name.Name))
+		}
+		if !p.callsSSEStart(fd.Body) {
 			return
 		}
 		if !p.callsFlush(fd.Body) {
@@ -44,21 +52,18 @@ func runSSEContract(p *Package) []Diagnostic {
 			diags = append(diags, p.diag("ssecontract", fd.Name,
 				"SSE handler %s never waits on ctx.Done(): an abandoned client leaks the stream goroutine for the life of the sweep", fd.Name.Name))
 		}
-		if !p.emitsIDFrames(fd, decls) {
-			diags = append(diags, p.diag("ssecontract", fd.Name,
-				"SSE handler %s emits no id: lines: clients cannot resume via Last-Event-ID and will replay or double-merge results on reconnect", fd.Name.Name))
-		}
 	})
 	return diags
 }
 
-// setsEventStreamContentType matches `h.Set("Content-Type",
-// "text/event-stream")` (and Add) — the serving side of the contract.
-func (p *Package) setsEventStreamContentType(body *ast.BlockStmt) bool {
-	found := false
+// eventStreamContentTypes returns the `h.Set("Content-Type",
+// "text/event-stream")` (and Add) calls in body — the serving side of a
+// stream.
+func eventStreamContentTypes(body *ast.BlockStmt) []*ast.CallExpr {
+	var found []*ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
+		if !ok || len(call.Args) != 2 {
 			return true
 		}
 		switch selectionMethodName(call) {
@@ -66,14 +71,11 @@ func (p *Package) setsEventStreamContentType(body *ast.BlockStmt) bool {
 		default:
 			return true
 		}
-		if len(call.Args) != 2 {
-			return true
-		}
 		key, okKey := literalString(call.Args[0])
 		val, okVal := literalString(call.Args[1])
 		if okKey && okVal && strings.EqualFold(key, "Content-Type") &&
 			strings.HasPrefix(val, "text/event-stream") {
-			found = true
+			found = append(found, call)
 		}
 		return true
 	})
@@ -87,6 +89,19 @@ func literalString(e ast.Expr) (string, bool) {
 	}
 	s, err := strconv.Unquote(lit.Value)
 	return s, err == nil
+}
+
+// callsSSEStart reports whether body starts an event stream through
+// internal/sse — what makes a function an SSE handler.
+func (p *Package) callsSSEStart(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isPkgObj(p.callee(call), ssePkg, "Start") {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func (p *Package) callsFlush(body *ast.BlockStmt) bool {
@@ -122,55 +137,4 @@ func (p *Package) selectsOnDone(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// emitsIDFrames accepts an `id:`-bearing string literal in the handler
-// itself or in a same-package function it calls directly.
-func (p *Package) emitsIDFrames(fd *ast.FuncDecl, decls map[string]*ast.FuncDecl) bool {
-	if containsIDLiteral(fd.Body) {
-		return true
-	}
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return true
-		}
-		obj := p.callee(call)
-		if obj == nil || obj.Pkg() == nil || obj.Pkg() != p.Types {
-			return true
-		}
-		if callee, ok := decls[obj.Name()]; ok && containsIDLiteral(callee.Body) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func containsIDLiteral(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if s, ok := literalStringNode(n); ok && strings.Contains(s, "id:") {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func literalStringNode(n ast.Node) (string, bool) {
-	e, ok := n.(ast.Expr)
-	if !ok {
-		return "", false
-	}
-	return literalString(e)
-}
-
-// funcDeclIndex maps top-level function and method names to declarations
-// (methods keyed by bare name — good enough for one-hop helper lookup).
-func (p *Package) funcDeclIndex() map[string]*ast.FuncDecl {
-	idx := make(map[string]*ast.FuncDecl)
-	p.eachFunc(func(fd *ast.FuncDecl) { idx[fd.Name.Name] = fd })
-	return idx
 }

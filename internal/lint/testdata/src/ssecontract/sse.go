@@ -1,42 +1,64 @@
-// Package goldensse is the ssecontract analyzer's golden corpus: serving
-// handlers that violate each clause of the resume-and-liveness contract,
-// one that honors all three, and the client shape that must not count as
-// a handler at all.
+// Package goldensse is the ssecontract analyzer's golden corpus: a
+// hand-rolled event stream, internal/sse handlers that violate each
+// obligation the analyzer checks, one that honors both, and the client
+// shape that must not count as a handler at all.
 package goldensse
 
 import (
 	"fmt"
 	"net/http"
+
+	"delta/internal/sse"
 )
 
-// StreamBad sets up an event stream and then violates all three clauses:
-// no Flush, no ctx.Done, anonymous frames.
-func StreamBad(w http.ResponseWriter, r *http.Request) { // want `StreamBad never calls Flush` `StreamBad never waits on ctx\.Done` `StreamBad emits no id: lines`
-	w.Header().Set("Content-Type", "text/event-stream")
+// HandRolled writes the wire format itself, bypassing the writer that
+// gives every result frame its id.
+func HandRolled(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/event-stream") // want `HandRolled sets a text/event-stream Content-Type by hand: serve the stream through internal/sse`
 	fmt.Fprintf(w, "data: %s\n\n", "hello")
 }
 
-// StreamNoID flushes and cancels correctly but emits anonymous frames, so
-// reconnecting clients cannot resume via Last-Event-ID.
-func StreamNoID(w http.ResponseWriter, r *http.Request) { // want `StreamNoID emits no id: lines`
-	w.Header().Set("Content-Type", "text/event-stream")
-	f, _ := w.(http.Flusher)
-	select {
-	case <-r.Context().Done():
+// NoFlush selects on the request context but never flushes, so frames
+// sit in the response buffer.
+func NoFlush(w http.ResponseWriter, r *http.Request) { // want `SSE handler NoFlush never calls Flush`
+	sw, err := sse.Start(w, sse.LastEventID(r))
+	if err != nil {
 		return
-	default:
 	}
-	fmt.Fprint(w, "data: tick\n\n")
-	if f != nil {
-		f.Flush()
+	for i := 0; ; i++ {
+		select {
+		case <-r.Context().Done():
+			return
+		default:
+		}
+		if sw.Result(i) != nil {
+			return
+		}
 	}
 }
 
-// StreamGood honors the whole contract; the id: emission lives one hop
-// away in writeFrame, the writeSSE shape the analyzer accepts.
-func StreamGood(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	f, _ := w.(http.Flusher)
+// NoDone flushes every frame but never watches the request context, so
+// an abandoned client leaks the stream goroutine.
+func NoDone(w http.ResponseWriter, r *http.Request) { // want `SSE handler NoDone never waits on ctx\.Done`
+	sw, err := sse.Start(w, sse.LastEventID(r))
+	if err != nil {
+		return
+	}
+	for i := 0; ; i++ {
+		if sw.Result(i) != nil {
+			return
+		}
+		sw.Flush()
+	}
+}
+
+// Good honors the whole contract.
+func Good(w http.ResponseWriter, r *http.Request) {
+	sw, err := sse.Start(w, sse.LastEventID(r))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	ctx := r.Context()
 	for i := 0; ; i++ {
 		select {
@@ -44,16 +66,11 @@ func StreamGood(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		writeFrame(w, i)
-		if f != nil {
-			f.Flush()
+		if sw.Result(i) != nil {
+			return
 		}
+		sw.Flush()
 	}
-}
-
-// writeFrame carries the id: line for StreamGood.
-func writeFrame(w http.ResponseWriter, id int) {
-	fmt.Fprintf(w, "id: %d\ndata: tick\n\n", id)
 }
 
 // Subscribe is the client side: setting Accept on an outgoing request

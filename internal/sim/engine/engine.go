@@ -90,8 +90,9 @@ func (c Config) Normalized() Config {
 // the shared L2, each sized to the device's capacity rounded down to whole
 // sets of LineBytes x ways. It returns an error — never a panic — for an
 // invalid device, a non-positive way count, a level too small to hold one
-// set, or any geometry the cache model rejects, so a caller validating
-// untrusted configs (internal/scenario) rejects exactly what a run would.
+// set, any geometry the cache model rejects, or more than maxLines lines
+// in all, so a caller validating untrusted configs (internal/scenario)
+// rejects exactly what a run would.
 func (c Config) Caches() (l1, l2 cache.Config, err error) {
 	if err := c.Device.Validate(); err != nil {
 		return cache.Config{}, cache.Config{}, err
@@ -103,8 +104,20 @@ func (c Config) Caches() (l1, l2 cache.Config, err error) {
 	if l2, err = levelConfig("L2", c.Device.L2SizeBytes(), c.Device, c.L2Ways); err != nil {
 		return cache.Config{}, cache.Config{}, err
 	}
+	// Checked per term so the product cannot overflow.
+	l1Lines, l2Lines := l1.SizeBytes/l1.LineBytes, l2.SizeBytes/l2.LineBytes
+	if l2Lines > maxLines || l1Lines > (maxLines-l2Lines)/c.Device.NumSM {
+		return cache.Config{}, cache.Config{}, fmt.Errorf("engine: %d SMs x %d L1 lines + %d L2 lines exceed the %d cache lines one run may simulate",
+			c.Device.NumSM, l1Lines, l2Lines, maxLines)
+	}
 	return l1, l2, nil
 }
+
+// maxLines bounds the cache lines one run simulates, every SM's L1 plus
+// the L2. The cache model keeps 32 B of way state per line, so a run
+// allocates at most 128 MiB of it. The largest registered device (V100:
+// 84 SMs x 256 L1 lines + 49,152 L2 lines) simulates about 70k lines.
+const maxLines = 1 << 22
 
 // levelConfig sizes one cache level. The way count is bounded by the
 // level's line count before any multiplication, so no way count can

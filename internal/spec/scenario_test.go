@@ -108,6 +108,10 @@ func TestReadScenarioErrors(t *testing.T) {
 		{"L2 ways", `{"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}`, "L2"},
 		{"tiny L2", `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l2_size_mb": 0.001}}], "sim_configs": [{}]}`, "L2"},
 		{"negative L1 ways", `{"workloads": [{"network": "alexnet"}], "sim_configs": [{"l1_ways": -1}]}`, "L1"},
+		// Devices whose caches would ask the simulator for unbounded memory.
+		{"huge L2", `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l2_size_mb": 1048576}}], "sim_configs": [{}]}`, "cache lines"},
+		{"huge SM count", `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "num_sm": 100000000}}], "sim_configs": [{}]}`, "cache lines"},
+		{"huge L1", `{"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "l1_size_kb_per_sm": 1e9}}], "sim_configs": [{}]}`, "cache lines"},
 	}
 	for _, tc := range cases {
 		_, err := ReadScenario(strings.NewReader(tc.doc))
