@@ -1,13 +1,13 @@
 package delta
 
-// The benchmark harness: one testing.B benchmark per paper table/figure
-// (DESIGN.md §5). Each benchmark regenerates its artifact through the
-// experiment driver and reports domain-specific metrics alongside the usual
-// ns/op, so `go test -bench=. -benchmem` reproduces the whole evaluation.
+// The benchmark harness: one testing.B benchmark per paper table/figure.
+// Each benchmark regenerates its artifact through the experiment driver and
+// reports domain-specific metrics alongside the usual ns/op, so
+// `go test -bench=. -benchmem` reproduces the whole evaluation.
 //
 // Figure benchmarks run the reduced "quick" sweep per iteration to keep
 // -bench runs tractable; `delta-experiments -run all` produces the full
-// artifacts recorded in EXPERIMENTS.md.
+// artifacts (README, CLIs).
 
 import (
 	"context"
@@ -159,9 +159,9 @@ func BenchmarkCTATileSelect(b *testing.B) {
 // The paper frames DeLTA as fast enough to drive whole design-space
 // optimizations; these two benchmarks measure that claim's hot path — the
 // default-axes grid (96 candidates) over full ResNet152 — serially and
-// through the concurrent pipeline. The pipeline run uses a fresh evaluator
-// with the cache disabled so the comparison isolates the worker-pool
-// fan-out; on >= 4 cores the pipeline run should be >= 2x faster.
+// through the concurrent pipeline. The pipeline never memoizes analytical
+// results, so the comparison isolates the worker-pool fan-out; on >= 4
+// cores the pipeline run should be >= 2x faster.
 
 func exploreWorkloadAndScales() (explore.Workload, []gpu.Scale, explore.CostModel) {
 	return explore.Workload{Net: ResNet152Full(256)},
@@ -183,30 +183,17 @@ func BenchmarkExploreSerial(b *testing.B) {
 }
 
 // BenchmarkExplorePipeline measures the same sweep through the concurrent
-// pipeline (cacheless, so every candidate is really computed).
+// pipeline (every candidate is really computed).
 func BenchmarkExplorePipeline(b *testing.B) {
 	w, scales, cm := exploreWorkloadAndScales()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := pipeline.New(pipeline.WithoutCache())
+		p := pipeline.New()
 		cands, err := p.Explore(context.Background(), w, gpu.TitanXp(), scales, cm)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(cands)), "candidates")
-	}
-}
-
-// BenchmarkExplorePipelineCached measures the steady-state serving shape:
-// a warm shared evaluator answering repeated sweeps from the memo cache.
-func BenchmarkExplorePipelineCached(b *testing.B) {
-	w, scales, cm := exploreWorkloadAndScales()
-	p := pipeline.New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Explore(context.Background(), w, gpu.TitanXp(), scales, cm); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -233,6 +220,10 @@ func BenchmarkSimSuiteSerial(b *testing.B) { benchkit.SuiteSerial(b) }
 // worker pool (cacheless, so every layer really simulates).
 func BenchmarkSimSuiteParallel(b *testing.B) { benchkit.SuiteParallel(b) }
 
+// BenchmarkSimSuiteCached answers the same corpus from a warm simulation
+// memo, so every layer is a memo hit.
+func BenchmarkSimSuiteCached(b *testing.B) { benchkit.SuiteCached(b) }
+
 // BenchmarkSimStreamSweepPrivate measures an L2-capacity sweep with
 // per-run private stream generation (the pre-tier behaviour).
 func BenchmarkSimStreamSweepPrivate(b *testing.B) { benchkit.StreamSweepPrivate(b) }
@@ -242,23 +233,17 @@ func BenchmarkSimStreamSweepPrivate(b *testing.B) { benchkit.StreamSweepPrivate(
 func BenchmarkSimStreamSweepShared(b *testing.B) { benchkit.StreamSweepShared(b) }
 
 // BenchmarkScenarioStream measures declarative-sweep throughput: the
-// canonical multi-axis scenario streamed through a cacheless pipeline,
+// canonical multi-axis scenario streamed through a pipeline,
 // reporting points/s — the Scenario-API overhead metric BENCH_sim.json
 // tracks (see cmd/delta-bench, which runs the same benchkit body).
 func BenchmarkScenarioStream(b *testing.B) { benchkit.ScenarioStream(b) }
-
-// BenchmarkScenarioStreamCached measures the steady-state serving shape:
-// the same sweep against a warm shared evaluator, so every point
-// memo-hits and the measurement isolates pure expansion + streaming
-// overhead.
-func BenchmarkScenarioStreamCached(b *testing.B) { benchkit.ScenarioStreamCached(b) }
 
 // BenchmarkFleetSweep measures the distributed shape of the same sweep:
 // sharded over in-process HTTP workers and merged by a coordinator — the
 // fleet_vs_single numerator in BENCH_sim.json.
 func BenchmarkFleetSweep(b *testing.B) { benchkit.FleetSweep(b) }
 
-// --- Ablation benches (DESIGN.md §4 design choices) ---
+// --- Ablation benches: traffic-model and simulator design choices ---
 
 // ablationDRAMRatio evaluates the whole paper suite under a traffic-model
 // variant and reports the geomean model/simulator DRAM ratio, so ablations

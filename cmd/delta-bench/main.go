@@ -13,12 +13,13 @@
 // regenerated per-PR by the CI benchmark job, so perf regressions in the
 // simulator hot paths are visible in review. -check-against compares the
 // fresh run to a recorded baseline and exits non-zero when EngineSerial
-// throughput regresses more than 10%, when the warm scenario path loses to
-// the cold one, when the shared stream tier loses to private generation,
-// or — on hosts with GOMAXPROCS >= 4 — when the parallel engine fails to
-// beat serial by >= 1.05x or the suite fan-out falls below 1.0x (the CI
-// guards). -workers-sweep additionally measures engine throughput at
-// 1/2/4/max workers into a "scaling" section. -cpuprofile and -memprofile capture pprof profiles of the
+// throughput regresses more than 10%, when the suite answered from a warm
+// simulation memo loses to the cold suite (suite_cached_vs_cold < 1), when
+// the shared stream tier loses to private generation, or — on hosts with
+// GOMAXPROCS >= 4 — when the parallel engine fails to beat serial by
+// >= 1.05x or the suite fan-out falls below 1.0x (the CI guards).
+// -workers-sweep additionally measures engine throughput at 1/2/4/max
+// workers into a "scaling" section. -cpuprofile and -memprofile capture pprof profiles of the
 // benchmark workload for offline analysis (CI uploads them as artifacts).
 // Compare two checkouts with `go test -bench 'BenchmarkSim' -count 10`
 // piped through benchstat for statistically grounded deltas.
@@ -62,6 +63,10 @@ type baseline struct {
 	// ~1.0 is expected there; the >= 3x target applies at >= 4 cores.
 	// stream_shared_vs_private is private-ns / shared-ns over the
 	// L2-capacity sweep: how much the shared stream tier saves.
+	// suite_cached_vs_cold is SuiteParallel-ns / SuiteCached-ns: the
+	// cold suite over the same suite from a warm simulation memo. A memo
+	// hit that costs more than the simulation it saves is a regression
+	// (suite_cached_vs_cold < 1).
 	Speedup map[string]float64 `json:"speedup"`
 
 	// Scaling (with -workers-sweep) holds EngineRun measurements at
@@ -69,12 +74,9 @@ type baseline struct {
 	Scaling map[string]entry `json:"scaling,omitempty"`
 
 	// Throughput tracks the Scenario-API overhead: whole-network points/s
-	// through Evaluator.Stream on the canonical multi-axis sweep, cold
-	// (cacheless) and warm (memo-cached), plus their ratio. The warm path
-	// must not lose to the cold one — a memo hit that costs more than the
-	// recompute it saves is a regression (scenario_cached_vs_cold < 1).
+	// through Evaluator.Stream on the canonical multi-axis sweep.
 	// fleet_vs_single records (not gates) the same sweep sharded across
-	// in-process fleet workers relative to the single-node cold path.
+	// in-process fleet workers relative to the single-node path.
 	Throughput map[string]float64 `json:"throughput"`
 }
 
@@ -146,12 +148,14 @@ func run() int {
 	engPar := run("EngineParallel", func(b *testing.B) { benchkit.EngineRun(b, 0) })
 	suiteSerial := run("SuiteSerial", benchkit.SuiteSerial)
 	suitePar := run("SuiteParallel", benchkit.SuiteParallel)
+	suiteCached := run("SuiteCached", benchkit.SuiteCached)
 	streamPrivate := run("StreamSweepPrivate", benchkit.StreamSweepPrivate)
 	streamShared := run("StreamSweepShared", benchkit.StreamSweepShared)
 
 	doc.Speedup["engine_parallel_vs_serial"] = engSerial.NsPerOp / engPar.NsPerOp
 	doc.Speedup["suite_parallel_vs_serial"] = suiteSerial.NsPerOp / suitePar.NsPerOp
 	doc.Speedup["stream_shared_vs_private"] = streamPrivate.NsPerOp / streamShared.NsPerOp
+	doc.Speedup["suite_cached_vs_cold"] = suitePar.NsPerOp / suiteCached.NsPerOp
 
 	if *workersSweep {
 		doc.Scaling = map[string]entry{}
@@ -166,12 +170,8 @@ func run() int {
 		}
 	}
 
-	scenCold := run("ScenarioStream", benchkit.ScenarioStream)
-	scenWarm := run("ScenarioStreamCached", benchkit.ScenarioStreamCached)
-	doc.Throughput["scenario_points_per_sec"] = scenCold.Metrics["points/s"]
-	doc.Throughput["scenario_points_per_sec_cached"] = scenWarm.Metrics["points/s"]
-	cachedVsCold := scenWarm.Metrics["points/s"] / scenCold.Metrics["points/s"]
-	doc.Throughput["scenario_cached_vs_cold"] = cachedVsCold
+	scen := run("ScenarioStream", benchkit.ScenarioStream)
+	doc.Throughput["scenario_points_per_sec"] = scen.Metrics["points/s"]
 
 	// Distributed shape of the same sweep: sharded over in-process HTTP
 	// workers and merged by a coordinator. Recorded, not gated — the ratio
@@ -179,7 +179,7 @@ func run() int {
 	// with host core count.
 	fleet := run("FleetSweep", benchkit.FleetSweep)
 	doc.Throughput["fleet_points_per_sec"] = fleet.Metrics["points/s"]
-	doc.Throughput["fleet_vs_single"] = fleet.Metrics["points/s"] / scenCold.Metrics["points/s"]
+	doc.Throughput["fleet_vs_single"] = fleet.Metrics["points/s"] / scen.Metrics["points/s"]
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -203,7 +203,7 @@ func run() int {
 	fmt.Printf("delta-bench: wrote %s (engine %.2fx, suite %.2fx, streams %.2fx, warm/cold %.2fx at GOMAXPROCS=%d)\n",
 		*out, doc.Speedup["engine_parallel_vs_serial"],
 		doc.Speedup["suite_parallel_vs_serial"],
-		doc.Speedup["stream_shared_vs_private"], cachedVsCold, doc.GOMAXPROCS)
+		doc.Speedup["stream_shared_vs_private"], doc.Speedup["suite_cached_vs_cold"], doc.GOMAXPROCS)
 
 	failed := false
 	gate := func(bad bool, format string, args ...any) {
@@ -215,11 +215,11 @@ func run() int {
 			failed = true
 		}
 	}
-	// Warm must beat cold: a memo hit costing more than the recompute it
-	// replaces means the cache lookup path has regressed.
-	gate(cachedVsCold < 1,
-		"ScenarioStreamCached (%.0f points/s) is slower than ScenarioStream (%.0f points/s): memo hits cost more than recomputing",
-		scenWarm.Metrics["points/s"], scenCold.Metrics["points/s"])
+	// Warm must beat cold: a memo hit costing more than the simulation it
+	// replaces means the memo lookup path has regressed.
+	gate(doc.Speedup["suite_cached_vs_cold"] < 1,
+		"SuiteCached (%.0f ns/op) is slower than SuiteParallel (%.0f ns/op): memo hits cost more than simulating",
+		suiteCached.NsPerOp, suitePar.NsPerOp)
 	// The shared stream tier must not lose to private generation: it
 	// strictly removes generation work, so a real loss means the tier's
 	// lookup or publication path has regressed (the same noise allowance

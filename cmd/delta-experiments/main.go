@@ -1,6 +1,6 @@
 // Command delta-experiments regenerates the paper's evaluation artifacts:
-// every table and figure of Section VII and the appendices, as documented in
-// DESIGN.md's per-experiment index.
+// every table and figure of Section VII and the appendices. -list prints
+// the experiment index.
 //
 // Examples:
 //

@@ -126,7 +126,7 @@ func TestJobLifecycle(t *testing.T) {
 		}
 	}
 
-	// A second identical submission memo-hits: same results.
+	// A second identical submission recomputes to the same results.
 	sum2 := submitJob(t, ts, multiAxisJob)
 	jr2 := pollJob(t, ts, sum2.ID)
 	if jr2.Status != string(jobDone) || len(jr2.Results) != 8 {

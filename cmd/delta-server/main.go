@@ -1,11 +1,11 @@
 // Command delta-server exposes the DeLTA evaluation pipeline as an HTTP
 // JSON API — the serving layer for driving the model from other services,
-// notebooks, or dashboards. All requests share one concurrent, memoizing
-// pipeline, so repeated layers and grid re-evaluations are computed once.
+// notebooks, or dashboards. All requests share one concurrent pipeline,
+// whose simulation memo runs a repeated simulation once.
 //
 // Synchronous endpoints (adapters over the scenario path):
 //
-//	GET  /healthz      liveness + cache counters
+//	GET  /healthz      liveness + simulation-memo counters
 //	GET  /v1/devices   resolvable device names
 //	GET  /v1/networks  registered network names
 //	POST /v1/estimate  evaluate a JSON layer list (internal/spec format)

@@ -132,13 +132,13 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 			"Requests rejected with 401 by bearer-token auth."),
 	}
 	reg.CounterFunc(metricPipelineCacheHits,
-		"Pipeline memo cache hits.",
+		"Pipeline simulation memo hits (analytical requests are not memoized).",
 		func() float64 { return float64(p.Stats().Hits) })
 	reg.CounterFunc(metricPipelineCacheMiss,
-		"Pipeline memo cache misses.",
+		"Pipeline simulation memo misses: engine runs (analytical requests are not memoized).",
 		func() float64 { return float64(p.Stats().Misses) })
 	reg.GaugeFunc(metricPipelineEntries,
-		"Pipeline memo cache occupancy (entries).",
+		"Pipeline simulation memo occupancy (entries).",
 		func() float64 { return float64(p.Stats().Entries) })
 	reg.CounterFunc(metricScenarioPoints,
 		"Scenario points evaluated by the pipeline (memo hits included).",

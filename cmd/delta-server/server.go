@@ -73,7 +73,7 @@ type serverConfig struct {
 }
 
 // server routes requests into one shared pipeline, so concurrent clients
-// share the worker pool and the memo cache.
+// share the worker pool and the simulation memo.
 type server struct {
 	p         *delta.Pipeline
 	jobs      *jobStore

@@ -163,9 +163,9 @@ func Estimate(l Conv, d GPU, opt TrafficOptions) (PerfResult, error) {
 }
 
 // EstimateAllContext evaluates a layer list through the shared pipeline as
-// a one-point scenario: layers fan out across the worker pool and repeated
-// configurations are served from the memo cache. Results are index-aligned
-// with the layers and identical to the serial path.
+// a one-point scenario: layers fan out across the worker pool, and every
+// layer is computed (analytical results are not memoized). Results are
+// index-aligned with the layers and identical to the serial path.
 func EstimateAllContext(ctx context.Context, ls []Conv, d GPU, opt TrafficOptions) ([]PerfResult, error) {
 	if len(ls) == 0 {
 		return nil, ctx.Err()
@@ -205,7 +205,8 @@ func PriorEstimate(l Conv, d GPU, missRate float64) (PerfResult, error) {
 // for the paper's nvprof traffic measurements. By default the engine fans
 // per-SM L1 simulation across GOMAXPROCS workers and replays L1 misses
 // through the shared L2 in serial order, so counters are bit-identical to
-// the serial reference engine (SimConfig.Workers = 1) at any width.
+// the serial reference engine (SimConfig.Workers = 1) at any width. It
+// runs the engine directly; the pipeline helpers below memoize runs.
 func Simulate(l Conv, cfg SimConfig) (SimResult, error) {
 	return engine.Run(l, cfg)
 }
@@ -216,7 +217,8 @@ type SimRequest = pipeline.SimRequest
 
 // SimulateAllContext runs a batch of simulations through the shared
 // pipeline: per-layer runs fan out across the worker pool and repeated
-// (layer, device, config) simulations are served from the memo cache.
+// (layer, device, config) simulations are served from the pipeline's
+// simulation memo.
 // Results are index-aligned with the requests and bit-identical to serial
 // engine runs. (Heterogeneous per-request configs do not form a
 // cross-product, so this is the one batch helper that bypasses the
@@ -227,7 +229,8 @@ func SimulateAllContext(ctx context.Context, reqs []SimRequest) ([]SimResult, er
 
 // SimulateLayersContext simulates each layer under one shared config as a
 // one-point scenario through the shared pipeline — the common
-// experiment-driver shape.
+// experiment-driver shape. Repeated simulations are served from the
+// pipeline's simulation memo.
 func SimulateLayersContext(ctx context.Context, ls []Conv, cfg SimConfig) ([]SimResult, error) {
 	if len(ls) == 0 {
 		return nil, ctx.Err()
@@ -370,7 +373,8 @@ func Roofline(l Conv, d GPU) (RooflineResult, error) { return roofline.Model(l, 
 // Request/Result path every batch consumer — EstimateAll, Explore,
 // EstimateNetworkTraining, the CLIs, and cmd/delta-server — goes through.
 type (
-	// Pipeline is a concurrent, memoizing evaluator of model requests.
+	// Pipeline is a concurrent evaluator of model requests that memoizes
+	// simulations.
 	Pipeline = pipeline.Evaluator
 
 	// PipelineOption configures NewPipeline.
@@ -489,17 +493,18 @@ func RunScenario(ctx context.Context, sc Scenario, opts ...StreamOption) ([]Stre
 
 // NewPipeline constructs a private evaluation pipeline. Most callers can
 // use DefaultPipeline; construct your own to bound the worker pool
-// (WithPipelineWorkers) or disable memoization (WithoutPipelineCache).
+// (WithPipelineWorkers) or disable the simulation memo
+// (WithoutPipelineCache). Analytical requests are never memoized.
 func NewPipeline(opts ...PipelineOption) *Pipeline { return pipeline.New(opts...) }
 
 // DefaultPipeline returns the process-wide shared pipeline, so independent
-// callers share one memo cache.
+// callers share one worker pool and one simulation memo.
 func DefaultPipeline() *Pipeline { return pipeline.Default() }
 
 // WithPipelineWorkers caps a new pipeline's worker pool.
 func WithPipelineWorkers(n int) PipelineOption { return pipeline.WithWorkers(n) }
 
-// WithoutPipelineCache disables a new pipeline's memo cache.
+// WithoutPipelineCache disables a new pipeline's simulation memo.
 func WithoutPipelineCache() PipelineOption { return pipeline.WithoutCache() }
 
 // WithoutPipelineStreamSharing disables the shared stream tier that lets

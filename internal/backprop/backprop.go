@@ -16,8 +16,8 @@
 //     matches cuDNN's low-locality wgrad kernels.
 //
 // This is the "future work" direction the paper's introduction motivates
-// (training throughput, not just single-kernel inference); DESIGN.md lists
-// it as an extension.
+// (training throughput, not just single-kernel inference); the README's
+// Library quickstart shows it as the training pass.
 package backprop
 
 import (

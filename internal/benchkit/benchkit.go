@@ -9,6 +9,7 @@
 //   - Suite pair: a whole network's layers simulated back to back serially
 //     vs fanned across the pipeline worker pool — the experiment-driver
 //     speedup (Fig. 4/11/12/17/20 and the ablations all have this shape).
+//     SuiteCached answers the same layers from a warm simulation memo.
 package benchkit
 
 import (
@@ -88,12 +89,13 @@ func ScenarioSweep() scenario.Scenario {
 	}
 }
 
-// scenarioStream is the shared body of the scenario-throughput pair: it
-// streams ScenarioSweep through the given pipeline per iteration and
-// reports end-to-end points/s, the Scenario-API overhead metric recorded
-// in BENCH_sim.json.
-func scenarioStream(b *testing.B, p *pipeline.Evaluator) {
+// ScenarioStream streams ScenarioSweep through a pipeline per iteration
+// and reports end-to-end points/s, the Scenario-API overhead metric
+// recorded in BENCH_sim.json. Analytical results are never memoized, so
+// every point's layers are really evaluated.
+func ScenarioStream(b *testing.B) {
 	b.ReportAllocs()
+	p := pipeline.New()
 	sc := ScenarioSweep()
 	points := 0
 	for i := 0; i < b.N; i++ {
@@ -110,25 +112,6 @@ func scenarioStream(b *testing.B, p *pipeline.Evaluator) {
 	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
 }
 
-// ScenarioStream measures the cold path: a cacheless pipeline, so every
-// point's layers are really evaluated.
-func ScenarioStream(b *testing.B) {
-	scenarioStream(b, pipeline.New(pipeline.WithoutCache()))
-}
-
-// ScenarioStreamCached measures the steady-state serving shape: a warm
-// shared evaluator answering every point from the memo cache, isolating
-// pure expansion + ordering + streaming overhead.
-func ScenarioStreamCached(b *testing.B) {
-	p := pipeline.New()
-	//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
-	if _, err := p.RunScenario(context.Background(), ScenarioSweep()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	scenarioStream(b, p)
-}
-
 // SuiteParallel is the body of the suite-level parallel run: the same
 // layers fanned across a cacheless pipeline (every layer really simulates,
 // isolating the worker-pool fan-out; stream sharing is disabled so the
@@ -141,6 +124,29 @@ func SuiteParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
 		if _, err := p.SimulateLayers(context.Background(), ls, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ls)), "layers")
+}
+
+// SuiteCached is the warm counterpart of SuiteParallel: the same layers
+// through a default pipeline whose simulation memo was filled before the
+// timer started, so every layer is a memo hit. suite_cached_vs_cold in
+// BENCH_sim.json is SuiteParallel ns over SuiteCached ns.
+func SuiteCached(b *testing.B) {
+	cfg := engine.Config{Device: gpu.TitanXp()}
+	ls := SuiteLayers()
+	p := pipeline.New()
+	//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
+	ctx := context.Background()
+	if _, err := p.SimulateLayers(ctx, ls, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.SimulateLayers(ctx, ls, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

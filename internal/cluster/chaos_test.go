@@ -172,7 +172,13 @@ func TestChaosRefusingPeer(t *testing.T) {
 	inj := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
 		{Fault: chaos.FaultRefuse, Path: "/v2/shards"},
 	}})
-	wa, wb := healthWorker(t, nil), healthWorker(t, inj)
+	// The healthy peer answers each shard 50 ms late. Its analytic points
+	// take microseconds, so without the delay it can finish the whole
+	// sweep before the refusing peer's first request reaches its listener.
+	slow := chaos.MustNew(chaos.Spec{Rules: []chaos.Rule{
+		{Fault: chaos.FaultLatency, Path: "/v2/shards", LatencyMS: 50},
+	}})
+	wa, wb := healthWorker(t, slow), healthWorker(t, inj)
 	peers := []string{wa.URL, wb.URL}
 	mt := NewMetrics(obs.NewRegistry())
 	rec := &fakeRecorder{}

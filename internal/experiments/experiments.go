@@ -2,7 +2,7 @@
 // evaluation (Section VII and the appendices). Each driver returns one or
 // more report tables printing the same rows/series the paper plots; the
 // "measured" side of every comparison comes from the trace-driven simulator
-// (see DESIGN.md, Substitutions).
+// (README, Performance).
 package experiments
 
 import (
@@ -21,7 +21,7 @@ type Config struct {
 
 	// SimBatch is the mini-batch for trace-driven simulations. Traffic per
 	// im2col geometry is batch-linear, so a reduced batch preserves the
-	// model-vs-measured ratios while keeping traces tractable (DESIGN.md).
+	// model-vs-measured ratios while keeping traces tractable.
 	SimBatch int
 
 	// TimingBatch is the mini-batch for event-driven timing simulations.
@@ -31,8 +31,8 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig returns the configuration the shipped EXPERIMENTS.md was
-// produced with.
+// DefaultConfig returns the configuration delta-experiments runs with when
+// no flag overrides it.
 func DefaultConfig() Config {
 	return Config{Batch: 256, SimBatch: 4, TimingBatch: 32}
 }

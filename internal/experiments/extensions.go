@@ -1,8 +1,8 @@
 package experiments
 
-// Extension experiments beyond the paper's figures (DESIGN.md §4 /
-// EXPERIMENTS.md "Extensions"): the training-step model and the
-// design-space search. They run after the paper artifacts in `-run all`.
+// Extension experiments beyond the paper's figures: the training-step
+// model and the design-space search. They run after the paper artifacts in
+// `-run all`.
 
 import (
 	"context"

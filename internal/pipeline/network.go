@@ -1,6 +1,6 @@
 // Whole-network and design-space entry points: the batch shapes every
-// consumer needs, built on EvaluateAll so they inherit the worker pool,
-// cancellation, and memo cache.
+// consumer needs, built on EvaluateAll so they inherit the worker pool and
+// cancellation.
 
 package pipeline
 
@@ -108,8 +108,8 @@ func (e *Evaluator) Training(ctx context.Context, net cnn.Network, d gpu.Device,
 // returning candidates identical to the serial explore.Evaluate. The grid
 // is expressed as a scenario — one workload across the base + scaled
 // device axis — and streamed through the pipeline, so the scales × layers
-// fan-out shares the worker pool and the memo cache collapses the
-// duplicate layer configurations design grids re-evaluate.
+// fan-out shares the worker pool. Duplicate layer configurations are
+// recomputed, not memoized (see Evaluator).
 func (e *Evaluator) Explore(ctx context.Context, w explore.Workload, base gpu.Device, scales []gpu.Scale, cm explore.CostModel) ([]explore.Candidate, error) {
 	if len(w.Net.Layers) == 0 {
 		return nil, fmt.Errorf("pipeline: explore workload %q has no layers", w.Net.Name)

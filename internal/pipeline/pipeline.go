@@ -6,13 +6,15 @@
 //
 // A Request names what to evaluate (layer, device, model variant, pass);
 // the Evaluator answers with a Result. Batch entry points (EvaluateAll,
-// Network, Training, Explore) fan the embarrassingly parallel per-layer
-// evaluations out across a worker pool sized to GOMAXPROCS, honor
-// context.Context cancellation, and memoize per-(layer, device, options)
-// results so repeated unique layers and grid re-evaluations are computed
-// once. Results are bit-identical to the serial paths they subsume: workers
-// only parallelize independent layer evaluations, and aggregation follows
-// the exact serial summation order.
+// Network, Training, Explore, SimulateAll) fan the embarrassingly parallel
+// per-layer evaluations out across a worker pool sized to GOMAXPROCS and
+// honor context.Context cancellation. Trace-driven simulations are
+// memoized per (layer, engine config), so a simulation repeated across
+// figures or sweep points runs once; analytical requests are recomputed on
+// every call, because one model call is cheaper than keeping its result.
+// Results are bit-identical to the serial paths they subsume: workers only
+// parallelize independent layer evaluations, and aggregation follows the
+// exact serial summation order.
 package pipeline
 
 import (
@@ -29,6 +31,7 @@ import (
 	"delta/internal/perf"
 	"delta/internal/prior"
 	"delta/internal/roofline"
+	"delta/internal/sim/engine"
 	"delta/internal/sim/trace"
 	"delta/internal/traffic"
 )
@@ -147,14 +150,17 @@ type Result struct {
 	Roofline roofline.Result
 }
 
-// Stats reports the evaluator's observability counters: cache
-// effectiveness, cache occupancy, and scenario-stream progress. The
-// serving layer scrapes these into /metrics.
+// Stats reports the evaluator's observability counters: simulation-memo
+// effectiveness and occupancy, and scenario-stream progress. The serving
+// layer scrapes these into /metrics.
 type Stats struct {
+	// Hits / Misses count simulation requests served from the memo vs run
+	// through the engine. Analytical requests are never memoized and never
+	// counted.
 	Hits   uint64
 	Misses uint64
 
-	// Entries is the memo cache's current entry count (may transiently
+	// Entries is the memo's current entry count (may transiently
 	// overshoot the cap by in-flight concurrent inserts).
 	Entries uint64
 
@@ -171,22 +177,24 @@ type Stats struct {
 	StreamEntries uint64
 }
 
-// DefaultCacheLimit caps the memo cache's entry count unless overridden
-// with WithCacheLimit. Results are ~1.5 KB each, so the default bounds a
-// long-running server (whose cache keys include client-supplied layer and
-// device values) to roughly 100 MB of memoized results.
+// DefaultCacheLimit caps the simulation memo's entry count. Filling the
+// memo with one-wave simulations measured 740 B of live heap per entry
+// (key, engine.Result and map slot; amd64), so a full memo holds about
+// 46 MB. Each entry saves a simulation of milliseconds or more.
 const DefaultCacheLimit = 1 << 16
 
-// Evaluator runs requests through the model stack with a worker pool and a
-// memoizing cache. The zero value is not usable; construct with New. An
-// Evaluator is safe for concurrent use by multiple goroutines.
+// Evaluator runs requests through the model stack with a worker pool, and
+// memoizes trace-driven simulations. The zero value is not usable;
+// construct with New. An Evaluator is safe for concurrent use by multiple
+// goroutines.
 //
-// The memo cache is two typed maps (analytical requests and simulation
-// requests) behind RWMutexes rather than one sync.Map: the keys are large
-// structs (layer + device + options, ~500 B), and boxing one into an
-// interface on every lookup made a cache hit allocate more than the
-// analytical models it was saving — the "warm slower than cold" scenario
-// regression. Typed maps hash the key in place; a hit is allocation-free.
+// Only simulations are memoized. An analytical model call costs
+// microseconds, less than keeping its result in a capped memo would cost in
+// heap and garbage collection, so Evaluate always computes. A simulation
+// costs milliseconds or more, and experiment drivers and sweeps repeat
+// (layer, device, config) runs verbatim. The memo is a typed map behind an
+// RWMutex rather than a sync.Map, so a hit hashes the key in place and
+// allocates nothing.
 type Evaluator struct {
 	workers    int
 	noCache    bool
@@ -201,80 +209,24 @@ type Evaluator struct {
 	// the memo cache.
 	streams *trace.SharedStreams
 
-	ana       memoMap[cacheKey]
-	sim       memoMap[simKey]
+	memo      memoMap
 	cacheSize atomic.Int64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	points    atomic.Uint64
-
-	// Device interning: gpu.Device is ~200 bytes of the analytical cache
-	// key but has tiny cardinality (a sweep uses a handful of devices), so
-	// keys store a small id instead and lookups hash ~60% fewer bytes.
-	// lastDev short-circuits the intern map for the overwhelmingly common
-	// case of consecutive evaluations on one device: a single struct
-	// compare instead of a map probe.
-	devMu   sync.Mutex
-	devIDs  map[gpu.Device]uint32
-	lastDev atomic.Pointer[devEntry]
 }
 
-type devEntry struct {
-	d  gpu.Device
-	id uint32
-}
-
-// internDevice resolves a device to its small key id, allocating one on
-// first sight. ok is false when the intern table is full (the cache limit
-// bounds it like everything else); the caller then computes uncached.
-func (e *Evaluator) internDevice(d gpu.Device) (id uint32, ok bool) {
-	if ent := e.lastDev.Load(); ent != nil && ent.d == d {
-		return ent.id, true
-	}
-	e.devMu.Lock()
-	id, ok = e.devIDs[d]
-	if !ok {
-		if len(e.devIDs) >= e.cacheLimit {
-			e.devMu.Unlock()
-			return 0, false
-		}
-		if e.devIDs == nil {
-			e.devIDs = make(map[gpu.Device]uint32)
-		}
-		id = uint32(len(e.devIDs))
-		e.devIDs[d] = id
-		ok = true
-	}
-	e.devMu.Unlock()
-	e.lastDev.Store(&devEntry{d: d, id: id})
-	return id, ok
-}
-
-// memoMap is one typed shard of the memo cache.
-type memoMap[K comparable] struct {
+// memoMap is the simulation memo.
+type memoMap struct {
 	mu sync.RWMutex
-	m  map[K]*cacheEntry
+	m  map[simKey]*cacheEntry
 }
 
-// cacheKey is the comparable identity of a Request after normalization.
-// The device rides as an interned id (see internDevice), keeping the
-// hashed key small.
-type cacheKey struct {
-	layer     layers.Conv
-	device    uint32
-	options   traffic.Options
-	model     Model
-	pass      Pass
-	missRate  float64
-	skipDgrad bool
-}
-
-// cacheEntry memoizes one computation (an analytical Result or an
-// engine.Result); once guarantees a single computation even under
-// concurrent first lookups of the same key.
+// cacheEntry memoizes one simulation; once guarantees a single run even
+// under concurrent first lookups of the same key.
 type cacheEntry struct {
 	once sync.Once
-	res  any
+	res  engine.Result
 	err  error
 }
 
@@ -286,16 +238,9 @@ func WithWorkers(n int) Option {
 	return func(e *Evaluator) { e.workers = n }
 }
 
-// WithoutCache disables memoization (every request recomputes).
+// WithoutCache disables the simulation memo (every simulation runs).
 func WithoutCache() Option {
 	return func(e *Evaluator) { e.noCache = true }
-}
-
-// WithCacheLimit overrides the memo cache's entry cap (n < 1 restores
-// DefaultCacheLimit). Once full, further distinct requests compute without
-// being stored; already-cached entries keep serving hits.
-func WithCacheLimit(n int) Option {
-	return func(e *Evaluator) { e.cacheLimit = n }
 }
 
 // WithoutStreamSharing disables the shared stream-cache tier: every engine
@@ -306,14 +251,11 @@ func WithoutStreamSharing() Option {
 }
 
 // New constructs an Evaluator; by default the pool is GOMAXPROCS wide and
-// the cache is enabled with DefaultCacheLimit entries.
+// the simulation memo is enabled with DefaultCacheLimit entries.
 func New(opts ...Option) *Evaluator {
-	e := &Evaluator{}
+	e := &Evaluator{cacheLimit: DefaultCacheLimit}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.cacheLimit < 1 {
-		e.cacheLimit = DefaultCacheLimit
 	}
 	if !e.noStreams {
 		e.streams = trace.NewSharedStreams(0)
@@ -327,7 +269,7 @@ var (
 )
 
 // Default returns the process-wide shared Evaluator, so independent callers
-// (facade helpers, CLIs, server handlers) share one memo cache.
+// (facade helpers, CLIs, server handlers) share one simulation memo.
 func Default() *Evaluator {
 	defaultOnce.Do(func() { defaultEval = New() })
 	return defaultEval
@@ -370,7 +312,8 @@ func (e *Evaluator) poolSize(n int) int {
 	return w
 }
 
-// Evaluate answers one request, consulting the cache first.
+// Evaluate answers one request. Analytical requests are not memoized (see
+// Evaluator): every call runs the model.
 func (e *Evaluator) Evaluate(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -379,47 +322,30 @@ func (e *Evaluator) Evaluate(ctx context.Context, req Request) (Result, error) {
 	if err := req.Validate(); err != nil {
 		return Result{}, err
 	}
-	if e.noCache {
-		return evalOne(req)
-	}
-	dev, ok := e.internDevice(req.Device)
-	if !ok {
-		e.misses.Add(1)
-		return evalOne(req)
-	}
-	key := cacheKey{
-		layer: req.Layer, device: dev, options: req.Options,
-		model: req.Model, pass: req.Pass,
-		missRate: req.MissRate, skipDgrad: req.SkipDgrad,
-	}
-	v, err := memoize(e, &e.ana, key, func() (any, error) { return evalOne(req) })
-	if err != nil {
-		return Result{}, err
-	}
-	return v.(Result), nil
+	return evalOne(req)
 }
 
-// memoize answers computations through the capped memo cache: the first
-// lookup of a key computes (exactly once, even under concurrent first
-// lookups), later lookups are served from the stored entry. The hit path
-// is one RLock and one typed map probe — no allocation, so a memo hit is
-// always cheaper than recomputing.
-func memoize[K comparable](e *Evaluator, mm *memoMap[K], key K, compute func() (any, error)) (any, error) {
+// memoize answers a simulation through the capped memo: the first lookup
+// of a key runs it (exactly once, even under concurrent first lookups),
+// later lookups are served from the stored entry. The hit path is one
+// RLock and one typed map probe, with no allocation.
+func (e *Evaluator) memoize(key simKey, run func() (engine.Result, error)) (engine.Result, error) {
+	mm := &e.memo
 	mm.mu.RLock()
 	ent, loaded := mm.m[key]
 	mm.mu.RUnlock()
 	if !loaded {
-		// Cap the cache: once full, distinct new requests compute without
+		// Cap the memo: once full, distinct new requests run without
 		// being stored (existing entries keep serving hits). The counter
 		// may overshoot by in-flight concurrent inserts; that slack is
 		// bounded by the worker count and harmless.
 		if e.cacheSize.Load() >= int64(e.cacheLimit) {
 			e.misses.Add(1)
-			return compute()
+			return run()
 		}
 		mm.mu.Lock()
 		if mm.m == nil {
-			mm.m = make(map[K]*cacheEntry)
+			mm.m = make(map[simKey]*cacheEntry)
 		}
 		ent, loaded = mm.m[key]
 		if !loaded {
@@ -431,7 +357,7 @@ func memoize[K comparable](e *Evaluator, mm *memoMap[K], key K, compute func() (
 	}
 	computed := false
 	ent.once.Do(func() {
-		ent.res, ent.err = compute()
+		ent.res, ent.err = run()
 		computed = true
 	})
 	if computed || !loaded {

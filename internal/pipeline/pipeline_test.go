@@ -14,6 +14,7 @@ import (
 	"delta/internal/perf"
 	"delta/internal/prior"
 	"delta/internal/roofline"
+	"delta/internal/sim/engine"
 	"delta/internal/traffic"
 )
 
@@ -136,33 +137,43 @@ func TestParityExplore(t *testing.T) {
 	}
 }
 
-// TestCacheMemoizes: re-evaluating the same requests hits the cache, and
-// duplicate layers inside one batch are computed once.
+// tinySim is a simulation request cheap enough to repeat in tests: a small
+// layer truncated to one CTA wave.
+func tinySim(co int) SimRequest {
+	return SimRequest{
+		Layer:  layers.Conv{Name: "tiny", B: 1, Ci: 8, Hi: 8, Wi: 8, Co: co, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
+		Config: engine.Config{Device: xp, MaxWaves: 1},
+	}
+}
+
+// TestCacheMemoizes: duplicate simulations inside one batch run once, and
+// re-simulating the same request hits the memo.
 func TestCacheMemoizes(t *testing.T) {
 	e := New()
-	l := layers.Conv{Name: "c", B: 16, Ci: 64, Hi: 14, Wi: 14, Co: 64, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
-	reqs := make([]Request, 64)
+	reqs := make([]SimRequest, 16)
 	for i := range reqs {
-		reqs[i] = Request{Layer: l, Device: xp}
+		reqs[i] = tinySim(16)
 	}
-	if _, err := e.EvaluateAll(ctxBg(), reqs); err != nil {
+	if _, err := e.SimulateAll(ctxBg(), reqs); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
 	if s.Misses != 1 {
 		t.Errorf("misses = %d, want 1 (single unique request)", s.Misses)
 	}
-	if s.Hits != 63 {
-		t.Errorf("hits = %d, want 63", s.Hits)
+	if want := uint64(len(reqs) - 1); s.Hits != want {
+		t.Errorf("hits = %d, want %d", s.Hits, want)
 	}
-	if _, err := e.Evaluate(ctxBg(), Request{Layer: l, Device: xp}); err != nil {
+	if _, err := e.Simulate(ctxBg(), tinySim(16)); err != nil {
 		t.Fatal(err)
 	}
-	if s = e.Stats(); s.Hits != 64 {
-		t.Errorf("hits after re-evaluate = %d, want 64", s.Hits)
+	if s = e.Stats(); s.Hits != uint64(len(reqs)) {
+		t.Errorf("hits after re-simulate = %d, want %d", s.Hits, len(reqs))
 	}
 	// A different device is a different key.
-	if _, err := e.Evaluate(ctxBg(), Request{Layer: l, Device: gpu.V100()}); err != nil {
+	req := tinySim(16)
+	req.Config.Device = gpu.V100()
+	if _, err := e.Simulate(ctxBg(), req); err != nil {
 		t.Fatal(err)
 	}
 	if s = e.Stats(); s.Misses != 2 {
@@ -170,41 +181,37 @@ func TestCacheMemoizes(t *testing.T) {
 	}
 }
 
-// TestCacheLimit: once the entry cap is reached, new distinct requests
-// still evaluate correctly but are not stored; cached entries keep hitting.
+// TestCacheLimit: once the entry cap is reached, new distinct simulations
+// still run correctly but are not stored; stored entries keep hitting.
 func TestCacheLimit(t *testing.T) {
-	e := New(WithCacheLimit(2))
-	mk := func(co int) Request {
-		return Request{
-			Layer:  layers.Conv{Name: "lim", B: 8, Ci: 32, Hi: 14, Wi: 14, Co: co, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
-			Device: xp,
-		}
-	}
-	for _, co := range []int{32, 64, 96, 128} {
-		want, err := perf.ModelLayer(mk(co).Layer, xp, traffic.Options{})
+	e := New()
+	e.cacheLimit = 2
+	for _, co := range []int{16, 32, 48, 64} {
+		req := tinySim(co)
+		want, err := engine.Run(req.Layer, req.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Evaluate(ctxBg(), mk(co))
+		got, err := e.Simulate(ctxBg(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Perf != want {
-			t.Fatalf("co=%d: over-limit evaluation diverged", co)
+		if got != want {
+			t.Fatalf("co=%d: over-limit simulation diverged", co)
 		}
 	}
-	if s := e.Stats(); s.Misses != 4 {
-		t.Errorf("misses = %d, want 4", s.Misses)
+	if s := e.Stats(); s.Misses != 4 || s.Entries != 2 {
+		t.Errorf("misses = %d, entries = %d, want 4 and 2", s.Misses, s.Entries)
 	}
 	// The first two keys were stored and still serve hits.
-	if _, err := e.Evaluate(ctxBg(), mk(32)); err != nil {
+	if _, err := e.Simulate(ctxBg(), tinySim(16)); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.Hits != 1 {
 		t.Errorf("hits = %d, want 1", s.Hits)
 	}
-	// Over-limit keys recompute as misses.
-	if _, err := e.Evaluate(ctxBg(), mk(96)); err != nil {
+	// Over-limit keys rerun as misses.
+	if _, err := e.Simulate(ctxBg(), tinySim(48)); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.Misses != 5 {
@@ -212,21 +219,22 @@ func TestCacheLimit(t *testing.T) {
 	}
 }
 
-// TestWithoutCache: disabling the cache recomputes every request.
+// TestWithoutCache: disabling the memo reruns every simulation and records
+// nothing.
 func TestWithoutCache(t *testing.T) {
 	e := New(WithoutCache())
-	l := layers.Conv{Name: "nc", B: 8, Ci: 32, Hi: 14, Wi: 14, Co: 32, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Evaluate(ctxBg(), Request{Layer: l, Device: xp}); err != nil {
+		if _, err := e.Simulate(ctxBg(), tinySim(16)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 {
+	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
 		t.Errorf("cacheless evaluator recorded stats: %+v", s)
 	}
 }
 
-// TestCancelledContextRejected: a pre-cancelled context evaluates nothing.
+// TestCancelledContextRejected: a pre-cancelled context evaluates and
+// simulates nothing.
 func TestCancelledContextRejected(t *testing.T) {
 	e := New()
 	ctx, cancel := context.WithCancel(ctxBg())
@@ -238,8 +246,14 @@ func TestCancelledContextRejected(t *testing.T) {
 	if _, err := e.Network(ctx, NetworkRequest{Net: net, Device: xp}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Network error = %v, want context.Canceled", err)
 	}
-	if s := e.Stats(); s.Misses != 0 {
-		t.Errorf("cancelled context still computed %d results", s.Misses)
+	if _, err := e.Simulate(ctx, tinySim(16)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Simulate error = %v, want context.Canceled", err)
+	}
+	if _, err := e.SimulateAll(ctx, []SimRequest{tinySim(16), tinySim(32)}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SimulateAll error = %v, want context.Canceled", err)
+	}
+	if s := e.Stats(); s.Misses != 0 || s.Entries != 0 {
+		t.Errorf("cancelled context still simulated: %+v", s)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Trace-driven simulation requests: the fourth request kind of the unified
-// pipeline. Simulations are far heavier than analytical evaluations (they
-// replay every warp of every CTA), which makes the worker-pool fan-out and
-// the memo cache matter even more here: experiment drivers ask for the same
-// (layer, device, config) simulation across figures, and design-space
-// sweeps repeat layers verbatim.
+// pipeline, and the only memoized one. Simulations are far heavier than
+// analytical evaluations (they replay every warp of every CTA), so the
+// memo pays here: experiment drivers ask for the same (layer, device,
+// config) simulation across figures, and sweeps repeat layers verbatim.
 
 package pipeline
 
@@ -40,7 +39,7 @@ func (e *Evaluator) withSharedState(cfg engine.Config) engine.Config {
 	return cfg
 }
 
-// Simulate answers one simulation request, consulting the memo cache first.
+// Simulate answers one simulation request, consulting the memo first.
 func (e *Evaluator) Simulate(ctx context.Context, req SimRequest) (engine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.Result{}, err
@@ -50,13 +49,9 @@ func (e *Evaluator) Simulate(ctx context.Context, req SimRequest) (engine.Result
 		return engine.Run(req.Layer, req.Config)
 	}
 	key := simKey{layer: req.Layer, cfg: req.Config.Normalized()}
-	v, err := memoize(e, &e.sim, key, func() (any, error) {
+	return e.memoize(key, func() (engine.Result, error) {
 		return engine.Run(req.Layer, req.Config)
 	})
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return v.(engine.Result), nil
 }
 
 // SimulateAll answers a batch of simulation requests, fanning the per-layer
@@ -69,7 +64,7 @@ func (e *Evaluator) Simulate(ctx context.Context, req SimRequest) (engine.Result
 // on its serial reference path (layer-level fan-out alone saturates the
 // pool), while a smaller batch gives each engine the leftover width so
 // idle cores still help. Counters are bit-identical at any worker count,
-// so the memo cache is shared across all shapes.
+// so the memo is shared across all shapes.
 func (e *Evaluator) SimulateAll(ctx context.Context, reqs []SimRequest) ([]engine.Result, error) {
 	if len(reqs) == 0 {
 		return nil, ctx.Err()

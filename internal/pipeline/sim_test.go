@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"delta/internal/cnn"
 	"delta/internal/layers"
 	"delta/internal/sim/engine"
 )
@@ -100,23 +101,21 @@ func TestSimErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestSimAndEvalShareCache: simulation and analytical entries coexist in
-// one evaluator without colliding (distinct key types).
+// TestSimAndEvalShareCache: only simulations enter the memo. A whole
+// analytical network evaluation leaves every counter at zero; the one
+// simulation after it records exactly one miss and one entry.
 func TestSimAndEvalShareCache(t *testing.T) {
 	e := New()
-	if _, err := e.Evaluate(ctxBg(), Request{Layer: simLayers[0], Device: xp}); err != nil {
+	if _, err := e.Network(ctxBg(), NetworkRequest{Net: cnn.ResNet152Full(8), Device: xp}); err != nil {
 		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("analytical requests touched the memo: %+v", s)
 	}
 	if _, err := e.Simulate(ctxBg(), SimRequest{Layer: simLayers[0], Config: engine.Config{Device: xp}}); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.Misses != 2 || s.Hits != 0 {
-		t.Fatalf("eval+sim should be distinct entries: %+v", s)
-	}
-	if _, err := e.Simulate(ctxBg(), SimRequest{Layer: simLayers[0], Config: engine.Config{Device: xp}}); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Misses != 2 || s.Hits != 1 {
-		t.Fatalf("repeat sim should hit: %+v", s)
+	if s := e.Stats(); s.Misses != 1 || s.Hits != 0 || s.Entries != 1 {
+		t.Fatalf("one simulation should be one miss and one entry: %+v", s)
 	}
 }

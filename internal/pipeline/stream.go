@@ -5,7 +5,7 @@
 // update carrying progress counts. Every point funnels through the same
 // Network / SimulateLayers paths the synchronous helpers use, so streamed
 // results are bit-identical to the serial per-helper paths and repeated
-// points memo-hit the cache.
+// simulation points memo-hit.
 
 package pipeline
 

@@ -88,32 +88,50 @@ func TestStreamBitIdenticalToHelpers(t *testing.T) {
 	}
 }
 
-// TestStreamMemoHits: re-running a scenario serves every layer evaluation
-// from the memo cache.
+// simSweep is a two-point simulation scenario over two tiny layers, each
+// truncated to one CTA wave: 4 distinct simulations.
+func simSweep() scenario.Scenario {
+	net := cnn.Network{Name: "mini", Layers: []layers.Conv{
+		{Name: "c1", B: 1, Ci: 8, Hi: 8, Wi: 8, Co: 16, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
+		{Name: "c2", B: 1, Ci: 16, Hi: 8, Wi: 8, Co: 8, Hf: 1, Wf: 1, Stride: 1},
+	}, Counts: []int{1, 1}}
+	return scenario.Scenario{
+		Name:       "mini-sim",
+		Workloads:  []scenario.Workload{{Net: net}},
+		Devices:    []gpu.Device{gpu.TitanXp(), gpu.V100()},
+		SimConfigs: []engine.Config{{MaxWaves: 1}},
+	}
+}
+
+// TestStreamMemoHits: re-running a simulation scenario serves every layer
+// simulation from the memo.
 func TestStreamMemoHits(t *testing.T) {
-	sc := multiAxis()
+	sc := simSweep()
 	e := New()
 	if _, err := e.RunScenario(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats()
+	if before.Misses != 4 || before.Hits != 0 {
+		t.Fatalf("cold sweep: %+v, want 4 misses and no hits", before)
+	}
 	if _, err := e.RunScenario(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 	after := e.Stats()
-	if after.Hits <= before.Hits {
-		t.Errorf("no memo hits on repeat: %+v -> %+v", before, after)
+	if after.Hits != before.Hits+4 {
+		t.Errorf("repeat hit %d simulations, want 4: %+v -> %+v", after.Hits-before.Hits, before, after)
 	}
 	if after.Misses != before.Misses {
-		t.Errorf("repeat recomputed %d evaluations", after.Misses-before.Misses)
+		t.Errorf("repeat reran %d simulations", after.Misses-before.Misses)
 	}
 }
 
 // TestStatsObservability: Stats exposes the counters the serving layer
 // scrapes — scenario points advance per evaluated point (memo hits
-// included), and the cache reports its occupancy.
+// included), and the memo reports its occupancy.
 func TestStatsObservability(t *testing.T) {
-	sc := multiAxis()
+	sc := simSweep()
 	e := New()
 	if s := e.Stats(); s.ScenarioPoints != 0 || s.Entries != 0 {
 		t.Fatalf("fresh evaluator stats = %+v", s)
@@ -125,8 +143,8 @@ func TestStatsObservability(t *testing.T) {
 	if want := uint64(sc.Size()); s1.ScenarioPoints != want {
 		t.Errorf("ScenarioPoints = %d, want %d", s1.ScenarioPoints, want)
 	}
-	if s1.Entries == 0 {
-		t.Error("cache Entries = 0 after a cold sweep")
+	if s1.Entries != 4 {
+		t.Errorf("memo Entries = %d after a cold sweep, want 4", s1.Entries)
 	}
 	// A repeat sweep memo-hits but still counts its points.
 	if _, err := e.RunScenario(context.Background(), sc); err != nil {
@@ -137,7 +155,7 @@ func TestStatsObservability(t *testing.T) {
 		t.Errorf("ScenarioPoints after repeat = %d, want %d", s2.ScenarioPoints, want)
 	}
 	if s2.Entries != s1.Entries {
-		t.Errorf("repeat sweep grew the cache: %d -> %d", s1.Entries, s2.Entries)
+		t.Errorf("repeat sweep grew the memo: %d -> %d", s1.Entries, s2.Entries)
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // The engine substitutes for the paper's nvprof measurements: its traffic
 // counters at each level are the "measured" side of every model-vs-measured
-// figure (DESIGN.md, Substitutions).
+// figure (README, Performance).
 //
 // Two execution strategies produce bit-identical counters: the serial
 // reference engine (Config.Workers = 1) walks the wave schedule on one

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -121,4 +122,44 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Errorf("count %d changed", i)
 		}
 	}
+}
+
+// FuzzReadDevice: ReadDevice never panics on arbitrary bytes, and an
+// accepted device passes Validate.
+func FuzzReadDevice(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		d, err := ReadDevice(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted device fails Validate: %v", err)
+		}
+	})
+}
+
+// FuzzReadNetwork: ReadNetwork never panics on arbitrary bytes, and an
+// accepted network has at least one layer, every layer passes Validate,
+// and its counts are index-aligned with the layers and at least 1.
+func FuzzReadNetwork(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		net, err := ReadNetwork("fuzz", bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if len(net.Layers) == 0 {
+			t.Fatal("accepted network has no layers")
+		}
+		if len(net.Counts) != len(net.Layers) {
+			t.Fatalf("%d counts for %d layers", len(net.Counts), len(net.Layers))
+		}
+		for i, l := range net.Layers {
+			if err := l.Validate(); err != nil {
+				t.Fatalf("accepted layer %d fails Validate: %v", i, err)
+			}
+			if net.Counts[i] < 1 {
+				t.Fatalf("accepted layer %d has count %d", i, net.Counts[i])
+			}
+		}
+	})
 }

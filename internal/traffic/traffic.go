@@ -42,7 +42,7 @@ type Options struct {
 	// CapacityAwareDRAM collapses the per-CTA-column IFmap re-stream when
 	// the IFmap footprint fits in L2. The paper deliberately omits this
 	// (it over-estimates DRAM traffic for L2-resident layers, Section VII-A);
-	// enabling it is the ablation DESIGN.md describes.
+	// enabling it is the ablation BenchmarkAblationCapacityAwareDRAM measures.
 	CapacityAwareDRAM bool
 
 	// TileOverride forces a CTA tile height/width (256 for scaling-study

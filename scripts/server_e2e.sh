@@ -118,7 +118,8 @@ echo "server-e2e: bad sim geometry 400 OK"
 
 # The /metrics scrape must show the traffic above: request counters and
 # latency histograms moved, the job sweep's 8 scenario points were counted,
-# and the pipeline cache did work.
+# and the simulation memo did work (only the sim job above reaches it:
+# analytical requests are not memoized).
 curl -fsS "$BASE/metrics" | python3 -c '
 import sys
 lines = [l for l in sys.stdin if l.strip() and not l.startswith("#")]
