@@ -224,13 +224,13 @@ func BenchmarkSimSuiteParallel(b *testing.B) { benchkit.SuiteParallel(b) }
 // memo, so every layer is a memo hit.
 func BenchmarkSimSuiteCached(b *testing.B) { benchkit.SuiteCached(b) }
 
-// BenchmarkSimStreamSweepPrivate measures an L2-capacity sweep with
-// per-run private stream generation (the pre-tier behaviour).
-func BenchmarkSimStreamSweepPrivate(b *testing.B) { benchkit.StreamSweepPrivate(b) }
+// BenchmarkSimL2SweepPerPoint measures a three-capacity L2 sweep of the
+// corpus run point by point, each point re-running the L1 phase.
+func BenchmarkSimL2SweepPerPoint(b *testing.B) { benchkit.L2SweepPerPoint(b) }
 
-// BenchmarkSimStreamSweepShared measures the same sweep with the shared
-// stream-cache tier, so adjacent points reuse coalesced tile streams.
-func BenchmarkSimStreamSweepShared(b *testing.B) { benchkit.StreamSweepShared(b) }
+// BenchmarkSimL2SweepGrouped measures the same sweep as one scenario,
+// whose points share each layer's L1 phase in one engine pass.
+func BenchmarkSimL2SweepGrouped(b *testing.B) { benchkit.L2SweepGrouped(b) }
 
 // BenchmarkScenarioStream measures declarative-sweep throughput: the
 // canonical multi-axis scenario streamed through a pipeline,

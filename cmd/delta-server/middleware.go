@@ -64,38 +64,35 @@ func routeLabel(path string) string {
 // delta_ namespace, collision-proof at review time, and every name pinned
 // to the delta_[a-z_]+ contract the dashboards and e2e scripts rely on.
 const (
-	metricHTTPRequests       = "delta_http_requests_total"
-	metricHTTPDuration       = "delta_http_request_duration_seconds"
-	metricHTTPInFlight       = "delta_http_in_flight_requests"
-	metricHTTPPanics         = "delta_http_panics_total"
-	metricHTTPShed           = "delta_http_shed_total"
-	metricHTTPAuthFailures   = "delta_http_auth_failures_total"
-	metricPipelineCacheHits  = "delta_pipeline_cache_hits_total"
-	metricPipelineCacheMiss  = "delta_pipeline_cache_misses_total"
-	metricPipelineEntries    = "delta_pipeline_cache_entries"
-	metricScenarioPoints     = "delta_scenario_points_total"
-	metricStreamCacheHits    = "delta_stream_cache_hits_total"
-	metricStreamCacheMisses  = "delta_stream_cache_misses_total"
-	metricStreamCacheEntries = "delta_stream_cache_entries"
-	metricJobsStored         = "delta_jobs_stored"
-	metricJobsRunning        = "delta_jobs_running"
-	metricJobsCapacity       = "delta_jobs_capacity"
-	metricJobsEvicted        = "delta_jobs_evicted_total"
-	metricRatelimitClients   = "delta_ratelimit_clients"
-	metricInflightInUse      = "delta_inflight_in_use"
-	metricInflightCapacity   = "delta_inflight_capacity"
-	metricOutboxDepth        = "delta_outbox_depth"
-	metricOutboxCapacity     = "delta_outbox_capacity"
-	metricOutboxPublished    = "delta_outbox_published_total"
-	metricOutboxFlushed      = "delta_outbox_flushed_total"
-	metricOutboxRetries      = "delta_outbox_retries_total"
-	metricOutboxDeadLetters  = "delta_outbox_dead_letters_total"
-	metricOutboxOverflow     = "delta_outbox_overflow_total"
-	metricWALRecords         = "delta_wal_records_total"
-	metricWALCompactions     = "delta_wal_compactions_total"
-	metricWALReplayedJobs    = "delta_wal_replayed_jobs"
-	metricWALTornBytes       = "delta_wal_torn_bytes"
-	metricClusterPeers       = "delta_cluster_peers"
+	metricHTTPRequests      = "delta_http_requests_total"
+	metricHTTPDuration      = "delta_http_request_duration_seconds"
+	metricHTTPInFlight      = "delta_http_in_flight_requests"
+	metricHTTPPanics        = "delta_http_panics_total"
+	metricHTTPShed          = "delta_http_shed_total"
+	metricHTTPAuthFailures  = "delta_http_auth_failures_total"
+	metricPipelineCacheHits = "delta_pipeline_cache_hits_total"
+	metricPipelineCacheMiss = "delta_pipeline_cache_misses_total"
+	metricPipelineEntries   = "delta_pipeline_cache_entries"
+	metricScenarioPoints    = "delta_scenario_points_total"
+	metricJobsStored        = "delta_jobs_stored"
+	metricJobsRunning       = "delta_jobs_running"
+	metricJobsCapacity      = "delta_jobs_capacity"
+	metricJobsEvicted       = "delta_jobs_evicted_total"
+	metricRatelimitClients  = "delta_ratelimit_clients"
+	metricInflightInUse     = "delta_inflight_in_use"
+	metricInflightCapacity  = "delta_inflight_capacity"
+	metricOutboxDepth       = "delta_outbox_depth"
+	metricOutboxCapacity    = "delta_outbox_capacity"
+	metricOutboxPublished   = "delta_outbox_published_total"
+	metricOutboxFlushed     = "delta_outbox_flushed_total"
+	metricOutboxRetries     = "delta_outbox_retries_total"
+	metricOutboxDeadLetters = "delta_outbox_dead_letters_total"
+	metricOutboxOverflow    = "delta_outbox_overflow_total"
+	metricWALRecords        = "delta_wal_records_total"
+	metricWALCompactions    = "delta_wal_compactions_total"
+	metricWALReplayedJobs   = "delta_wal_replayed_jobs"
+	metricWALTornBytes      = "delta_wal_torn_bytes"
+	metricClusterPeers      = "delta_cluster_peers"
 )
 
 // serverMetrics is the delta-server metric set, registered once per server
@@ -143,15 +140,6 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 	reg.CounterFunc(metricScenarioPoints,
 		"Scenario points evaluated by the pipeline (memo hits included).",
 		func() float64 { return float64(p.Stats().ScenarioPoints) })
-	reg.CounterFunc(metricStreamCacheHits,
-		"Shared stream-cache tier hits (coalesced tile streams reused).",
-		func() float64 { return float64(p.Stats().StreamHits) })
-	reg.CounterFunc(metricStreamCacheMisses,
-		"Shared stream-cache tier misses (streams generated and published).",
-		func() float64 { return float64(p.Stats().StreamMisses) })
-	reg.GaugeFunc(metricStreamCacheEntries,
-		"Shared stream-cache tier occupancy (published streams).",
-		func() float64 { return float64(p.Stats().StreamEntries) })
 	reg.GaugeFunc(metricJobsStored,
 		"Jobs held in the /v2 job store.",
 		func() float64 { stored, _ := jobs.occupancy(); return float64(stored) })

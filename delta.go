@@ -206,7 +206,9 @@ func PriorEstimate(l Conv, d GPU, missRate float64) (PerfResult, error) {
 // per-SM L1 simulation across GOMAXPROCS workers and replays L1 misses
 // through the shared L2 in serial order, so counters are bit-identical to
 // the serial reference engine (SimConfig.Workers = 1) at any width. It
-// runs the engine directly; the pipeline helpers below memoize runs.
+// runs the engine directly; the pipeline helpers below memoize runs, and
+// a scenario sweep over L2 capacity shares each layer's pass across its
+// points (see Stream).
 func Simulate(l Conv, cfg SimConfig) (SimResult, error) {
 	return engine.Run(l, cfg)
 }
@@ -479,8 +481,10 @@ func WithStreamLimit(n int) StreamOption {
 
 // Stream expands a scenario and evaluates its points through the shared
 // pipeline — each point's layers fan out across the worker pool — emitting
-// one update per point in expansion order with progress counts. Cancel ctx
-// to abandon the stream early.
+// one update per point in expansion order with progress counts.
+// Consecutive simulation points that differ only in L2 capacity, L2 ways
+// or device name (an L2 sweep) share one simulator pass per layer, with
+// each point's results unchanged. Cancel ctx to abandon the stream early.
 func Stream(ctx context.Context, sc Scenario, opts ...StreamOption) (<-chan StreamUpdate, error) {
 	return DefaultPipeline().Stream(ctx, sc, opts...)
 }
@@ -506,10 +510,3 @@ func WithPipelineWorkers(n int) PipelineOption { return pipeline.WithWorkers(n) 
 
 // WithoutPipelineCache disables a new pipeline's simulation memo.
 func WithoutPipelineCache() PipelineOption { return pipeline.WithoutCache() }
-
-// WithoutPipelineStreamSharing disables the shared stream tier that lets
-// simulations of the same layer geometry reuse coalesced tile streams
-// across runs and sweep points.
-func WithoutPipelineStreamSharing() PipelineOption {
-	return pipeline.WithoutStreamSharing()
-}

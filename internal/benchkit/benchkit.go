@@ -10,10 +10,14 @@
 //     vs fanned across the pipeline worker pool — the experiment-driver
 //     speedup (Fig. 4/11/12/17/20 and the ablations all have this shape).
 //     SuiteCached answers the same layers from a warm simulation memo.
+//   - L2-sweep pair: one L2-capacity sweep of the suite layers run point by
+//     point vs as one scenario, whose points share each layer's L1 phase
+//     in one engine pass.
 package benchkit
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"delta/internal/cnn"
@@ -114,13 +118,12 @@ func ScenarioStream(b *testing.B) {
 
 // SuiteParallel is the body of the suite-level parallel run: the same
 // layers fanned across a cacheless pipeline (every layer really simulates,
-// isolating the worker-pool fan-out; stream sharing is disabled so the
-// pair measures fan-out alone — the stream tier has its own pair below).
+// isolating the worker-pool fan-out).
 func SuiteParallel(b *testing.B) {
 	b.ReportAllocs()
 	cfg := engine.Config{Device: gpu.TitanXp()}
 	ls := SuiteLayers()
-	p := pipeline.New(pipeline.WithoutCache(), pipeline.WithoutStreamSharing())
+	p := pipeline.New(pipeline.WithoutCache())
 	for i := 0; i < b.N; i++ {
 		//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
 		if _, err := p.SimulateLayers(context.Background(), ls, cfg); err != nil {
@@ -153,43 +156,49 @@ func SuiteCached(b *testing.B) {
 	b.ReportMetric(float64(len(ls)), "layers")
 }
 
-// StreamSweepPoints is the number of adjacent sweep points in the
-// stream-sharing pair: same layers and coalescing geometry, different L2
-// capacity — the shape where the shared stream tier should serve every
-// stream after the first point generates it.
-const StreamSweepPoints = 3
-
-// streamSweep is the shared body of the stream-sharing pair: one L2
-// capacity sweep (StreamSweepPoints adjacent points over the suite layers)
-// through a fresh cacheless pipeline per iteration, so the tier starts
-// cold each sweep and the measurement includes its fill cost.
-func streamSweep(b *testing.B, share bool) {
+// l2Sweep is the body of the L2-sweep pair: GoogLeNet at SuiteBatch on
+// the TITAN Xp at three L2 capacities, through a fresh cacheless pipeline
+// per iteration. Nothing above the L2 differs between the points, so run
+// as one scenario they form one group and each layer's L1 phase runs once;
+// run point by point, each point re-runs it.
+func l2Sweep(b *testing.B, grouped bool) {
 	b.ReportAllocs()
-	ls := SuiteLayers()
-	opts := []pipeline.Option{pipeline.WithoutCache()}
-	if !share {
-		opts = append(opts, pipeline.WithoutStreamSharing())
+	sc := scenario.Scenario{
+		Name:       "l2sweep",
+		Workloads:  []scenario.Workload{{Name: "googlenet"}},
+		Batches:    []int{SuiteBatch},
+		SimConfigs: []engine.Config{{}},
 	}
+	for i := 0; i < 3; i++ {
+		d := gpu.TitanXp()
+		d.L2SizeMB += float64(i)
+		d.Name = fmt.Sprintf("%s L2 %gMB", d.Name, d.L2SizeMB)
+		sc.Devices = append(sc.Devices, d)
+	}
+	ls := SuiteLayers()
+	//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		p := pipeline.New(opts...)
-		for pt := 0; pt < StreamSweepPoints; pt++ {
-			d := gpu.TitanXp()
-			d.L2SizeMB += float64(pt) // capacity varies, geometry doesn't
-			cfg := engine.Config{Device: d}
-			//lint:ignore ctxflow benchmark harness: *testing.B owns the run lifecycle
-			if _, err := p.SimulateLayers(context.Background(), ls, cfg); err != nil {
+		p := pipeline.New(pipeline.WithoutCache())
+		if grouped {
+			if _, err := p.RunScenario(ctx, sc); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		for _, d := range sc.Devices {
+			if _, err := p.SimulateLayers(ctx, ls, engine.Config{Device: d}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.ReportMetric(StreamSweepPoints, "points")
+	b.ReportMetric(float64(len(sc.Devices)), "points")
 }
 
-// StreamSweepPrivate measures the capacity sweep with per-run private
-// stream generation (the pre-tier behaviour).
-func StreamSweepPrivate(b *testing.B) { streamSweep(b, false) }
+// L2SweepPerPoint runs the L2 sweep as one SimulateLayers call per
+// capacity. l2sweep_grouped_vs_per_point in BENCH_sim.json is its ns over
+// L2SweepGrouped's.
+func L2SweepPerPoint(b *testing.B) { l2Sweep(b, false) }
 
-// StreamSweepShared measures the same sweep with the shared stream tier:
-// the stream_shared_vs_private ratio in BENCH_sim.json is Private ns over
-// Shared ns.
-func StreamSweepShared(b *testing.B) { streamSweep(b, true) }
+// L2SweepGrouped runs the same sweep as one scenario through RunScenario.
+func L2SweepGrouped(b *testing.B) { l2Sweep(b, true) }

@@ -12,9 +12,12 @@
 // memoized per (layer, engine config), so a simulation repeated across
 // figures or sweep points runs once; analytical requests are recomputed on
 // every call, because one model call is cheaper than keeping its result.
-// Results are bit-identical to the serial paths they subsume: workers only
-// parallelize independent layer evaluations, and aggregation follows the
-// exact serial summation order.
+// Scenario streams group consecutive simulation points that differ only in
+// L2 (engine.SharesL1) so each of their layers runs one engine pass for the
+// whole group. Results are bit-identical to the serial paths they subsume:
+// workers only parallelize independent layer evaluations, a shared pass
+// returns each config's one-config result exactly, and aggregation follows
+// the exact serial summation order.
 package pipeline
 
 import (
@@ -32,7 +35,6 @@ import (
 	"delta/internal/prior"
 	"delta/internal/roofline"
 	"delta/internal/sim/engine"
-	"delta/internal/sim/trace"
 	"delta/internal/traffic"
 )
 
@@ -168,13 +170,11 @@ type Stats struct {
 	// RunScenario over the evaluator's lifetime (memo-hit points included).
 	ScenarioPoints uint64
 
-	// StreamHits / StreamMisses / StreamEntries report the shared
-	// stream-cache tier backing the evaluator's engine runs (all zero when
-	// stream sharing is disabled): coalesced tile streams served from the
-	// tier vs generated, and current tier occupancy.
-	StreamHits    uint64
-	StreamMisses  uint64
-	StreamEntries uint64
+	// StreamHits / StreamMisses always read zero: no tile stream outlives
+	// its engine pass, so there is no cross-run stream memo to count. They
+	// stay only while perfbench still reads them.
+	StreamHits   uint64
+	StreamMisses uint64
 }
 
 // DefaultCacheLimit caps the simulation memo's entry count. Filling the
@@ -199,15 +199,6 @@ type Evaluator struct {
 	workers    int
 	noCache    bool
 	cacheLimit int
-	noStreams  bool
-
-	// streams is the shared stream-cache tier handed to every engine run
-	// (unless the request brings its own): scenario sweeps and repeated
-	// simulations regenerate coalesced tile streams once per identity
-	// instead of once per run. Sharing never changes counters — streams
-	// are pure functions of their identity — so it composes freely with
-	// the memo cache.
-	streams *trace.SharedStreams
 
 	memo      memoMap
 	cacheSize atomic.Int64
@@ -222,12 +213,13 @@ type memoMap struct {
 	m  map[simKey]*cacheEntry
 }
 
-// cacheEntry memoizes one simulation; once guarantees a single run even
-// under concurrent first lookups of the same key.
+// cacheEntry memoizes one simulation. The lookup that inserts it computes
+// it; ready is closed once res and err are set, so concurrent lookups of
+// the same key wait for that one run.
 type cacheEntry struct {
-	once sync.Once
-	res  engine.Result
-	err  error
+	ready chan struct{}
+	res   engine.Result
+	err   error
 }
 
 // Option configures an Evaluator.
@@ -243,22 +235,12 @@ func WithoutCache() Option {
 	return func(e *Evaluator) { e.noCache = true }
 }
 
-// WithoutStreamSharing disables the shared stream-cache tier: every engine
-// run regenerates its tile streams privately (the pre-tier behaviour).
-// Mostly useful for benchmarking the tier itself.
-func WithoutStreamSharing() Option {
-	return func(e *Evaluator) { e.noStreams = true }
-}
-
 // New constructs an Evaluator; by default the pool is GOMAXPROCS wide and
 // the simulation memo is enabled with DefaultCacheLimit entries.
 func New(opts ...Option) *Evaluator {
 	e := &Evaluator{cacheLimit: DefaultCacheLimit}
 	for _, o := range opts {
 		o(e)
-	}
-	if !e.noStreams {
-		e.streams = trace.NewSharedStreams(0)
 	}
 	return e
 }
@@ -281,15 +263,10 @@ func (e *Evaluator) Stats() Stats {
 	if size < 0 {
 		size = 0
 	}
-	st := Stats{
+	return Stats{
 		Hits: e.hits.Load(), Misses: e.misses.Load(),
 		Entries: uint64(size), ScenarioPoints: e.points.Load(),
 	}
-	if e.streams != nil {
-		ss := e.streams.Stats()
-		st.StreamHits, st.StreamMisses, st.StreamEntries = ss.Hits, ss.Misses, ss.Entries
-	}
-	return st
 }
 
 // width returns the configured worker-pool width (uncapped by batch size).
@@ -325,47 +302,90 @@ func (e *Evaluator) Evaluate(ctx context.Context, req Request) (Result, error) {
 	return evalOne(req)
 }
 
-// memoize answers a simulation through the capped memo: the first lookup
-// of a key runs it (exactly once, even under concurrent first lookups),
-// later lookups are served from the stored entry. The hit path is one
-// RLock and one typed map probe, with no allocation.
-func (e *Evaluator) memoize(key simKey, run func() (engine.Result, error)) (engine.Result, error) {
+// errSimPanicked is memoized for the keys of a simulation that panicked,
+// so lookups waiting on them are released instead of blocking forever.
+var errSimPanicked = errors.New("pipeline: simulation panicked")
+
+// memoize answers one simulation per key through the capped memo. A key
+// the memo holds is a hit, served once the run computing it has finished;
+// every other key is a miss, and one call of run computes all of them: it
+// receives their indices into keys and returns their results in that
+// order. On error the first failing key's error is returned.
+func (e *Evaluator) memoize(keys []simKey, run func(missing []int) ([]engine.Result, error)) ([]engine.Result, error) {
+	ents := make([]*cacheEntry, len(keys))
+	var missing []int
+	for i, key := range keys {
+		var owned bool
+		if ents[i], owned = e.lookup(key); owned {
+			e.misses.Add(1)
+			missing = append(missing, i)
+		} else {
+			e.hits.Add(1)
+		}
+	}
+	if len(missing) > 0 {
+		fill(ents, missing, run)
+	}
+	out := make([]engine.Result, len(keys))
+	var err error
+	for i, ent := range ents {
+		<-ent.ready
+		out[i] = ent.res
+		if err == nil {
+			err = ent.err
+		}
+	}
+	return out, err
+}
+
+// lookup returns key's memo entry. When the memo lacks it, the caller owns
+// a new entry and must fill it: the entry is stored unless the memo is
+// full (cacheLimit), in which case existing entries keep serving hits and
+// new keys are computed without being kept. The hit path is one RLock and
+// one typed map probe.
+func (e *Evaluator) lookup(key simKey) (ent *cacheEntry, owned bool) {
 	mm := &e.memo
 	mm.mu.RLock()
-	ent, loaded := mm.m[key]
+	ent, ok := mm.m[key]
 	mm.mu.RUnlock()
-	if !loaded {
-		// Cap the memo: once full, distinct new requests run without
-		// being stored (existing entries keep serving hits). The counter
-		// may overshoot by in-flight concurrent inserts; that slack is
-		// bounded by the worker count and harmless.
-		if e.cacheSize.Load() >= int64(e.cacheLimit) {
-			e.misses.Add(1)
-			return run()
-		}
-		mm.mu.Lock()
-		if mm.m == nil {
-			mm.m = make(map[simKey]*cacheEntry)
-		}
-		ent, loaded = mm.m[key]
-		if !loaded {
-			ent = new(cacheEntry)
-			mm.m[key] = ent
-			e.cacheSize.Add(1)
-		}
-		mm.mu.Unlock()
+	if ok {
+		return ent, false
 	}
-	computed := false
-	ent.once.Do(func() {
-		ent.res, ent.err = run()
-		computed = true
-	})
-	if computed || !loaded {
-		e.misses.Add(1)
-	} else {
-		e.hits.Add(1)
+	ent = &cacheEntry{ready: make(chan struct{})}
+	// The counter may overshoot the cap by in-flight concurrent inserts;
+	// that slack is bounded by the worker count and harmless.
+	if e.cacheSize.Load() >= int64(e.cacheLimit) {
+		return ent, true
 	}
-	return ent.res, ent.err
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if prev, ok := mm.m[key]; ok {
+		return prev, false
+	}
+	if mm.m == nil {
+		mm.m = make(map[simKey]*cacheEntry)
+	}
+	mm.m[key] = ent
+	e.cacheSize.Add(1)
+	return ent, true
+}
+
+// fill computes the entries at the missing indices with one call of run.
+// They are filled even if run panics, so no lookup waiting on them blocks
+// forever.
+func fill(ents []*cacheEntry, missing []int, run func(missing []int) ([]engine.Result, error)) {
+	var rs []engine.Result
+	err := errSimPanicked
+	defer func() {
+		for j, i := range missing {
+			if err == nil {
+				ents[i].res = rs[j]
+			}
+			ents[i].err = err
+			close(ents[i].ready)
+		}
+	}()
+	rs, err = run(missing)
 }
 
 // evalOne dispatches a normalized, validated request to the model stack.

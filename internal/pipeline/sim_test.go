@@ -119,3 +119,25 @@ func TestSimAndEvalShareCache(t *testing.T) {
 		t.Fatalf("one simulation should be one miss and one entry: %+v", s)
 	}
 }
+
+// TestSimCacheKeyIgnoresExecutionKnobs: requests differing only in
+// Workers share one memo entry — execution strategy is not identity.
+func TestSimCacheKeyIgnoresExecutionKnobs(t *testing.T) {
+	e := New()
+	req := SimRequest{Layer: simLayers[1], Config: engine.Config{Device: xp, Workers: 1}}
+	r1, err := e.Simulate(ctxBg(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Config.Workers = 2
+	r2, err := e.Simulate(ctxBg(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Fatal("execution knobs changed the memoized result")
+	}
+	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("execution knobs split the memo key: %+v", s)
+	}
+}

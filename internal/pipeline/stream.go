@@ -2,15 +2,19 @@
 // A scenario (internal/scenario) expands into an ordered point list;
 // Stream walks the points in expansion order — each point's layers fan
 // out across the worker pool — and emits results incrementally, each
-// update carrying progress counts. Every point funnels through the same
-// Network / SimulateLayers paths the synchronous helpers use, so streamed
-// results are bit-identical to the serial per-helper paths and repeated
-// simulation points memo-hit.
+// update carrying progress counts. A simulation point groups with the
+// consecutive points after it that simulate identical layers under
+// configs sharing its L1 phase (an L2 sweep), so each layer of the group
+// runs one engine pass. Every point funnels through the same Network /
+// simulation paths the synchronous helpers use, so streamed results are
+// bit-identical to the serial per-helper paths and repeated simulation
+// points memo-hit.
 
 package pipeline
 
 import (
 	"context"
+	"slices"
 
 	"delta/internal/scenario"
 	"delta/internal/sim/engine"
@@ -117,12 +121,13 @@ func (e *Evaluator) Stream(ctx context.Context, sc scenario.Scenario, opts ...St
 	return out, nil
 }
 
-// stream is the producer: points are evaluated one at a time, in
-// expansion order, so emission needs no reorder buffer — but each point's
-// layers fan out across the full worker pool inside Network /
-// SimulateLayers, which keeps the hardware saturated while total
-// concurrency stays bounded by the pool width (concurrent streams each
-// add at most one point's fan-out, not a second multiplicative level).
+// stream is the producer: points are evaluated one group at a time (see
+// groupEnd), in expansion order, so emission needs no reorder buffer — but
+// each group's layers fan out across the full worker pool, which keeps the
+// hardware saturated while total concurrency stays bounded by the pool
+// width (concurrent streams each add at most one group's fan-out, not a
+// second multiplicative level). A group never extends past the
+// offset/limit window, and its updates still leave one per point.
 func (e *Evaluator) stream(ctx context.Context, points []scenario.Point, cfg streamConfig, out chan<- StreamUpdate) {
 	defer close(out)
 	n := len(points)
@@ -134,38 +139,73 @@ func (e *Evaluator) stream(ctx context.Context, points []scenario.Point, cfg str
 	if cfg.limit >= 0 && start+cfg.limit < end {
 		end = start + cfg.limit
 	}
-	for i := start; i < end; i++ {
-		p := points[i]
+	for i := start; i < end; {
 		if ctx.Err() != nil {
 			return
 		}
-		upd := e.evalPoint(ctx, p)
-		upd.Done, upd.Total = i+1, n
-		select {
-		case out <- upd:
-		case <-ctx.Done():
-			return
+		j := groupEnd(points, i, end)
+		for k, upd := range e.evalGroup(ctx, points[i:j]) {
+			upd.Done, upd.Total = i+k+1, n
+			select {
+			case out <- upd:
+			case <-ctx.Done():
+				return
+			}
+			if upd.Err != nil && cfg.policy == FailFast {
+				return
+			}
 		}
-		if upd.Err != nil && cfg.policy == FailFast {
-			return
-		}
+		i = j
 	}
 }
 
-// evalPoint answers one scenario point through the shared synchronous
-// paths, so streamed results are bit-identical to the per-helper ones.
-func (e *Evaluator) evalPoint(ctx context.Context, p scenario.Point) StreamUpdate {
-	e.points.Add(1)
-	upd := StreamUpdate{Point: p}
-	if p.Sim != nil {
-		upd.Sim, upd.Err = e.SimulateLayers(ctx, p.Net.Layers, *p.Sim)
-		return upd
+// groupEnd returns the end of the group that starts at points[i]: an
+// analytical point stands alone, and a simulation point takes the
+// consecutive points before end that simulate identical layers under
+// configs sharing its L1 phase.
+func groupEnd(points []scenario.Point, i, end int) int {
+	p := points[i]
+	j := i + 1
+	if p.Sim == nil {
+		return j
 	}
-	upd.Network, upd.Err = e.Network(ctx, NetworkRequest{
-		Net: p.Net, Device: p.Device, Options: p.Options,
-		Model: Model(p.Model), Pass: Pass(p.Pass), MissRate: p.MissRate,
-	})
-	return upd
+	for j < end {
+		q := points[j]
+		if q.Sim == nil || !engine.SharesL1(*p.Sim, *q.Sim) || !slices.Equal(p.Net.Layers, q.Net.Layers) {
+			break
+		}
+		j++
+	}
+	return j
+}
+
+// evalGroup answers one group of points through the shared synchronous
+// paths, so streamed results are bit-identical to the per-helper ones.
+func (e *Evaluator) evalGroup(ctx context.Context, ps []scenario.Point) []StreamUpdate {
+	e.points.Add(uint64(len(ps)))
+	upds := make([]StreamUpdate, len(ps))
+	for k, p := range ps {
+		upds[k].Point = p
+	}
+	if p := ps[0]; p.Sim == nil {
+		upds[0].Network, upds[0].Err = e.Network(ctx, NetworkRequest{
+			Net: p.Net, Device: p.Device, Options: p.Options,
+			Model: Model(p.Model), Pass: Pass(p.Pass), MissRate: p.MissRate,
+		})
+		return upds
+	}
+	cfgs := make([]engine.Config, len(ps))
+	for k, p := range ps {
+		cfgs[k] = *p.Sim
+	}
+	rs, err := e.simulateGroup(ctx, ps[0].Net.Layers, cfgs)
+	for k := range upds {
+		upds[k].Err = err
+		if err == nil {
+			upds[k].Sim = rs[k]
+		}
+	}
+	return upds
 }
 
 // RunScenario streams a scenario to completion and collects the ordered

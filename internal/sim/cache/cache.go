@@ -108,9 +108,19 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	c := &Cache{}
+	c.configure(cfg)
+	return c
+}
+
+// configure gives c the geometry cfg and resets it. Backing arrays are
+// reused when their capacity suffices and otherwise reallocated with
+// capacity rounded up to a power of two, so a cache can serve any
+// geometry of its size class (see Acquire).
+func (c *Cache) configure(cfg Config) {
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	n := numSets * cfg.Ways
-	c := &Cache{
+	*c = Cache{
 		cfg:         cfg,
 		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
@@ -120,16 +130,22 @@ func New(cfg Config) *Cache {
 		setsPow2:    numSets&(numSets-1) == 0,
 		setMask:     int64(numSets - 1),
 		setM:        ^uint64(0)/uint64(numSets) + 1,
-		tags:        make([]int64, n),
-		valid:       make([]uint64, n),
-		dirty:       make([]uint64, n),
-		lastUse:     make([]uint64, n),
-		mru:         make([]int32, numSets),
+		tags:        resize(c.tags, n),
+		valid:       resize(c.valid, n),
+		dirty:       resize(c.dirty, n),
+		lastUse:     resize(c.lastUse, n),
+		mru:         resize(c.mru, numSets),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	c.Reset()
+}
+
+// resize returns s with length n, reallocating with capacity rounded up to
+// a power of two only when cap(s) < n. Contents are left for Reset.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 1<<bits.Len(uint(n-1)))
 	}
-	return c
+	return s[:n]
 }
 
 // Config returns the cache geometry.
@@ -402,31 +418,37 @@ func (c *Cache) AccessBytesTotal() uint64 {
 	return c.stats.SectorAccesses * uint64(c.cfg.SectorBytes)
 }
 
-// pools holds one sync.Pool of *Cache per geometry, so simulation runs
-// reuse backing arrays instead of re-allocating them per layer (an L2 alone
-// is ~1 MB of way state).
-var pools sync.Map // Config -> *sync.Pool
+// pools recycles caches by size class: pools[k] holds caches whose way
+// arrays have capacity 2^k, so simulation runs reuse backing arrays
+// instead of re-allocating them per layer (an L2 alone is ~1 MB of way
+// state). The classes are fixed, so what the pools retain does not grow
+// with the number of distinct geometries a process simulates.
+var pools [64]sync.Pool
+
+// sizeClass returns the pool index of a cache with n ways in all: the
+// smallest k with 2^k >= n.
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 
 // Acquire returns a reset cache of the given geometry, reusing a pooled
-// instance when one is available. Pair with Release when the run is done;
-// the config must validate (Acquire panics like New otherwise).
+// cache of its size class when one is available. Pair with Release when
+// the run is done; the config must validate (Acquire panics like New
+// otherwise).
 func Acquire(cfg Config) *Cache {
-	p, ok := pools.Load(cfg)
-	if !ok {
-		p, _ = pools.LoadOrStore(cfg, &sync.Pool{})
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if v := p.(*sync.Pool).Get(); v != nil {
-		c := v.(*Cache)
-		c.Reset()
-		return c
+	n := cfg.SizeBytes / cfg.LineBytes
+	c, _ := pools[sizeClass(n)].Get().(*Cache)
+	if c == nil {
+		c = &Cache{}
 	}
-	return New(cfg)
+	c.configure(cfg)
+	return c
 }
 
-// Release returns the cache to its geometry's pool. The caller must not use
-// it afterwards; contents are reset on the next Acquire.
+// Release returns the cache to its size class's pool. The caller must not
+// use it afterwards; it is reconfigured and reset on the next Acquire.
 func (c *Cache) Release() {
-	if p, ok := pools.Load(c.cfg); ok {
-		p.(*sync.Pool).Put(c)
-	}
+	// resize keeps every capacity a power of two: its exact class.
+	pools[sizeClass(cap(c.tags))].Put(c)
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -245,4 +246,72 @@ func TestAcquireReleaseReuse(t *testing.T) {
 		t.Fatal("pooled cache retained contents across Release/Acquire")
 	}
 	c2.Release()
+}
+
+// TestReuseAcrossGeometriesMatchesNew: a cache whose backing arrays served
+// other geometries first — larger and smaller, left dirty and full —
+// behaves exactly like New for every geometry of the grid: every return
+// value and counter of a randomized load/store/run stream agrees.
+func TestReuseAcrossGeometriesMatchesNew(t *testing.T) {
+	geoms := diffGeometries()
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(geoms), func(i, j int) { geoms[i], geoms[j] = geoms[j], geoms[i] })
+	reused := Acquire(geoms[0])
+	for _, cfg := range geoms {
+		reused.Release()
+		reused = Acquire(cfg)
+		fresh := New(cfg)
+		if reused.Config() != cfg || reused.Stats() != (Stats{}) {
+			t.Fatalf("%+v: acquired cache has config %+v, stats %+v", cfg, reused.Config(), reused.Stats())
+		}
+		span := int64(cfg.SizeBytes) * 4
+		spl := cfg.LineBytes / cfg.SectorBytes
+		for op := 0; op < 2000; op++ {
+			a := rng.Int63n(span)
+			switch rng.Intn(4) {
+			case 0:
+				reused.WriteSector(a)
+				fresh.WriteSector(a)
+			case 1:
+				line := a / int64(cfg.LineBytes)
+				mask := rng.Uint64() & (1<<uint(spl) - 1)
+				if got, want := reused.AccessLineSectors(line, mask), fresh.AccessLineSectors(line, mask); got != want {
+					t.Fatalf("%+v op %d: AccessLineSectors = %#x, New %#x", cfg, op, got, want)
+				}
+			default:
+				if got, want := reused.AccessSector(a), fresh.AccessSector(a); got != want {
+					t.Fatalf("%+v op %d: AccessSector = %v, New %v", cfg, op, got, want)
+				}
+			}
+		}
+		if got, want := reused.FlushDirty(), fresh.FlushDirty(); got != want || reused.Stats() != fresh.Stats() {
+			t.Fatalf("%+v: reused cache diverged from New:\n got %+v (flushed %d)\nwant %+v (flushed %d)",
+				cfg, reused.Stats(), got, fresh.Stats(), want)
+		}
+	}
+	reused.Release()
+}
+
+// TestPoolsBoundedAcrossGeometries: acquiring and releasing many distinct
+// geometries leaves no per-geometry state behind, so a process fed
+// arbitrary device specs cannot grow the pools without bound.
+func TestPoolsBoundedAcrossGeometries(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a pool's victim cache survives one collection
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	n := 0
+	for ways := 1; ways <= 64; ways++ {
+		for sets := 1; sets <= 320; sets++ {
+			Acquire(Config{SizeBytes: sets * ways * 128, LineBytes: 128, SectorBytes: 32, Ways: ways}).Release()
+			n++
+		}
+	}
+	if after := heap(); after > before+512<<10 {
+		t.Errorf("%d distinct geometries grew the live heap by %d KB", n, (after-before)>>10)
+	}
 }

@@ -2,12 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"delta/internal/gpu"
 	"delta/internal/layers"
-	"delta/internal/sim/trace"
 )
 
 // equivCorpus spans the grid shapes the paper suite produces: all three
@@ -75,8 +75,7 @@ func TestParallelBitIdentical(t *testing.T) {
 // gauntlet over randomized layer geometries and cache associativities,
 // including non-power-of-two way counts — on the TITAN Xp these hit the
 // non-pow2 fastmod set counts (96 L1 / 1536 L2 sets at the default ways).
-// Every run goes through a shared stream tier, cold and then warm, and must
-// reproduce the serial reference Result exactly.
+// Every parallel run must reproduce the serial reference Result exactly.
 func TestRandomGeometryBitIdentical(t *testing.T) {
 	devices := []gpu.Device{gpu.TitanXp(), gpu.V100()}
 	rng := rand.New(rand.NewSource(42))
@@ -117,7 +116,6 @@ func TestRandomGeometryBitIdentical(t *testing.T) {
 			for _, workers := range []int{2, 3} {
 				par := cfg
 				par.Workers = workers
-				par.Streams = trace.NewSharedStreams(0)
 				got, err := Run(l, par)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -125,17 +123,153 @@ func TestRandomGeometryBitIdentical(t *testing.T) {
 				if got != want {
 					t.Errorf("workers=%d diverged:\n got %+v\nwant %+v", workers, got, want)
 				}
-				// Second run against the now-warm tier: hits must be as
-				// exact as generation.
-				again, err := Run(l, par)
-				if err != nil {
-					t.Fatalf("warm rerun: %v", err)
-				}
-				if again != want {
-					t.Errorf("workers=%d warm-tier rerun diverged:\n got %+v\nwant %+v",
-						workers, again, want)
-				}
 			}
 		})
+	}
+}
+
+// l2Sweep returns the configs of one shared pass over base: three L2
+// capacities plus an associativity variant, each device renamed the way a
+// scenario's device specs name their variants.
+func l2Sweep(base Config) []Config {
+	ways := 8
+	if base.L2Ways == 8 {
+		ways = 12
+	}
+	var cfgs []Config
+	for i, scale := range []float64{0.75, 1, 1.25, 1} {
+		c := base
+		c.Device.L2SizeMB *= scale
+		c.Device.Name = fmt.Sprintf("%s L2 %d", base.Device.Name, i)
+		if i == 3 {
+			c.L2Ways = ways
+		}
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
+}
+
+// TestSharedPassBitIdentical: one pass over an L2 sweep returns, for each
+// config, exactly the one-config serial Run result — across the corpus,
+// every ablation config, and the serial and parallel engines (the parallel
+// one replays each wave into the L2s on several goroutines). Run under
+// -race in CI.
+func TestSharedPassBitIdentical(t *testing.T) {
+	for _, d := range []gpu.Device{gpu.TitanXp(), gpu.V100()} {
+		for _, l := range equivCorpus {
+			for ci, base := range equivConfigs(d) {
+				cfgs := l2Sweep(base)
+				t.Run(fmt.Sprintf("%s/%s/cfg%d", d.Name, l.Name, ci), func(t *testing.T) {
+					t.Parallel()
+					want := make([]Result, len(cfgs))
+					for i, c := range cfgs {
+						c.Workers = 1
+						r, err := Run(l, c)
+						if err != nil {
+							t.Fatalf("serial config %d: %v", i, err)
+						}
+						want[i] = r
+					}
+					for _, workers := range []int{1, 2, 3} {
+						pass := append([]Config(nil), cfgs...)
+						pass[0].Workers = workers
+						got, err := RunShared(l, pass)
+						if err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("workers=%d config %d diverged from its serial run:\n got %+v\nwant %+v",
+									workers, i, got[i], want[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunSharedRejects: configs that do not share an L1 phase, an invalid
+// config anywhere in the set, an empty set and an invalid layer are
+// errors, never panics.
+func TestRunSharedRejects(t *testing.T) {
+	xp := gpu.TitanXp()
+	l := equivCorpus[0]
+	ok := Config{Device: xp}
+	differ := map[string]func(*Config){
+		"L1 ways":     func(c *Config) { c.L1Ways = 2 },
+		"SM count":    func(c *Config) { c.Device.NumSM = 28 },
+		"L1 capacity": func(c *Config) { c.Device.L1SizeKBPerSM = 24 },
+		"padding":     func(c *Config) { c.SkipPadding = true },
+		"schedule":    func(c *Config) { c.RowMajorScheduling = true },
+		"waves":       func(c *Config) { c.MaxWaves = 1 },
+		"device":      func(c *Config) { c.Device = gpu.V100() },
+	}
+	for name, mutate := range differ {
+		other := ok
+		mutate(&other)
+		if SharesL1(ok, other) {
+			t.Errorf("%s: SharesL1 = true", name)
+		}
+		if _, err := RunShared(l, []Config{ok, other}); err == nil {
+			t.Errorf("%s: pass accepted configs with different L1 phases", name)
+		}
+	}
+	same := ok
+	same.Device.Name, same.Device.L2SizeMB, same.L2Ways, same.Workers = "other", 2, 8, 3
+	if !SharesL1(ok, same) {
+		t.Error("configs differing only in L2 capacity, L2 ways, name and workers do not share an L1 phase")
+	}
+	bad := ok
+	bad.L2Ways = -1
+	if _, err := RunShared(l, []Config{ok, bad}); err == nil {
+		t.Error("pass accepted an invalid L2 config")
+	}
+	if _, err := RunShared(l, nil); err == nil {
+		t.Error("pass accepted no configs")
+	}
+	if _, err := RunShared(layers.Conv{Name: "bad"}, []Config{ok}); err == nil {
+		t.Error("pass accepted an invalid layer")
+	}
+	// A field the simulator never reads may hold NaN, which equals
+	// nothing: a one-config pass must not compare its config with itself.
+	odd := Config{Device: xp, MaxWaves: 1}
+	odd.Device.LatL1Clk = math.NaN()
+	if _, err := Run(l, odd); err != nil {
+		t.Errorf("one-config run with a NaN latency: %v", err)
+	}
+}
+
+// TestRunSharedSplitsPasses: a config set over the per-pass line budget
+// splits into several passes and every result still equals its own run.
+func TestRunSharedSplitsPasses(t *testing.T) {
+	xp := gpu.TitanXp()
+	base := Config{Device: xp, MaxWaves: 2}
+	cfgs := l2Sweep(base)
+	cfgs = append(cfgs, l2Sweep(Config{Device: xp, MaxWaves: 2, L2Ways: 8})...)
+	l1, l2, err := base.Caches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the L1s and about two L2s per pass.
+	budget := xp.NumSM*lines(l1) + 2*lines(l2)
+	for _, l := range equivCorpus[:3] {
+		got, err := runShared(l, cfgs, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(cfgs) {
+			t.Fatalf("%s: %d results for %d configs", l.Name, len(got), len(cfgs))
+		}
+		for i, c := range cfgs {
+			want, err := Run(l, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("%s config %d: split pass diverged:\n got %+v\nwant %+v", l.Name, i, got[i], want)
+			}
+		}
 	}
 }

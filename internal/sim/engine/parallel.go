@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"sync"
 
 	"delta/internal/sim/cache"
@@ -56,19 +55,19 @@ func getWaveBuf(waveSize, loops int) *waveBuf {
 // worker w owns every SM with index ≡ w (mod workers) — so each L1 cache is
 // driven by exactly one goroutine, in the serial engine's per-SM access
 // order (loop-major lockstep, wave order within a loop). Per-SM L1
-// simulation is independent within a wave: instead of touching the shared
-// L2, workers record each CTA's L1 sector misses into its (loop, slot)
-// segment of a reusable wave buffer. Each worker owns a StreamCache, so
-// tile streams shared by its CTAs are generated and coalesced once, then
+// simulation is independent within a wave: instead of touching the L2s,
+// workers record each CTA's L1 sector misses into its (loop, slot) segment
+// of a reusable wave buffer. Each worker owns a StreamCache, so tile
+// streams shared by its CTAs are generated and coalesced once, then
 // replayed; streams are pure functions of (axis, index, loop), so
 // per-worker memoization cannot diverge from the serial engine.
 //
-// Phase 2: the coordinating goroutine replays the recorded miss segments
-// through the L2 in the exact serial interleave order — loop-major, wave
-// order within a loop, then the wave's epilogue stores — so L2 state
+// Phase 2: the recorded miss segments are replayed through each L2 of the
+// pass in the exact serial interleave order — loop-major, wave order
+// within a loop, then the wave's epilogue stores — so L2 state
 // transitions, DRAM sector counts, and dirty writebacks are bit-identical
-// to runSerial. Wave w's replay overlaps wave w+1's L1 phase; the two
-// phases always touch disjoint buffers.
+// to runSerial (see replayWave). Wave w's replay overlaps wave w+1's L1
+// phase; the two phases always touch disjoint buffers.
 func (s *sim) runParallel(workers int) {
 	nsm := s.d.NumSM
 	bufs := [2]*waveBuf{getWaveBuf(s.waveSize, s.loops), getWaveBuf(s.waveSize, s.loops)}
@@ -83,9 +82,6 @@ func (s *sim) runParallel(workers int) {
 		go func(w int) {
 			defer exit.Done()
 			sc := trace.NewStreamCache(s.gen, s.d.L1ReqBytes, s.d.SectorBytes, s.d.LineBytes, s.waveSize)
-			if s.cfg.Streams != nil {
-				sc.SetShared(s.cfg.Streams)
-			}
 			var reqs uint64
 			drive := func(slot *waveSlot, l1 *cache.Cache, st *trace.Stream) {
 				reqs += st.Requests
@@ -136,7 +132,7 @@ func (s *sim) runParallel(workers int) {
 		}
 		dispatch(bufs[cur], start, end)
 		if pending != nil {
-			s.replay(pending)
+			s.replayWave(pending, workers)
 		}
 		wave.Wait()
 		pending = bufs[cur]
@@ -147,19 +143,42 @@ func (s *sim) runParallel(workers int) {
 	}
 	exit.Wait()
 	if pending != nil {
-		s.replay(pending)
+		s.replayWave(pending, workers)
 	}
 	for _, r := range requests {
-		s.res.L1Requests += r
+		s.l1Requests += r
 	}
 	waveBufPool.Put(bufs[0])
 	waveBufPool.Put(bufs[1])
 }
 
-// replay runs one wave's recorded L1 miss segments through the shared L2 on
-// the coordinating goroutine, in the serial interleave order, then issues
-// the wave's epilogue stores.
-func (s *sim) replay(b *waveBuf) {
+// replayWave replays one recorded wave into every L2 of the pass. The L2s
+// are independent, so a pass serving several configs spreads them over at
+// most workers goroutines, the coordinating one included; each L2 still
+// sees its accesses in the serial order.
+func (s *sim) replayWave(b *waveBuf, workers int) {
+	g := min(workers, len(s.l2s))
+	part := func(w int) {
+		for i := w; i < len(s.l2s); i += g {
+			s.replay(&s.l2s[i], b)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < g; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			part(w)
+		}(w)
+	}
+	part(0)
+	wg.Wait()
+	s.simulated += b.end - b.start
+}
+
+// replay runs one wave's recorded L1 miss segments through one side's L2
+// in the serial interleave order, then issues the wave's epilogue stores.
+func (s *sim) replay(side *l2Side, b *waveBuf) {
 	n := b.end - b.start
 	for loop := 0; loop < s.loops; loop++ {
 		for si := 0; si < n; si++ {
@@ -169,14 +188,12 @@ func (s *sim) replay(b *waveBuf) {
 				lo = slot.loopEnd[loop-1]
 			}
 			for _, r := range slot.misses[lo:slot.loopEnd[loop]] {
-				if m := s.l2.AccessLineSectors(r.Line, r.Mask); m != 0 {
-					s.dramSectors += uint64(bits.OnesCount64(m))
-				}
+				side.load(r.Line, r.Mask)
 			}
 		}
 	}
 	for idx := b.start; idx < b.end; idx++ {
-		s.storeCTA(s.ctaAt(idx))
+		row, col := s.ctaAt(idx)
+		s.storeCTA(side, row, col)
 	}
-	s.res.SimulatedCTAs += n
 }

@@ -16,17 +16,8 @@ import (
 	"delta/internal/gpu"
 	"delta/internal/layers"
 	"delta/internal/sim/dram"
-	"delta/internal/sim/noc"
 	"delta/internal/traffic"
 )
-
-// Options tunes the timing simulation.
-type Options struct {
-	// L2Banks routes L2 traffic through a banked crossbar (internal/sim/noc)
-	// instead of one aggregate bandwidth queue. Zero keeps the aggregate
-	// queue. Banked L2 exposes transient bank collisions between SMs.
-	L2Banks int
-}
 
 // Result is the simulated execution time of one layer.
 type Result struct {
@@ -42,17 +33,10 @@ type Result struct {
 	MeanDRAMTurnaroundClk float64
 }
 
-// Run simulates the layer described by a traffic estimate on device d with
-// default options (aggregate L2 queue).
+// Run simulates the layer described by a traffic estimate on device d.
+// Per-main-loop load volumes come from the estimate; the discrete-event
+// machinery resolves when those loads complete under contention.
 func Run(e traffic.Estimate, d gpu.Device) (Result, error) {
-	return RunWithOptions(e, d, Options{})
-}
-
-// RunWithOptions simulates the layer described by a traffic estimate on
-// device d. Per-main-loop load volumes come from the estimate; the
-// discrete-event machinery resolves when those loads complete under
-// contention.
-func RunWithOptions(e traffic.Estimate, d gpu.Device, o Options) (Result, error) {
 	if err := d.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -72,13 +56,6 @@ func RunWithOptions(e traffic.Estimate, d gpu.Device, o Options) (Result, error)
 	l2Ch, err := dram.NewChannel(d.L2BytesPerClk(), 0)
 	if err != nil {
 		return Result{}, err
-	}
-	var xbar *noc.Crossbar
-	if o.L2Banks > 0 {
-		xbar, err = noc.NewCrossbar(o.L2Banks, d.L2BytesPerClk(), 0, d.LineBytes)
-		if err != nil {
-			return Result{}, err
-		}
 	}
 
 	// Per-loop stream times local to an SM.
@@ -104,18 +81,10 @@ func RunWithOptions(e traffic.Estimate, d gpu.Device, o Options) (Result, error)
 
 	// issueGLS models one loop's global loads launched at time t: the L1
 	// transfer is SM-local, the L2 and DRAM portions queue on the shared
-	// channels. The loads complete when the slowest level delivers. With a
-	// banked L2, the CTA's tile address (hashed from slot and loop) picks
-	// the bank, so colliding SMs queue behind each other.
-	issueGLS := func(t float64, slot, loop int) float64 {
+	// channels. The loads complete when the slowest level delivers.
+	issueGLS := func(t float64) float64 {
 		l1Done := t + d.LatL1Clk + vL1/l1Rate
-		var l2Done float64
-		if xbar != nil {
-			addr := int64(uint32(slot*2654435761) ^ uint32(loop*40503))
-			l2Done = xbar.Read(t, addr*int64(d.LineBytes), vL2) + d.LatL2Clk
-		} else {
-			l2Done = l2Ch.Read(t, vL2) + d.LatL2Clk
-		}
+		l2Done := l2Ch.Read(t, vL2) + d.LatL2Clk
 		dDone := dramCh.Read(t, vDRAM)
 		return math.Max(l1Done, math.Max(l2Done, dDone))
 	}
@@ -152,7 +121,7 @@ func RunWithOptions(e traffic.Estimate, d gpu.Device, o Options) (Result, error)
 				pipeFree[sm] = cs + inner
 				loopDone[s] = cs + inner
 				if loop+1 < loops {
-					glsReady[s] = issueGLS(cs, s, loop)
+					glsReady[s] = issueGLS(cs)
 				}
 			}
 		}

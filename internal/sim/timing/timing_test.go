@@ -107,30 +107,3 @@ func TestInvalidLayerRejected(t *testing.T) {
 		t.Error("invalid layer accepted")
 	}
 }
-
-func TestBankedL2CrossbarOption(t *testing.T) {
-	l := layers.Conv{Name: "xbar", B: 32, Ci: 128, Hi: 28, Wi: 28, Co: 256, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
-	e, err := traffic.Model(l, xp, traffic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := RunWithOptions(e, xp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	banked, err := RunWithOptions(e, xp, Options{L2Banks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Banking can only add collisions: never faster than the aggregate
-	// queue, and within a modest factor for a balanced workload.
-	if banked.Cycles < agg.Cycles*0.999 {
-		t.Errorf("banked L2 faster than aggregate: %v vs %v", banked.Cycles, agg.Cycles)
-	}
-	if banked.Cycles > agg.Cycles*2 {
-		t.Errorf("banked L2 pathologically slow: %v vs %v", banked.Cycles, agg.Cycles)
-	}
-	if _, err := RunWithOptions(e, xp, Options{L2Banks: -1}); err == nil {
-		t.Log("negative banks treated as aggregate (allowed)")
-	}
-}

@@ -11,7 +11,10 @@
 // re-issues an identical stream — the redundancy behind the paper's
 // column-wise scheduling argument (Section IV-C). StreamCache memoizes the
 // coalesced form of each stream so the engine generates and coalesces it
-// once per unique (axis, index, loop) per wave instead of once per CTA.
+// once per unique (axis, index, loop) per wave instead of once per CTA. It
+// is the only stream memo: an engine pass that serves several configs
+// (engine.RunShared) generates each stream once for all of them, and no
+// stream outlives its pass.
 package trace
 
 import (
@@ -306,24 +309,13 @@ type Stream struct {
 	Runs     []LineRun
 }
 
-// streamEntry is one memo slot: the stream of (index, loop). A slot either
-// owns its storage (s, whose Runs buffer is reused across refills) or
-// references an immutable shared-tier stream (ref non-nil) when the cache
-// is backed by a SharedStreams tier.
+// streamEntry is one memo slot: the stream of (index, loop), whose Runs
+// buffer is reused across refills.
 type streamEntry struct {
 	index int32
 	loop  int32
 	live  bool
-	ref   *Stream
 	s     Stream
-}
-
-// stream returns the slot's current stream.
-func (e *streamEntry) stream() *Stream {
-	if e.ref != nil {
-		return e.ref
-	}
-	return &e.s
 }
 
 // StreamCache memoizes coalesced tile streams keyed by (axis, index, loop).
@@ -354,16 +346,6 @@ type StreamCache struct {
 
 	ifmap  []streamEntry // direct-mapped by ctaRow % len
 	filter []streamEntry // direct-mapped by ctaCol % len
-
-	// shared, when non-nil, backs ring misses with the process-level
-	// stream tier: generation lands in a fresh immutable Stream that is
-	// published under its full identity key (keyProto + axis/index/loop),
-	// so later runs — or sibling workers of this run — reuse it. With
-	// shared == nil the ring owns its storage and refills are
-	// allocation-free, exactly the pre-tier behaviour.
-	shared   *SharedStreams
-	keyProto sharedKey
-	scratch  Stream // reusable generation target for tier publication
 
 	buf     [tiling.WarpSize]int64 // warp scratch shared by both axes
 	cur     *Stream                // fill target of the in-flight generation
@@ -398,14 +380,6 @@ func NewStreamCache(gen *Generator, reqBytes, sectorBytes, lineBytes, waveSize i
 		ratioShift: uint(bits.TrailingZeros(uint(reqBytes / sectorBytes))),
 		ifmap:      make([]streamEntry, slots(gen.Grid.Rows)),
 		filter:     make([]streamEntry, slots(gen.Grid.Cols)),
-		keyProto: sharedKey{
-			layer:       gen.Layer,
-			grid:        gen.Grid,
-			skipPad:     gen.skipPad,
-			reqBytes:    int32(reqBytes),
-			sectorBytes: int32(sectorBytes),
-			lineBytes:   int32(lineBytes),
-		},
 	}
 	sc.fastIFmap = !gen.skipPad &&
 		int64(gen.Layer.Stride)*layers.ElemBytes <= int64(sectorBytes) &&
@@ -439,14 +413,9 @@ func NewStreamCache(gen *Generator, reqBytes, sectorBytes, lineBytes, waveSize i
 func (sc *StreamCache) IFmap(ctaRow, loop int) *Stream {
 	e := &sc.ifmap[ctaRow%len(sc.ifmap)]
 	if e.live && e.index == int32(ctaRow) && e.loop == int32(loop) {
-		return e.stream()
+		return &e.s
 	}
 	e.index, e.loop, e.live = int32(ctaRow), int32(loop), true
-	if sc.shared != nil {
-		e.ref = sc.sharedStream(axisIFmap, ctaRow, loop)
-		return e.ref
-	}
-	e.ref = nil
 	sc.fill(&e.s)
 	if sc.fastIFmap {
 		sc.fillIFmapFused(ctaRow, loop)
@@ -454,32 +423,6 @@ func (sc *StreamCache) IFmap(ctaRow, loop int) *Stream {
 		sc.gen.ifmapLoop(ctaRow, loop, &sc.buf, sc.visit)
 	}
 	return &e.s
-}
-
-// sharedStream resolves a ring miss against the shared tier: a hit returns
-// the canonical published stream; a miss generates into the reusable
-// scratch stream and publishes an exact-size immutable copy (two
-// right-sized allocations instead of append-growth into a fresh buffer),
-// adopting whichever copy the tier kept.
-func (sc *StreamCache) sharedStream(axis streamAxis, index, loop int) *Stream {
-	key := sc.keyProto
-	key.axis, key.index, key.loop = axis, int32(index), int32(loop)
-	if st := sc.shared.get(key); st != nil {
-		return st
-	}
-	sc.fill(&sc.scratch)
-	switch {
-	case axis == axisFilter:
-		sc.gen.filterLoop(index, loop, &sc.buf, sc.visit)
-	case sc.fastIFmap:
-		sc.fillIFmapFused(index, loop)
-	default:
-		sc.gen.ifmapLoop(index, loop, &sc.buf, sc.visit)
-	}
-	sc.cur = nil
-	st := &Stream{Requests: sc.scratch.Requests, Runs: make([]LineRun, len(sc.scratch.Runs))}
-	copy(st.Runs, sc.scratch.Runs)
-	return sc.shared.put(key, st)
 }
 
 // fillIFmapFused generates the IFmap stream of (ctaRow, loop) without
@@ -560,23 +503,13 @@ func (sc *StreamCache) emitSectorRange(s0, s1 int64) {
 func (sc *StreamCache) Filter(ctaCol, loop int) *Stream {
 	e := &sc.filter[ctaCol%len(sc.filter)]
 	if e.live && e.index == int32(ctaCol) && e.loop == int32(loop) {
-		return e.stream()
+		return &e.s
 	}
 	e.index, e.loop, e.live = int32(ctaCol), int32(loop), true
-	if sc.shared != nil {
-		e.ref = sc.sharedStream(axisFilter, ctaCol, loop)
-		return e.ref
-	}
-	e.ref = nil
 	sc.fill(&e.s)
 	sc.gen.filterLoop(ctaCol, loop, &sc.buf, sc.visit)
 	return &e.s
 }
-
-// SetShared backs the cache with a process-level stream tier: ring misses
-// consult (and feed) ss instead of regenerating into private storage. A nil
-// tier restores the private allocation-free behaviour.
-func (sc *StreamCache) SetShared(ss *SharedStreams) { sc.shared = ss }
 
 func (sc *StreamCache) fill(s *Stream) {
 	s.Requests = 0

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"delta/internal/layers"
@@ -393,6 +395,86 @@ func TestStreamCacheMemoizes(t *testing.T) {
 	for i := range runs {
 		if c.Runs[i] != runs[i] {
 			t.Fatalf("regenerated run %d = %+v, want %+v", i, c.Runs[i], runs[i])
+		}
+	}
+}
+
+// streamsEqual reports deep equality of two coalesced streams.
+func streamsEqual(a, b *Stream) bool {
+	if a.Requests != b.Requests || len(a.Runs) != len(b.Runs) {
+		return false
+	}
+	for i := range a.Runs {
+		if a.Runs[i] != b.Runs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedStreamsMatchPrivate pins the parallel engine's topology: the
+// workers of a pass each own a StreamCache, but all of them share the
+// layer's one Generator across goroutines. For every (axis, index, loop)
+// across the corpus, both granularities, and both padding modes, each
+// worker — traversing in its own order, so its ring evicts and refills
+// differently — must return streams deep-equal to a private Generator's.
+// Run under -race in CI, this also shows a built Generator is read-only.
+func TestSharedStreamsMatchPrivate(t *testing.T) {
+	grans := []struct{ req, sec, line int }{{128, 32, 128}, {32, 32, 128}}
+	for _, l := range streamCorpus {
+		for _, skipPad := range []bool{false, true} {
+			shared := newGen(t, l, skipPad)
+			for gi, gr := range grans {
+				t.Run(fmt.Sprintf("%s/skip%v/g%d", l.Name, skipPad, gi), func(t *testing.T) {
+					// Copy the private streams out first: a ring's Stream
+					// is only valid until its slot refills.
+					priv := NewStreamCache(newGen(t, l, skipPad), gr.req, gr.sec, gr.line, 8)
+					rows, cols, loops := shared.Grid.Rows, shared.Grid.Cols, shared.Grid.MainLoops()
+					want := make([]Stream, 0, loops*(rows+cols))
+					for loop := 0; loop < loops; loop++ {
+						for i := 0; i < rows+cols; i++ {
+							var s *Stream
+							if i < rows {
+								s = priv.IFmap(i, loop)
+							} else {
+								s = priv.Filter(i-rows, loop)
+							}
+							want = append(want, Stream{Requests: s.Requests, Runs: append([]LineRun(nil), s.Runs...)})
+						}
+					}
+
+					const workers = 3
+					errs := make(chan error, workers)
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(seed int) {
+							defer wg.Done()
+							sc := NewStreamCache(shared, gr.req, gr.sec, gr.line, 8)
+							for loop := 0; loop < loops; loop++ {
+								for i := 0; i < rows+cols; i++ {
+									idx := (i + seed*(rows+cols)/workers) % (rows + cols)
+									var got *Stream
+									if idx < rows {
+										got = sc.IFmap(idx, loop)
+									} else {
+										got = sc.Filter(idx-rows, loop)
+									}
+									if !streamsEqual(got, &want[loop*(rows+cols)+idx]) {
+										errs <- fmt.Errorf("worker %d: stream %d of loop %d diverged from the private generator's", seed, idx, loop)
+										return
+									}
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					close(errs)
+					for err := range errs {
+						t.Error(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,12 +2,12 @@
 # End-to-end smoke of delta-server: build it, start it, submit a small
 # multi-axis scenario to the /v2 async job API, poll the job to completion,
 # check the SSE stream and a /v1 request, run a two-point simulation sweep
-# (exercising the shared stream-cache tier), check that a sim config whose
-# L2 cannot be built answers 400 and the server keeps serving, then scrape
-# /metrics and assert the request/job/stream counters moved, exercise the
-# 413 oversize-body path, and rerun with tight limits to exercise 429 load
-# shedding. Run by the CI
-# server-e2e job and usable locally: ./scripts/server_e2e.sh
+# (one group: the points share each layer's engine pass), check that a sim
+# config whose L2 cannot be built answers 400 and the server keeps serving,
+# then scrape /metrics and assert the request/job/memo counters moved,
+# exercise the 413 oversize-body path, and rerun with tight limits to
+# exercise 429 load shedding. Run by the CI server-e2e job and usable
+# locally: ./scripts/server_e2e.sh
 set -Eeuo pipefail
 # Fail fast and name the offender: the ERR trap fires before the EXIT
 # cleanup, so the log ends with the exact line and command that broke.
@@ -76,10 +76,9 @@ curl -fsS "$BASE/v1/network" -d '{"network": "alexnet", "device": "V100"}' \
   | python3 -c 'import json,sys; assert json.load(sys.stdin)["total_seconds"] > 0'
 echo "server-e2e: /v1 OK"
 
-# A simulation sweep: two sim configs over one small layer. The second
-# point re-derives the same coalesced tile streams, so the shared
-# stream-cache tier must record both misses (first point) and hits
-# (second point) by the /metrics scrape below.
+# A simulation sweep: two sim configs over one small layer that differ only
+# in L2 associativity, so the stream runs them as one group, one engine
+# pass serving both points.
 SIM_ID=$(curl -fsS "$BASE/v2/jobs" -d '{"scenario": {
   "name": "e2e-sim",
   "workloads": [{"name": "tiny", "layers": [{"b": 1, "ci": 16, "hi": 8, "co": 32, "hf": 3, "pad": 1}]}],
@@ -138,9 +137,6 @@ assert total("delta_http_request_duration_seconds_count") > 0, "no latencies obs
 assert metrics.get("delta_scenario_points_total", 0) >= 10, "scenario points not counted"
 assert metrics.get("delta_pipeline_cache_misses_total", 0) > 0, "pipeline cache never exercised"
 assert metrics.get("delta_jobs_stored", -1) >= 1, "job store gauge missing"
-assert metrics.get("delta_stream_cache_misses_total", 0) > 0, "stream tier never filled"
-assert metrics.get("delta_stream_cache_hits_total", 0) > 0, "stream tier never hit"
-assert metrics.get("delta_stream_cache_entries", 0) > 0, "stream tier occupancy missing"
 print("server-e2e: /metrics OK (%d series)" % len(metrics))
 '
 
