@@ -238,11 +238,6 @@ func BenchmarkSimL2SweepGrouped(b *testing.B) { benchkit.L2SweepGrouped(b) }
 // tracks (see cmd/delta-bench, which runs the same benchkit body).
 func BenchmarkScenarioStream(b *testing.B) { benchkit.ScenarioStream(b) }
 
-// BenchmarkFleetSweep measures the distributed shape of the same sweep:
-// sharded over in-process HTTP workers and merged by a coordinator — the
-// fleet_vs_single numerator in BENCH_sim.json.
-func BenchmarkFleetSweep(b *testing.B) { benchkit.FleetSweep(b) }
-
 // --- Ablation benches: traffic-model and simulator design choices ---
 
 // ablationDRAMRatio evaluates the whole paper suite under a traffic-model

@@ -78,8 +78,6 @@ type baseline struct {
 
 	// Throughput tracks the Scenario-API overhead: whole-network points/s
 	// through Evaluator.Stream on the canonical multi-axis sweep.
-	// fleet_vs_single records (not gates) the same sweep sharded across
-	// in-process fleet workers relative to the single-node path.
 	Throughput map[string]float64 `json:"throughput"`
 }
 
@@ -179,14 +177,6 @@ func run() int {
 
 	scen := run("ScenarioStream", benchkit.ScenarioStream)
 	doc.Throughput["scenario_points_per_sec"] = scen.Metrics["points/s"]
-
-	// Distributed shape of the same sweep: sharded over in-process HTTP
-	// workers and merged by a coordinator. Recorded, not gated — the ratio
-	// mostly measures HTTP+SSE overhead vs fleet parallelism and swings
-	// with host core count.
-	fleet := run("FleetSweep", benchkit.FleetSweep)
-	doc.Throughput["fleet_points_per_sec"] = fleet.Metrics["points/s"]
-	doc.Throughput["fleet_vs_single"] = fleet.Metrics["points/s"] / scen.Metrics["points/s"]
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

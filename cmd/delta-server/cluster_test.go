@@ -272,8 +272,8 @@ func TestFleetHealthQuorum(t *testing.T) {
 // lifecycle in the job WAL — every shard reaches "done" on a completed
 // sweep.
 func TestFleetDurableShardRecords(t *testing.T) {
-	d := openTestDurability(t, t.TempDir(), durable.SinkConfig{Kind: "none"})
-	defer d.close(t.Context())
+	d := openTestDurability(t, t.TempDir())
+	defer d.close()
 	st := newJobStore(jobStoreConfig{})
 	st.durable = d
 	t.Cleanup(st.Close)

@@ -76,8 +76,8 @@ type jobStore struct {
 	cancel context.CancelCauseFunc
 
 	// durable, when non-nil, mirrors every job lifecycle edge into the
-	// WAL-backed store and result outbox (-data-dir). nil = in-memory only;
-	// all its record methods are nil-safe.
+	// WAL-backed store (-data-dir). nil = in-memory only; all its record
+	// methods are nil-safe.
 	durable *durability
 
 	// runners tracks in-flight runJob goroutines so shutdown can drain

@@ -27,10 +27,10 @@
 // /healthz and /metrics stay open.
 //
 // Durability: -data-dir enables a WAL-backed job store (internal/durable)
-// — restarts re-adopt persisted jobs and resume half-finished sweeps from
-// their last completed point — plus outbox-buffered result sinks (-sink)
-// and an -fsync policy. Without -data-dir jobs are in-memory and behavior
-// is unchanged. See the README's Durability section.
+// with an -fsync policy — restarts re-adopt persisted jobs and resume
+// half-finished sweeps from their last completed point. Without -data-dir
+// jobs are in-memory and behavior is unchanged. See the README's
+// Durability section.
 //
 // Distributed sweeps: every delta-server also serves POST /v2/shards, the
 // worker half of fleet mode — a scenario window streamed back as SSE
@@ -68,14 +68,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"delta"
 	"delta/internal/chaos"
 	"delta/internal/durable"
-	"delta/internal/spec"
 )
 
 func main() {
@@ -95,13 +93,11 @@ func main() {
 			"global concurrent-request cap; exceeding answers 503 + Retry-After (0 = uncapped)")
 
 		dataDir = flag.String("data-dir", "",
-			"durable job state directory: WAL + snapshots + result sinks; restart resumes half-finished sweeps (empty = in-memory only)")
+			"durable job state directory: WAL + snapshots; restart resumes half-finished sweeps (empty = in-memory only)")
 		fsyncMode = flag.String("fsync", "interval",
 			"WAL fsync policy with -data-dir: always | interval | never")
 		fsyncEvery = flag.Duration("fsync-interval", 0,
 			"WAL fsync cadence for -fsync=interval (0 = 100ms default)")
-		sinkFlag = flag.String("sink", "",
-			`result sink with -data-dir: "jsonl" (default), "none", inline JSON config, or @file`)
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"shutdown budget for draining running jobs into the durable store")
 
@@ -151,13 +147,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "delta-server:", err)
 			os.Exit(2)
 		}
-		sinkCfg, err := parseSinkFlag(*sinkFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "delta-server: -sink:", err)
-			os.Exit(2)
-		}
 		dur, err := openDurability(*dataDir,
-			durable.StoreOptions{Fsync: mode, FsyncInterval: *fsyncEvery}, sinkCfg, log.Default())
+			durable.StoreOptions{Fsync: mode, FsyncInterval: *fsyncEvery}, log.Default())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "delta-server: opening durable store:", err)
 			os.Exit(1)
@@ -232,9 +223,7 @@ func main() {
 		if !jobs.drain(*drainTimeout) {
 			log.Printf("delta-server: drain timed out after %s; snapshotting what was flushed", *drainTimeout)
 		}
-		closeCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		jobs.durable.close(closeCtx)
+		jobs.durable.close()
 	}
 
 	select {
@@ -259,29 +248,4 @@ func main() {
 		}
 		closeDurable()
 	}
-}
-
-// parseSinkFlag resolves the -sink value: the "jsonl"/"none" shorthands,
-// an inline JSON config, or @file indirection (see internal/spec.ReadSink
-// for the document shape). Empty means the jsonl default — results land in
-// <data-dir>/results.jsonl.
-func parseSinkFlag(v string) (durable.SinkConfig, error) {
-	switch strings.TrimSpace(v) {
-	case "", "jsonl":
-		return durable.SinkConfig{Kind: "jsonl"}, nil
-	case "none":
-		return durable.SinkConfig{Kind: "none"}, nil
-	}
-	if name, ok := strings.CutPrefix(v, "@"); ok {
-		f, err := os.Open(name)
-		if err != nil {
-			return durable.SinkConfig{}, err
-		}
-		defer f.Close()
-		return spec.ReadSink(f)
-	}
-	if strings.HasPrefix(strings.TrimSpace(v), "{") {
-		return spec.ReadSink(strings.NewReader(v))
-	}
-	return durable.SinkConfig{}, fmt.Errorf("unrecognized sink %q (want jsonl, none, inline JSON, or @file)", v)
 }

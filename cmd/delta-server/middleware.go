@@ -81,13 +81,6 @@ const (
 	metricRatelimitClients  = "delta_ratelimit_clients"
 	metricInflightInUse     = "delta_inflight_in_use"
 	metricInflightCapacity  = "delta_inflight_capacity"
-	metricOutboxDepth       = "delta_outbox_depth"
-	metricOutboxCapacity    = "delta_outbox_capacity"
-	metricOutboxPublished   = "delta_outbox_published_total"
-	metricOutboxFlushed     = "delta_outbox_flushed_total"
-	metricOutboxRetries     = "delta_outbox_retries_total"
-	metricOutboxDeadLetters = "delta_outbox_dead_letters_total"
-	metricOutboxOverflow    = "delta_outbox_overflow_total"
 	metricWALRecords        = "delta_wal_records_total"
 	metricWALCompactions    = "delta_wal_compactions_total"
 	metricWALReplayedJobs   = "delta_wal_replayed_jobs"
@@ -166,29 +159,7 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 			func() float64 { return float64(gate.Cap()) })
 	}
 	if d := jobs.durable; d != nil {
-		// Durable-mode metrics (-data-dir): the outbox set reads zero when
-		// no sink is configured, keeping the scrape shape stable.
-		reg.GaugeFunc(metricOutboxDepth,
-			"Result-sink outbox occupancy (events queued for flush).",
-			func() float64 { return float64(d.outboxStats().Depth) })
-		reg.GaugeFunc(metricOutboxCapacity,
-			"Result-sink outbox queue capacity.",
-			func() float64 { return float64(d.outboxStats().Capacity) })
-		reg.CounterFunc(metricOutboxPublished,
-			"Events accepted into the result-sink outbox.",
-			func() float64 { return float64(d.outboxStats().Published) })
-		reg.CounterFunc(metricOutboxFlushed,
-			"Events successfully flushed to the result sink.",
-			func() float64 { return float64(d.outboxStats().Flushed) })
-		reg.CounterFunc(metricOutboxRetries,
-			"Result-sink flush attempts that failed and were retried.",
-			func() float64 { return float64(d.outboxStats().Retries) })
-		reg.CounterFunc(metricOutboxDeadLetters,
-			"Events spilled to the dead-letter file after exhausting retries.",
-			func() float64 { return float64(d.outboxStats().DeadLetters) })
-		reg.CounterFunc(metricOutboxOverflow,
-			"Events dead-lettered immediately because the outbox was full.",
-			func() float64 { return float64(d.outboxStats().Overflow) })
+		// Durable-mode metrics (-data-dir).
 		reg.CounterFunc(metricWALRecords,
 			"Records appended to the durable job WAL.",
 			func() float64 { return float64(d.storeStats().Records) })

@@ -1,10 +1,10 @@
 // Durability glue: wires the /v2 job store to internal/durable. With
 // -data-dir set, every job lifecycle edge (submit, point result, terminal
-// status, eviction) is appended to a write-ahead log and mirrored into an
-// outbox-buffered result sink; at startup, persisted jobs are reloaded and
-// half-finished sweeps resume from their last completed point. Without
-// -data-dir the durability pointer stays nil and every hook below is a
-// no-op, so the in-memory behavior (and its responses) are untouched.
+// status, eviction) is appended to a write-ahead log; at startup,
+// persisted jobs are reloaded and half-finished sweeps resume from their
+// last completed point. Without -data-dir the durability pointer stays
+// nil and every hook below is a no-op, so the in-memory behavior (and its
+// responses) are untouched.
 package main
 
 import (
@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"path/filepath"
 	"time"
 
 	"delta"
@@ -21,18 +20,15 @@ import (
 	"delta/internal/spec"
 )
 
-// durability bundles the WAL-backed store with the optional result
-// outbox. All record methods are nil-receiver-safe: a nil *durability is
-// the in-memory configuration.
+// durability wraps the WAL-backed store. All record methods are
+// nil-receiver-safe: a nil *durability is the in-memory configuration.
 type durability struct {
-	store  *durable.Store
-	outbox *durable.Outbox
-	log    *log.Logger
+	store *durable.Store
+	log   *log.Logger
 }
 
-// openDurability opens the job store in dir and, when the sink config
-// names a backend, starts the retry outbox in front of it.
-func openDurability(dir string, storeOpts durable.StoreOptions, sinkCfg durable.SinkConfig, logger *log.Logger) (*durability, error) {
+// openDurability opens the job store in dir.
+func openDurability(dir string, storeOpts durable.StoreOptions, logger *log.Logger) (*durability, error) {
 	if logger == nil {
 		logger = log.Default()
 	}
@@ -41,22 +37,7 @@ func openDurability(dir string, storeOpts durable.StoreOptions, sinkCfg durable.
 	if err != nil {
 		return nil, err
 	}
-	d := &durability{store: st, log: logger}
-	sink, err := durable.BuildSink(sinkCfg, dir)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	if sink != nil {
-		obCfg := sinkCfg.OutboxSettings()
-		obCfg.Log = logger
-		if obCfg.DeadLetterPath == "" {
-			obCfg.DeadLetterPath = filepath.Join(dir, "dead-letter.jsonl")
-		}
-		d.outbox = durable.NewOutbox(sink, obCfg)
-		logger.Printf("delta-server: result sink %s (outbox queue %d)", sink.Name(), d.outbox.Stats().Capacity)
-	}
-	return d, nil
+	return &durability{store: st, log: logger}, nil
 }
 
 // recordSubmit persists a newly accepted job (called with the raw
@@ -68,14 +49,9 @@ func (d *durability) recordSubmit(j *job, scenario json.RawMessage, policy strin
 	if err := d.store.RecordSubmit(j.id, j.name, j.total, j.created, scenario, policy); err != nil {
 		d.log.Printf("delta-server: persisting job %s submit: %v", j.id, err)
 	}
-	if d.outbox != nil {
-		d.outbox.Publish(durable.Event{Job: j.id, Kind: "submitted", Payload: scenario})
-	}
 }
 
-// recordResult persists one streamed point result at its dense position
-// and feeds the sink. The rendered payload is marshaled once and shared
-// between the WAL and the outbox.
+// recordResult persists one streamed point result at its dense position.
 func (d *durability) recordResult(id string, seq int, pr pointResult) {
 	if d == nil {
 		return
@@ -88,9 +64,6 @@ func (d *durability) recordResult(id string, seq int, pr pointResult) {
 	if err := d.store.RecordResult(id, seq, payload); err != nil {
 		d.log.Printf("delta-server: persisting job %s result %d: %v", id, seq, err)
 	}
-	if d.outbox != nil {
-		d.outbox.Publish(durable.Event{Job: id, Kind: "result", Seq: seq, Payload: payload})
-	}
 }
 
 // recordFinish persists a job's terminal transition. Shutdown
@@ -102,10 +75,6 @@ func (d *durability) recordFinish(id string, status jobStatus, errMsg string, at
 	}
 	if err := d.store.RecordFinish(id, string(status), errMsg, at); err != nil {
 		d.log.Printf("delta-server: persisting job %s finish: %v", id, err)
-	}
-	if d.outbox != nil {
-		payload, _ := json.Marshal(map[string]string{"status": string(status), "error": errMsg})
-		d.outbox.Publish(durable.Event{Job: id, Kind: "finished", Payload: payload})
 	}
 }
 
@@ -132,14 +101,6 @@ func (d *durability) recordEvict(id string) {
 	}
 }
 
-// outboxStats is the nil-safe metrics view.
-func (d *durability) outboxStats() durable.OutboxStats {
-	if d == nil || d.outbox == nil {
-		return durable.OutboxStats{}
-	}
-	return d.outbox.Stats()
-}
-
 // storeStats is the nil-safe metrics view.
 func (d *durability) storeStats() durable.StoreStats {
 	if d == nil || d.store == nil {
@@ -148,21 +109,10 @@ func (d *durability) storeStats() durable.StoreStats {
 	return d.store.Stats()
 }
 
-// saturated reports outbox backpressure for /healthz.
-func (d *durability) saturated() bool {
-	return d != nil && d.outbox != nil && d.outbox.Saturated()
-}
-
-// close drains the outbox (one final flush attempt, then dead-letter) and
-// compacts the store into a clean snapshot. ctx bounds the outbox drain.
-func (d *durability) close(ctx context.Context) {
+// close compacts the store into a clean snapshot.
+func (d *durability) close() {
 	if d == nil {
 		return
-	}
-	if d.outbox != nil {
-		if err := d.outbox.Close(ctx); err != nil {
-			d.log.Printf("delta-server: closing outbox: %v", err)
-		}
 	}
 	if err := d.store.Close(); err != nil {
 		d.log.Printf("delta-server: closing durable store: %v", err)

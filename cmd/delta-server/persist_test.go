@@ -1,7 +1,7 @@
 // Tests for the durable-jobs wiring: crash-recovery resume with
-// byte-identical results, persistence-aware eviction racing job
-// completion, the entropy-failure job-id fallback, SSE Last-Event-ID
-// resume, and engine liveness against a failing result sink.
+// byte-identical results and the WAL's /metrics and /healthz surface,
+// persistence-aware eviction racing job completion, the entropy-failure
+// job-id fallback, and SSE Last-Event-ID resume.
 package main
 
 import (
@@ -12,7 +12,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,9 +42,9 @@ func durableTestServer(t *testing.T, d *durability, cfg jobStoreConfig) (*httpte
 	return ts, st, sv
 }
 
-func openTestDurability(t *testing.T, dir string, sink durable.SinkConfig) *durability {
+func openTestDurability(t *testing.T, dir string) *durability {
 	t.Helper()
-	d, err := openDurability(dir, durable.StoreOptions{Fsync: durable.FsyncNever}, sink, quietLogger())
+	d, err := openDurability(dir, durable.StoreOptions{Fsync: durable.FsyncNever}, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +69,8 @@ func findDurableJob(t *testing.T, d *durability, id string) *durable.JobState {
 // uninterrupted run.
 func TestCrashRecoveryResume(t *testing.T) {
 	// Reference: an uninterrupted run with durability on.
-	durA := openTestDurability(t, t.TempDir(), durable.SinkConfig{Kind: "none"})
-	defer durA.close(context.Background())
+	durA := openTestDurability(t, t.TempDir())
+	defer durA.close()
 	tsA, _, _ := durableTestServer(t, durA, jobStoreConfig{})
 	sumA := submitJob(t, tsA, multiAxisJob)
 	want := pollJob(t, tsA, sumA.ID)
@@ -107,8 +108,8 @@ func TestCrashRecoveryResume(t *testing.T) {
 	}
 
 	// Restart: the new process must adopt and resume the sweep.
-	durB := openTestDurability(t, dirB, durable.SinkConfig{Kind: "none"})
-	defer durB.close(context.Background())
+	durB := openTestDurability(t, dirB)
+	defer durB.close()
 	tsB, _, svB := durableTestServer(t, durB, jobStoreConfig{})
 	restored, resumed := svB.resumeJobs()
 	if restored != 0 || resumed != 1 {
@@ -128,6 +129,33 @@ func TestCrashRecoveryResume(t *testing.T) {
 	gotBuf, _ := json.Marshal(got.Results)
 	if string(wantBuf) != string(gotBuf) {
 		t.Fatalf("resumed results diverge from uninterrupted run:\nwant %s\ngot  %s", wantBuf, gotBuf)
+	}
+
+	// The WAL's operator surface: -data-dir adds exactly the four
+	// delta_wal_* series to /metrics, and /healthz stays ready with a
+	// durable block that holds the WAL counters and nothing else.
+	tsMem, _, _ := durableTestServer(t, nil, jobStoreConfig{})
+	inMemory := metricFamilies(t, tsMem.URL)
+	var added []string
+	for name := range metricFamilies(t, tsB.URL) {
+		if !inMemory[name] {
+			added = append(added, name)
+		}
+	}
+	sort.Strings(added)
+	wantAdded := []string{"delta_wal_compactions_total", "delta_wal_records_total",
+		"delta_wal_replayed_jobs", "delta_wal_torn_bytes"}
+	if !slices.Equal(added, wantAdded) {
+		t.Errorf("durable /metrics adds %v, want %v", added, wantAdded)
+	}
+	var health struct {
+		Durable map[string]float64 `json:"durable"`
+	}
+	if resp := postGet(t, tsB.URL+"/healthz", &health); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status = %d", resp.StatusCode)
+	}
+	if health.Durable["wal_records"] <= 0 || health.Durable["replayed_jobs"] != 1 || len(health.Durable) != 4 {
+		t.Errorf("healthz durable block = %v", health.Durable)
 	}
 
 	// And the durable state must have converged too: done, with the same
@@ -177,8 +205,8 @@ func TestResumeRejectsRemovedField(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dur := openTestDurability(t, dir, durable.SinkConfig{Kind: "none"})
-	defer dur.close(context.Background())
+	dur := openTestDurability(t, dir)
+	defer dur.close()
 	ts, _, sv := durableTestServer(t, dur, jobStoreConfig{})
 	sv.resumeJobs()
 	got := pollJob(t, ts, "legacy01")
@@ -255,8 +283,8 @@ func TestJobEventsLastEventID(t *testing.T) {
 // exactly once, and the durable state must match the winning outcome —
 // eventually evicted, never left "running" on disk.
 func TestEvictionFinishRaceDurable(t *testing.T) {
-	dur := openTestDurability(t, t.TempDir(), durable.SinkConfig{Kind: "none"})
-	defer dur.close(context.Background())
+	dur := openTestDurability(t, t.TempDir())
+	defer dur.close()
 
 	var clock atomic.Int64
 	t0 := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
@@ -372,112 +400,18 @@ func TestNewJobIDFallback(t *testing.T) {
 	}
 }
 
-// TestFailingSinkDoesNotStallJobs pins the backpressure guarantee: a sink
-// that never succeeds (tiny queue, so the outbox saturates immediately)
-// must not block the engine hot path — the sweep completes promptly, the
-// overflow spills to the dead-letter file, and the durable metrics and
-// healthz surface the backpressure.
-func TestFailingSinkDoesNotStallJobs(t *testing.T) {
-	dir := t.TempDir()
-	stD, err := durable.Open(dir, durable.StoreOptions{Fsync: durable.FsyncNever, Log: quietLogger()})
+// metricFamilies returns the metric names a /metrics scrape declares.
+func metricFamilies(t *testing.T, base string) map[string]bool {
+	t.Helper()
+	buf, err := io.ReadAll(postGet(t, base+"/metrics", nil).Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &durable.FlakySink{FailFirst: 1 << 30} // never succeeds
-	ob := durable.NewOutbox(sink, durable.OutboxConfig{
-		Queue: 2, Batch: 1, MaxAttempts: 2,
-		BaseBackoff: 250 * time.Millisecond, MaxBackoff: time.Second,
-		DeadLetterPath: filepath.Join(dir, "dead-letter.jsonl"),
-		Log:            quietLogger(),
-	})
-	dur := &durability{store: stD, outbox: ob, log: quietLogger()}
-	ts, _, _ := durableTestServer(t, dur, jobStoreConfig{})
-
-	start := time.Now()
-	sum := submitJob(t, ts, multiAxisJob)
-	jr := pollJob(t, ts, sum.ID)
-	if jr.Status != string(jobDone) || len(jr.Results) != 8 {
-		t.Fatalf("job against dead sink = %+v", jr.jobSummary)
-	}
-	// The slow, failing sink (250ms+ backoff per attempt, 10 events) must
-	// not set the sweep's pace. The bound is loose to stay robust on slow
-	// CI, but far below what serialized flush attempts would take.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("sweep took %s against a dead sink (engine stalled?)", elapsed)
-	}
-
-	stats := dur.outboxStats()
-	if stats.Published != 10 { // submitted + 8 results + finished
-		t.Errorf("published = %d, want 10", stats.Published)
-	}
-	if stats.Overflow == 0 {
-		t.Errorf("tiny queue against a dead sink never overflowed: %+v", stats)
-	}
-
-	// /metrics carries the outbox set; /healthz reports saturation.
-	var metrics strings.Builder
-	resp := postGet(t, ts.URL+"/metrics", nil)
-	buf, _ := io.ReadAll(resp.Body)
-	metrics.Write(buf)
-	for _, name := range []string{
-		"delta_outbox_depth", "delta_outbox_retries_total",
-		"delta_outbox_dead_letters_total", "delta_wal_records_total",
-	} {
-		if !strings.Contains(metrics.String(), name) {
-			t.Errorf("/metrics missing %s", name)
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names[strings.Fields(rest)[0]] = true
 		}
 	}
-	var health struct {
-		Durable struct {
-			WALRecords int `json:"wal_records"`
-			Outbox     struct {
-				Capacity int `json:"capacity"`
-			} `json:"outbox"`
-		} `json:"durable"`
-	}
-	hr, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Durable.WALRecords == 0 || health.Durable.Outbox.Capacity != 2 {
-		t.Errorf("healthz durable section = %+v", health.Durable)
-	}
-
-	// Close drains what it can and dead-letters the rest: every published
-	// event is accounted for.
-	closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	dur.close(closeCtx)
-	// Overflow spills count as dead letters too, so flushed + dead-lettered
-	// covers everything published.
-	if got := ob.Stats(); got.Flushed+got.DeadLetters != got.Published {
-		t.Errorf("events unaccounted for after close: %+v", got)
-	}
-}
-
-// TestParseSinkFlag covers the -sink value forms.
-func TestParseSinkFlag(t *testing.T) {
-	for _, v := range []string{"", "jsonl"} {
-		cfg, err := parseSinkFlag(v)
-		if err != nil || cfg.Kind != "jsonl" {
-			t.Errorf("parseSinkFlag(%q) = %+v, %v", v, cfg, err)
-		}
-	}
-	if cfg, err := parseSinkFlag("none"); err != nil || cfg.Kind != "none" {
-		t.Errorf("none = %+v, %v", cfg, err)
-	}
-	cfg, err := parseSinkFlag(`{"kind": "http", "url": "http://x/ingest"}`)
-	if err != nil || cfg.Kind != "http" || cfg.URL != "http://x/ingest" {
-		t.Errorf("inline = %+v, %v", cfg, err)
-	}
-	if _, err := parseSinkFlag("kafka"); err == nil {
-		t.Error("unknown sink shorthand accepted")
-	}
-	if _, err := parseSinkFlag("@/no/such/file"); err == nil {
-		t.Error("missing @file accepted")
-	}
+	return names
 }

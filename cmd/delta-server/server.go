@@ -415,32 +415,15 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["in_flight"] = s.gate.InFlight()
 		body["max_in_flight"] = s.gate.Cap()
 	}
-	// With -data-dir, surface WAL and outbox health. A saturated outbox
-	// (sink down long enough that new results spill to the dead-letter
-	// file) degrades readiness: the engine is fine, but results are being
-	// shed and an operator should know before the sink data matters.
-	outboxSaturated := false
+	// With -data-dir, surface WAL health.
 	if d := s.jobs.durable; d != nil {
 		ss := d.storeStats()
-		durableBody := map[string]any{
+		body["durable"] = map[string]any{
 			"wal_records":   ss.Records,
 			"compactions":   ss.Compactions,
 			"replayed_jobs": ss.ReplayedJobs,
 			"torn_bytes":    ss.TornBytes,
 		}
-		if d.outbox != nil {
-			ob := d.outboxStats()
-			outboxSaturated = d.saturated()
-			durableBody["outbox"] = map[string]any{
-				"depth":        ob.Depth,
-				"capacity":     ob.Capacity,
-				"retries":      ob.Retries,
-				"dead_letters": ob.DeadLetters,
-				"overflow":     ob.Overflow,
-				"saturated":    outboxSaturated,
-			}
-		}
-		body["durable"] = durableBody
 	}
 	// In coordinator mode, probe the fleet: losing quorum (a majority of
 	// workers unreachable or degraded) flips readiness so load balancers
@@ -455,7 +438,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	status := http.StatusOK
-	if jobsFull || gateFull || outboxSaturated || quorumLost {
+	if jobsFull || gateFull || quorumLost {
 		body["status"] = "degraded"
 		status = http.StatusServiceUnavailable
 	}

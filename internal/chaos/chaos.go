@@ -1,10 +1,9 @@
 // Package chaos is a seeded, deterministic fault-injection layer for the
-// fleet's network paths — the network counterpart of the storage faults
-// in internal/durable (FlakySink, CorruptWAL). An Injector holds a rule
-// set and a PRNG seeded once at construction; every potential injection
-// consults the same PRNG under one lock, so the same seed over the same
-// request sequence injects the same fault sequence — a failed chaos run
-// replays identically from its seed.
+// fleet's network paths. An Injector holds a rule set and a PRNG seeded
+// once at construction; every potential injection consults the same PRNG
+// under one lock, so the same seed over the same request sequence injects
+// the same fault sequence — a failed chaos run replays identically from
+// its seed.
 //
 // Faults enter through one surface: Listener wraps a server's
 // net.Listener (delta-server's -chaos flag; in-process tests wrap an
@@ -35,10 +34,9 @@ import (
 	"math/rand"
 )
 
-// SeedEnv is the environment variable every chaos-style fault injector in
-// this repo honors for deterministic replay: internal/chaos specs whose
-// seed is 0, and internal/durable.FlakySink's probabilistic mode. Set it
-// to an integer to replay a failed run's exact fault sequence.
+// SeedEnv is the environment variable that seeds a chaos spec whose seed
+// is 0, for deterministic replay. Set it to an integer to replay a failed
+// run's exact fault sequence.
 const SeedEnv = "DELTA_CHAOS_SEED"
 
 // Seed resolves the effective PRNG seed: an explicit non-zero seed wins,

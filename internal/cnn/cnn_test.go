@@ -192,8 +192,10 @@ func TestSensitivityBase(t *testing.T) {
 func TestWholeSuiteModels(t *testing.T) {
 	ls := AllUniqueLayers(DefaultBatch)
 	for _, d := range gpu.All() {
-		if _, err := traffic.ModelAll(ls, d, traffic.Options{}); err != nil {
-			t.Errorf("%s: %v", d.Name, err)
+		for _, l := range ls {
+			if _, err := traffic.Model(l, d, traffic.Options{}); err != nil {
+				t.Errorf("%s: layer %s: %v", d.Name, l.Name, err)
+			}
 		}
 	}
 }

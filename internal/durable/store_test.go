@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -149,7 +150,7 @@ func TestStoreEvict(t *testing.T) {
 // replays the valid prefix, reports the dropped bytes, and the reopened
 // store keeps appending cleanly.
 func TestStoreTornTail(t *testing.T) {
-	for _, mode := range []CorruptMode{CorruptTruncate, CorruptFlip} {
+	for _, mode := range []corruptMode{corruptTruncate, corruptFlip} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			s := testStore(t, dir, StoreOptions{Fsync: FsyncAlways})
@@ -160,7 +161,7 @@ func TestStoreTornTail(t *testing.T) {
 			s.wal.Close()
 			s.closed = true
 			s.mu.Unlock()
-			if err := CorruptWAL(filepath.Join(dir, walName), 3, mode); err != nil {
+			if err := corruptWAL(filepath.Join(dir, walName), 3, mode); err != nil {
 				t.Fatal(err)
 			}
 
@@ -319,4 +320,61 @@ func TestStoreShardLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(testStore(t, dir, StoreOptions{}), "snapshot")
+}
+
+// corruptMode selects how corruptWAL damages the target record.
+type corruptMode int
+
+const (
+	// corruptTruncate cuts the file mid-record (a torn append).
+	corruptTruncate corruptMode = iota
+
+	// corruptFlip flips one payload byte, leaving the stored CRC stale.
+	corruptFlip
+)
+
+// corruptWAL damages the WAL at path: record is the 0-based frame index to
+// hit. Truncation cuts the file partway into that record; flipping inverts
+// a payload byte so the CRC check fails. Both leave every earlier record
+// intact, which is exactly the prefix recovery must keep.
+func corruptWAL(path string, record int, mode corruptMode) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("opening WAL to corrupt: %w", err)
+	}
+	defer f.Close()
+
+	// Walk frames to the target record's offset and length.
+	var offset int64
+	var hdr [frameHeaderLen]byte
+	for i := 0; ; i++ {
+		if _, err := f.ReadAt(hdr[:], offset); err != nil {
+			return fmt.Errorf("WAL has no record %d (walked %d)", record, i)
+		}
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		if i == record {
+			if n == 0 {
+				return fmt.Errorf("record %d has empty payload; nothing to corrupt", record)
+			}
+			switch mode {
+			case corruptTruncate:
+				// Keep the header and half the payload: a classic torn
+				// append.
+				return f.Truncate(offset + frameHeaderLen + n/2)
+			case corruptFlip:
+				var b [1]byte
+				at := offset + frameHeaderLen + n/2
+				if _, err := f.ReadAt(b[:], at); err != nil {
+					return fmt.Errorf("reading byte to flip: %w", err)
+				}
+				b[0] ^= 0xFF
+				if _, err := f.WriteAt(b[:], at); err != nil {
+					return fmt.Errorf("flipping WAL byte: %w", err)
+				}
+				return nil
+			}
+			return fmt.Errorf("unknown corrupt mode %d", mode)
+		}
+		offset += frameHeaderLen + n
+	}
 }

@@ -1,7 +1,7 @@
 // Package durable is the persistence layer under the delta-server /v2
 // jobs API: a write-ahead log of job lifecycle records with periodic
-// compacted snapshots (store.go), and a bounded retry outbox feeding
-// pluggable result sinks (outbox.go, sink.go).
+// compacted snapshots (store.go), the one durable copy of a job's
+// results.
 //
 // The WAL is a single append-only file of length-prefixed, CRC-checked
 // frames. Each frame carries one JSON-encoded lifecycle record: a job was
@@ -87,9 +87,10 @@ func appendFrame(buf, payload []byte) []byte {
 // writer truncates the file to the last good offset.
 var errTornTail = errors.New("durable: torn or corrupt WAL tail")
 
-// readFrame reads one frame from r. It returns errTornTail for any damage
-// that is consistent with a crash mid-append; io.EOF cleanly ends a log.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame from r, which holds room more bytes. It
+// returns errTornTail for any damage that is consistent with a crash
+// mid-append; io.EOF cleanly ends a log.
+func readFrame(r io.Reader, room int64) ([]byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -99,7 +100,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxRecordLen {
+	if n > maxRecordLen || int64(n) > room-frameHeaderLen {
+		// A length the file cannot hold is a torn header; checking it
+		// before allocating keeps replay from sizing a buffer for bytes
+		// that are not there.
 		return nil, errTornTail
 	}
 	payload := make([]byte, n)
@@ -118,7 +122,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 // is tolerated; only apply itself can fail the replay.
 func replayWAL(r io.Reader, size int64, apply func(walRecord) error) (valid int64, dropped int64, err error) {
 	for {
-		payload, rerr := readFrame(r)
+		payload, rerr := readFrame(r, size-valid)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				return valid, 0, nil

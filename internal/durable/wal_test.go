@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -25,7 +27,8 @@ func replayAll(t *testing.T, data []byte) (recs []walRecord, valid, dropped int6
 // prefix must be a clean log: replaying it again applies the same records
 // and drops nothing. The seed corpus (testdata/fuzz/FuzzReplayWAL) holds a
 // clean log, torn headers and payloads, a CRC mismatch, a CRC-valid frame
-// of corrupt JSON and an insane length field.
+// of corrupt JSON, an insane length field and a length past the end of
+// the input.
 func FuzzReplayWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, dropped := replayAll(t, data)
@@ -40,4 +43,25 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatalf("valid prefix replayed %d records, the full input %d", len(again), len(recs))
 		}
 	})
+}
+
+// TestReplayLengthPastEOF: a lone header whose length field claims
+// 16,711,680 bytes is a torn tail, dropped without allocating a buffer
+// for bytes the input does not hold.
+func TestReplayLengthPastEOF(t *testing.T) {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], 0xFF0000)
+	const runs = 10
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < runs; i++ {
+		if recs, valid, dropped := replayAll(t, hdr[:]); len(recs) != 0 || valid != 0 || dropped != frameHeaderLen {
+			t.Fatalf("replay = %d records, valid %d, dropped %d; want 0, 0, %d", len(recs), valid, dropped, frameHeaderLen)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if perRun := (ms.TotalAlloc - before) / runs; perRun >= 64<<10 {
+		t.Errorf("replay allocated %d B per run, want < 64 KiB", perRun)
+	}
 }

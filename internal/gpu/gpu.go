@@ -64,19 +64,27 @@ type Device struct {
 	MaxCTAPerSM int
 }
 
-// Validate reports whether every field needed by the models is populated.
+// Validate reports whether every field needed by the models is populated:
+// every float field finite, and every count, rate, size and latency the
+// models divide by or sum positive. NaN fails every comparison, so the
+// float checks ask "is it positive" rather than "is it <= 0".
 func (d Device) Validate() error {
 	switch {
 	case d.NumSM <= 0:
 		return fmt.Errorf("gpu: %s: NumSM %d", d.Name, d.NumSM)
-	case d.ClockGHz <= 0:
+	case !positive(d.ClockGHz):
 		return fmt.Errorf("gpu: %s: clock %v", d.Name, d.ClockGHz)
-	case d.MACGFLOPS <= 0:
+	case !positive(d.MACGFLOPS):
 		return fmt.Errorf("gpu: %s: MAC throughput %v", d.Name, d.MACGFLOPS)
-	case d.L1BWGBsPerSM <= 0 || d.L2BWGBs <= 0 || d.DRAMBWGBs <= 0:
-		return fmt.Errorf("gpu: %s: memory bandwidth unset", d.Name)
-	case d.SMEMLoadBPerClk <= 0 || d.SMEMStoreBPerClk <= 0:
-		return fmt.Errorf("gpu: %s: SMEM bandwidth unset", d.Name)
+	case !positive(d.L1BWGBsPerSM) || !positive(d.L2BWGBs) || !positive(d.DRAMBWGBs):
+		return fmt.Errorf("gpu: %s: memory bandwidths (L1 %v, L2 %v, DRAM %v GB/s) must be positive and finite",
+			d.Name, d.L1BWGBsPerSM, d.L2BWGBs, d.DRAMBWGBs)
+	case !positive(d.SMEMLoadBPerClk) || !positive(d.SMEMStoreBPerClk):
+		return fmt.Errorf("gpu: %s: SMEM bandwidths (load %v, store %v B/clk) must be positive and finite",
+			d.Name, d.SMEMLoadBPerClk, d.SMEMStoreBPerClk)
+	case !positive(d.LatL1Clk) || !positive(d.LatL2Clk) || !positive(d.LatDRAMClk) || !positive(d.LatSMEMClk):
+		return fmt.Errorf("gpu: %s: latencies (L1 %v, L2 %v, DRAM %v, SMEM %v clk) must be positive and finite",
+			d.Name, d.LatL1Clk, d.LatL2Clk, d.LatDRAMClk, d.LatSMEMClk)
 	case d.L1ReqBytes <= 0 || d.SectorBytes <= 0 || d.LineBytes <= 0:
 		return fmt.Errorf("gpu: %s: transaction granularities unset", d.Name)
 	case d.LineBytes&(d.LineBytes-1) != 0 || d.SectorBytes&(d.SectorBytes-1) != 0 || d.L1ReqBytes&(d.L1ReqBytes-1) != 0:
@@ -87,13 +95,19 @@ func (d Device) Validate() error {
 			d.Name, d.LineBytes, d.SectorBytes, d.L1ReqBytes)
 	case d.LineBytes%d.SectorBytes != 0:
 		return fmt.Errorf("gpu: %s: line %dB not a multiple of sector %dB", d.Name, d.LineBytes, d.SectorBytes)
-	case d.RegKBPerSM <= 0 || d.SMEMKBPerSM <= 0 || d.L2SizeMB <= 0:
-		return fmt.Errorf("gpu: %s: storage sizes unset", d.Name)
+	case !positive(d.RegKBPerSM) || !positive(d.SMEMKBPerSM) || !positive(d.L2SizeMB):
+		return fmt.Errorf("gpu: %s: storage sizes (reg %v KB, SMEM %v KB, L2 %v MB) must be positive and finite",
+			d.Name, d.RegKBPerSM, d.SMEMKBPerSM, d.L2SizeMB)
+	case math.IsNaN(d.L1SizeKBPerSM) || math.IsInf(d.L1SizeKBPerSM, 0):
+		return fmt.Errorf("gpu: %s: L1 size %v", d.Name, d.L1SizeKBPerSM)
 	case d.MaxCTAPerSM <= 0:
 		return fmt.Errorf("gpu: %s: MaxCTAPerSM unset", d.Name)
 	}
 	return nil
 }
+
+// positive reports whether x is finite and > 0 (false for NaN).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MACPerClkPerSM returns FP32 MAC operations per clock per SM.
 func (d Device) MACPerClkPerSM() float64 {

@@ -14,6 +14,65 @@ func TestAllDevicesValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: every float field must be finite, and the
+// rates, sizes and latencies positive. NaN slips past a "<= 0" check, so
+// each field is tried with NaN, +Inf and a non-positive value.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Device) *float64{
+		"ClockGHz":         func(d *Device) *float64 { return &d.ClockGHz },
+		"MACGFLOPS":        func(d *Device) *float64 { return &d.MACGFLOPS },
+		"RegKBPerSM":       func(d *Device) *float64 { return &d.RegKBPerSM },
+		"SMEMKBPerSM":      func(d *Device) *float64 { return &d.SMEMKBPerSM },
+		"L2SizeMB":         func(d *Device) *float64 { return &d.L2SizeMB },
+		"L1BWGBsPerSM":     func(d *Device) *float64 { return &d.L1BWGBsPerSM },
+		"L2BWGBs":          func(d *Device) *float64 { return &d.L2BWGBs },
+		"DRAMBWGBs":        func(d *Device) *float64 { return &d.DRAMBWGBs },
+		"SMEMLoadBPerClk":  func(d *Device) *float64 { return &d.SMEMLoadBPerClk },
+		"SMEMStoreBPerClk": func(d *Device) *float64 { return &d.SMEMStoreBPerClk },
+		"LatL1Clk":         func(d *Device) *float64 { return &d.LatL1Clk },
+		"LatL2Clk":         func(d *Device) *float64 { return &d.LatL2Clk },
+		"LatDRAMClk":       func(d *Device) *float64 { return &d.LatDRAMClk },
+		"LatSMEMClk":       func(d *Device) *float64 { return &d.LatSMEMClk },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e9} {
+			d := V100()
+			*field(&d) = v
+			if err := d.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+	}
+	// L1SizeKBPerSM only sizes the simulator's L1, which checks its own
+	// geometry, so Validate asks only that it be finite.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := V100()
+		d.L1SizeKBPerSM = v
+		if err := d.Validate(); err == nil {
+			t.Errorf("L1SizeKBPerSM = %v accepted", v)
+		}
+	}
+	// Scaling a finite device can overflow to +Inf.
+	d := V100()
+	d.MACGFLOPS = 1e308
+	if err := (Scale{MACPerSM: 4}).Apply(d).Validate(); err == nil {
+		t.Error("MAC throughput scaled to +Inf accepted")
+	}
+}
+
+// TestValidateAllocs: the analytic path validates the device for every
+// layer, so a valid device must cost no allocation.
+func TestValidateAllocs(t *testing.T) {
+	d := V100()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
+	}
+}
+
 func TestTableISpecs(t *testing.T) {
 	// Spot-check Table I values survive the constructors.
 	xp := TitanXp()

@@ -232,12 +232,12 @@ func TestRunSharedRejects(t *testing.T) {
 	if _, err := RunShared(layers.Conv{Name: "bad"}, []Config{ok}); err == nil {
 		t.Error("pass accepted an invalid layer")
 	}
-	// A field the simulator never reads may hold NaN, which equals
-	// nothing: a one-config pass must not compare its config with itself.
+	// A NaN latency is an invalid device, even though the simulator
+	// never reads latencies.
 	odd := Config{Device: xp, MaxWaves: 1}
 	odd.Device.LatL1Clk = math.NaN()
-	if _, err := Run(l, odd); err != nil {
-		t.Errorf("one-config run with a NaN latency: %v", err)
+	if _, err := Run(l, odd); err == nil {
+		t.Error("run accepted a NaN latency")
 	}
 }
 

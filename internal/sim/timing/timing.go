@@ -147,12 +147,3 @@ func Run(e traffic.Estimate, d gpu.Device) (Result, error) {
 	}
 	return res, nil
 }
-
-// RunLayer is a convenience wrapper: traffic model then timing simulation.
-func RunLayer(l layers.Conv, d gpu.Device, opt traffic.Options) (Result, error) {
-	e, err := traffic.Model(l, d, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(e, d)
-}

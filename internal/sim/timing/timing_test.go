@@ -11,11 +11,16 @@ import (
 
 var xp = gpu.TitanXp()
 
+// runLayer models l's traffic on d, then simulates its timing.
 func runLayer(t *testing.T, l layers.Conv, d gpu.Device) Result {
 	t.Helper()
-	r, err := RunLayer(l, d, traffic.Options{})
+	e, err := traffic.Model(l, d, traffic.Options{})
 	if err != nil {
-		t.Fatalf("RunLayer(%s): %v", l.Name, err)
+		t.Fatalf("traffic.Model(%s): %v", l.Name, err)
+	}
+	r, err := Run(e, d)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", l.Name, err)
 	}
 	return r
 }
@@ -54,10 +59,7 @@ func TestMoreSMsFaster(t *testing.T) {
 	l := layers.Conv{Name: "sms", B: 64, Ci: 128, Hi: 28, Wi: 28, Co: 256, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
 	base := runLayer(t, l, xp)
 	big := (gpu.Scale{NumSM: 2, L2BW: 2, DRAMBW: 2}).Apply(xp)
-	fast, err := RunLayer(l, big, traffic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := runLayer(t, l, big)
 	if fast.Cycles >= base.Cycles {
 		t.Errorf("2x device not faster: %v vs %v", fast.Cycles, base.Cycles)
 	}
@@ -69,10 +71,7 @@ func TestStarvedDRAMExposesQueueing(t *testing.T) {
 	l := layers.Conv{Name: "starve", B: 64, Ci: 64, Hi: 56, Wi: 56, Co: 64, Hf: 1, Wf: 1, Stride: 1}
 	base := runLayer(t, l, xp)
 	slow := (gpu.Scale{DRAMBW: 0.1}).Apply(xp)
-	starved, err := RunLayer(l, slow, traffic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	starved := runLayer(t, l, slow)
 	if starved.Cycles <= base.Cycles {
 		t.Errorf("starved run not slower: %v vs %v", starved.Cycles, base.Cycles)
 	}
@@ -103,7 +102,13 @@ func TestDeviceMismatchRejected(t *testing.T) {
 }
 
 func TestInvalidLayerRejected(t *testing.T) {
-	if _, err := RunLayer(layers.Conv{Name: "bad"}, xp, traffic.Options{}); err == nil {
-		t.Error("invalid layer accepted")
+	// A caller that ignores the model's error must not get a timing out
+	// of the estimate it returned.
+	e, err := traffic.Model(layers.Conv{Name: "bad"}, xp, traffic.Options{})
+	if err == nil {
+		t.Fatal("invalid layer accepted")
+	}
+	if _, err := Run(e, xp); err == nil {
+		t.Error("estimate of an invalid layer accepted")
 	}
 }

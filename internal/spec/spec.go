@@ -101,16 +101,3 @@ func ReadDevice(r io.Reader) (gpu.Device, error) {
 	}
 	return s.resolve()
 }
-
-// WriteNetwork serializes a network back to the JSON layer-list format.
-func WriteNetwork(w io.Writer, net cnn.Network) error {
-	specs := make([]LayerSpec, len(net.Layers))
-	for i, l := range net.Layers {
-		specs[i] = LayerSpec{Name: l.Name, B: l.B, Ci: l.Ci, Hi: l.Hi, Wi: l.Wi,
-			Co: l.Co, Hf: l.Hf, Wf: l.Wf, Stride: l.Stride, Pad: l.Pad,
-			Count: net.Counts[i]}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(specs)
-}

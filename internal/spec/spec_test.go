@@ -89,37 +89,15 @@ func TestReadDeviceDefaultsToTitanXp(t *testing.T) {
 
 func TestReadDeviceRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown base":  `{"base": "K80"}`,
-		"unknown field": `{"bogus": 1}`,
-		"invalid value": `{"num_sm": -1}`,
-		"bad json":      `{`,
+		"unknown base":     `{"base": "K80"}`,
+		"unknown field":    `{"bogus": 1}`,
+		"invalid value":    `{"num_sm": -1}`,
+		"negative latency": `{"base": "V100", "lat_dram_clk": -1e9}`,
+		"bad json":         `{`,
 	}
 	for what, in := range cases {
 		if _, err := ReadDevice(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", what)
-		}
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	orig := cnn.GoogLeNet(64)
-	var buf strings.Builder
-	if err := WriteNetwork(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadNetwork(orig.Name, strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Layers) != len(orig.Layers) {
-		t.Fatalf("round trip lost layers: %d vs %d", len(back.Layers), len(orig.Layers))
-	}
-	for i := range orig.Layers {
-		if back.Layers[i] != orig.Layers[i] {
-			t.Errorf("layer %d changed:\n got %+v\nwant %+v", i, back.Layers[i], orig.Layers[i])
-		}
-		if back.Counts[i] != orig.Counts[i] {
-			t.Errorf("count %d changed", i)
 		}
 	}
 }

@@ -72,21 +72,6 @@ func GMAE(ratios []float64) (float64, error) {
 	return math.Exp(s/float64(len(ratios))) - 1, nil
 }
 
-// Ratios divides modeled by measured element-wise.
-func Ratios(model, measured []float64) ([]float64, error) {
-	if len(model) != len(measured) {
-		return nil, errors.New("stats: length mismatch")
-	}
-	out := make([]float64, len(model))
-	for i := range model {
-		if measured[i] == 0 {
-			return nil, errors.New("stats: zero measurement")
-		}
-		out[i] = model[i] / measured[i]
-	}
-	return out, nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {

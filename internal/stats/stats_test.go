@@ -55,19 +55,6 @@ func TestGMAE(t *testing.T) {
 	}
 }
 
-func TestRatios(t *testing.T) {
-	r, err := Ratios([]float64{2, 6}, []float64{1, 3})
-	if err != nil || r[0] != 2 || r[1] != 2 {
-		t.Errorf("Ratios = %v, %v", r, err)
-	}
-	if _, err := Ratios([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Ratios([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero measurement accepted")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5}
 	med, err := Quantile(xs, 0.5)

@@ -161,9 +161,6 @@ func (g Grid) EdgeEfficiencyN() float64 {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// CeilDiv exposes integer ceiling division for sibling packages.
-func CeilDiv(a, b int) int { return ceilDiv(a, b) }
-
 // ProfileTileWidth reproduces the Fig. 6 staircase: the profiled CTA tile
 // width as a function of the output channel count.
 func ProfileTileWidth(coMax int) []int {
@@ -172,12 +169,6 @@ func ProfileTileWidth(coMax int) []int {
 		out[co-1] = Select(co).BlkN
 	}
 	return out
-}
-
-// SMEMFitsDevice reports whether the tile's double-buffered SMEM allocation
-// fits the device at all; useful when exploring enlarged tiles.
-func SMEMFitsDevice(t Tile, d gpu.Device) bool {
-	return t.SMEMBytes() <= d.SMEMBytesPerSM()
 }
 
 // OccupancyReport summarizes the occupancy calculation for diagnostics.

@@ -133,18 +133,19 @@ func TestProfileTileWidthMatchesFig6(t *testing.T) {
 	}
 }
 
+// TestSMEMFits: a tile's double-buffered SMEM allocation fits the
+// device, so occupancy's SMEM limit never reaches zero.
 func TestSMEMFits(t *testing.T) {
-	if !SMEMFitsDevice(Select(128), gpu.TitanXp()) {
-		t.Error("stock tile should fit TITAN Xp SMEM")
+	xp := gpu.TitanXp()
+	if got := Select(128).SMEMBytes(); got > xp.SMEMBytesPerSM() {
+		t.Errorf("stock tile needs %v B of SMEM, TITAN Xp has %v", got, xp.SMEMBytesPerSM())
 	}
-	big := SelectWithDim(128, 256) // (256+256)*8*4*2 = 32768 B
-	if !SMEMFitsDevice(big, gpu.TitanXp()) {
-		t.Error("256 tile should fit 96 KB SMEM")
+	big := SelectWithDim(128, 256)
+	if got := big.SMEMBytes(); got != (256+256)*8*4*2 {
+		t.Errorf("256 tile SMEM = %v B, want 32768", got)
 	}
-	// On a 3x-SMEM option-7 device it certainly fits.
-	d := (gpu.Scale{SMEMPerSM: 3}).Apply(gpu.TitanXp())
-	if !SMEMFitsDevice(big, d) {
-		t.Error("256 tile should fit scaled SMEM")
+	if got := big.SMEMBytes(); got > xp.SMEMBytesPerSM() {
+		t.Errorf("256 tile needs %v B of SMEM, TITAN Xp has %v", got, xp.SMEMBytesPerSM())
 	}
 }
 

@@ -18,7 +18,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math"
 
 	"delta/internal/gpu"
@@ -188,28 +187,23 @@ func MLIIFmap(l layers.Conv, d gpu.Device) float64 {
 	return math.Ceil(ratio*idealReqs) / idealReqs
 }
 
-// MLIFilter computes the filter-matrix load inefficiency. A warp loads
-// 32/blkK column segments of blkK contiguous elements each (Fig. 5b/5c);
-// columns live K elements apart, so each segment needs its own L1 requests,
-// and segment misalignment touches extra request blocks.
+// MLIFilterForK computes the filter-matrix load inefficiency. A warp
+// loads 32/blkK column segments of blkK contiguous elements each (Fig.
+// 5b/5c); columns live K elements apart, so each segment needs its own L1
+// requests, and segment misalignment touches extra request blocks. Filter
+// columns start at multiples of K*4 bytes, so their request-block
+// alignments are the residues of n*K modulo the block size; k <= 0
+// averages over all 4-byte alignments instead.
 //
 // With paper=false the inefficiency is computed at the device's L1 request
-// granularity by averaging block touches over all 4-byte alignments —
-// consistent with Eq. 3's request counting and with the simulator. On Volta
-// (32 B requests) this gives 1.875 (blkK=8) and 2.75 (blkK=4); on Pascal
-// (128 B requests) 4.875 and 8.75.
+// granularity, consistent with Eq. 3's request counting and with the
+// simulator. Averaged over all alignments, Volta (32 B requests) gives
+// 1.875 (blkK=8) and 2.75 (blkK=4); Pascal (128 B requests) 4.875 and
+// 8.75.
 //
 // With paper=true the published Pascal constants — 2.0 (blkK=8) and 2.75
 // (blkK=4), calibrated to 32 B-sector transaction counting — are returned
 // on 128 B-request devices.
-func MLIFilter(blkK int, d gpu.Device, paper bool) float64 {
-	return MLIFilterForK(blkK, 0, d, paper)
-}
-
-// MLIFilterForK is MLIFilter refined with the layer's actual K: filter
-// columns start at multiples of K*4 bytes, so their request-block alignments
-// are the residues of n*K modulo the block size rather than uniformly
-// random. k <= 0 falls back to the paper's all-alignments average.
 func MLIFilterForK(blkK, k int, d gpu.Device, paper bool) float64 {
 	if paper && d.L1ReqBytes == 128 {
 		if blkK == 8 {
@@ -295,35 +289,4 @@ func uniqueIFmapPerLoop(l layers.Conv, tile tiling.Tile) float64 {
 		unique = tileElems
 	}
 	return unique
-}
-
-// NetworkTotals sums an estimate list into per-level totals (bytes).
-type NetworkTotals struct {
-	L1Bytes, L2Bytes, DRAMBytes, StoreBytes float64
-}
-
-// Sum accumulates totals over a set of estimates.
-func Sum(es []Estimate) NetworkTotals {
-	var t NetworkTotals
-	for _, e := range es {
-		t.L1Bytes += e.L1Bytes
-		t.L2Bytes += e.L2Bytes
-		t.DRAMBytes += e.DRAMBytes
-		t.StoreBytes += e.StoreBytes
-	}
-	return t
-}
-
-// ModelAll evaluates the model over a list of layers, failing fast on the
-// first invalid layer.
-func ModelAll(ls []layers.Conv, d gpu.Device, opt Options) ([]Estimate, error) {
-	out := make([]Estimate, 0, len(ls))
-	for _, l := range ls {
-		e, err := Model(l, d, opt)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: layer %s: %w", l.Name, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

@@ -27,29 +27,29 @@ func mustModel(t *testing.T, l layers.Conv, d gpu.Device, opt Options) Estimate 
 func TestMLIFilterPaperConstants(t *testing.T) {
 	// Section IV-A: "MLI_Filter is calculated as 2.0 and 2.75 when blkK is
 	// 8 and 4 respectively" for Pascal GPUs (paper calibration).
-	if got := MLIFilter(8, xp, true); got != 2.0 {
+	if got := MLIFilterForK(8, 0, xp, true); got != 2.0 {
 		t.Errorf("MLIFilter(blkK=8, paper) = %v, want 2.0", got)
 	}
-	if got := MLIFilter(4, xp, true); got != 2.75 {
+	if got := MLIFilterForK(4, 0, xp, true); got != 2.75 {
 		t.Errorf("MLIFilter(blkK=4, paper) = %v, want 2.75", got)
 	}
 	// Request-granularity (default, simulator-consistent) values on Pascal:
 	// 32/blkK segments, each touching 1+(blkK-1)/32 blocks of 128 B.
-	if got := MLIFilter(8, xp, false); math.Abs(got-4.875) > 1e-12 {
+	if got := MLIFilterForK(8, 0, xp, false); math.Abs(got-4.875) > 1e-12 {
 		t.Errorf("MLIFilter(blkK=8, request) = %v, want 4.875", got)
 	}
-	if got := MLIFilter(4, xp, false); math.Abs(got-8.75) > 1e-12 {
+	if got := MLIFilterForK(4, 0, xp, false); math.Abs(got-8.75) > 1e-12 {
 		t.Errorf("MLIFilter(blkK=4, request) = %v, want 8.75", got)
 	}
 	// Volta's 32 B requests: same either way.
-	if got := MLIFilter(8, v100, false); math.Abs(got-1.875) > 1e-12 {
+	if got := MLIFilterForK(8, 0, v100, false); math.Abs(got-1.875) > 1e-12 {
 		t.Errorf("MLIFilter(blkK=8, V100) = %v, want 1.875", got)
 	}
-	if got := MLIFilter(4, v100, false); math.Abs(got-2.75) > 1e-12 {
+	if got := MLIFilterForK(4, 0, v100, false); math.Abs(got-2.75) > 1e-12 {
 		t.Errorf("MLIFilter(blkK=4, V100) = %v, want 2.75", got)
 	}
 	// The paper flag is a no-op on Volta.
-	if MLIFilter(8, v100, true) != MLIFilter(8, v100, false) {
+	if MLIFilterForK(8, 0, v100, true) != MLIFilterForK(8, 0, v100, false) {
 		t.Error("paper flag changed Volta filter MLI")
 	}
 }
@@ -66,7 +66,7 @@ func TestMLIFilterForKAlignment(t *testing.T) {
 		t.Errorf("aligned Volta MLI = %v, want 1.0", got)
 	}
 	// Odd K cycles through all residues: matches the all-alignments average.
-	if got, want := MLIFilterForK(8, 363, v100, false), MLIFilter(8, v100, false); math.Abs(got-want) > 1e-12 {
+	if got, want := MLIFilterForK(8, 363, v100, false), MLIFilterForK(8, 0, v100, false); math.Abs(got-want) > 1e-12 {
 		t.Errorf("odd-K MLI = %v, want all-alignment average %v", got, want)
 	}
 	// K-aware never below the fully aligned floor of 1.
@@ -100,7 +100,7 @@ func TestMLIAlwaysAtLeastOne(t *testing.T) {
 	for _, blkK := range []int{4, 8} {
 		for _, d := range gpu.All() {
 			for _, exact := range []bool{false, true} {
-				if got := MLIFilter(blkK, d, exact); got < 1 {
+				if got := MLIFilterForK(blkK, 0, d, exact); got < 1 {
 					t.Errorf("MLIFilter(%d,%s,%v) = %v < 1", blkK, d.Name, exact, got)
 				}
 			}
@@ -218,31 +218,6 @@ func TestInvalidInputsRejected(t *testing.T) {
 	}
 	if _, err := Model(layers.Conv{Name: "ok", B: 1, Ci: 1, Hi: 4, Wi: 4, Co: 1, Hf: 1, Wf: 1, Stride: 1}, gpu.Device{}, Options{}); err == nil {
 		t.Error("invalid device accepted")
-	}
-}
-
-func TestModelAllAndSum(t *testing.T) {
-	ls := []layers.Conv{
-		{Name: "a", B: 8, Ci: 16, Hi: 14, Wi: 14, Co: 32, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
-		{Name: "b", B: 8, Ci: 32, Hi: 14, Wi: 14, Co: 64, Hf: 1, Wf: 1, Stride: 1},
-	}
-	es, err := ModelAll(ls, xp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) != 2 {
-		t.Fatalf("got %d estimates", len(es))
-	}
-	tot := Sum(es)
-	if tot.L1Bytes != es[0].L1Bytes+es[1].L1Bytes {
-		t.Error("Sum L1 mismatch")
-	}
-	if tot.DRAMBytes != es[0].DRAMBytes+es[1].DRAMBytes {
-		t.Error("Sum DRAM mismatch")
-	}
-	bad := append(ls, layers.Conv{Name: "broken"})
-	if _, err := ModelAll(bad, xp, Options{}); err == nil {
-		t.Error("ModelAll accepted an invalid layer")
 	}
 }
 
