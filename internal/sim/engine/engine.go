@@ -16,8 +16,11 @@
 // Two execution strategies produce bit-identical counters: the serial
 // reference engine (Config.Workers = 1) walks the wave schedule on one
 // goroutine, and the default parallel engine fans per-SM L1 simulation out
-// across workers, then replays the recorded L1 miss segments through each
-// L2 in the exact serial interleave order (see runParallel).
+// across workers one chunk of main loops at a time, recording the chunk's
+// L1 miss segments, then replays them through each L2 in the exact serial
+// interleave order while the workers record the next chunk (see
+// runParallel). Its buffers hold one wave's misses over chunkLoops loops,
+// whatever the layer's loop count.
 package engine
 
 import (

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"delta/internal/gpu"
@@ -244,15 +245,18 @@ func TestInvalidInputs(t *testing.T) {
 }
 
 // TestAllocsBounded is the allocation regression guard for the pooled
-// engine: with cache backing arrays, wave buffers, and warp scratch reused,
-// a serial run of the test layer sits around ~60 allocations (generator,
-// stream-cache slots, and result bookkeeping) where the pre-pooling engine
-// paid ~10k (one escaped warp buffer per tile-stream call plus fresh cache
-// arrays per run). The bound leaves ~10x headroom so GC-emptied pools and
+// engine: with cache backing arrays, chunk buffers, and warp scratch
+// reused, a run of the test layer sits around 60 (serial) to 100
+// (two workers) allocations — generator, stream-cache slots, worker
+// goroutines and result bookkeeping — where the pre-pooling engine paid
+// ~10k (one escaped warp buffer per tile-stream call plus fresh cache
+// arrays per run). The bound leaves headroom so GC-emptied pools and
 // runtime noise cannot flake the test, while still catching any return of
-// per-warp or per-run allocation.
+// per-warp or per-run allocation. The parallel case names its worker
+// count: testing.AllocsPerRun sets GOMAXPROCS to 1 while it measures, so
+// Workers 0 would resolve to the serial engine.
 func TestAllocsBounded(t *testing.T) {
-	for _, workers := range []int{1, 0} {
+	for _, workers := range []int{1, 2} {
 		cfg := Config{Device: xp, Workers: workers}
 		if _, err := Run(testLayer, cfg); err != nil { // warm the pools
 			t.Fatal(err)
@@ -265,5 +269,30 @@ func TestAllocsBounded(t *testing.T) {
 		if allocs > 600 {
 			t.Errorf("workers=%d: %v allocs/run, want <= 600 (pooling regressed)", workers, allocs)
 		}
+	}
+}
+
+// TestParallelBuffersBounded: the parallel engine records L1 misses one
+// chunk of main loops at a time, so the bytes a pass allocates do not grow
+// with the layer's loop count. The layer has 288 main loops in one wave of
+// 6 CTAs; a pass that buffered the whole wave would allocate about 21 MB
+// here, against about 1.5 MB for the serial engine. Not parallel:
+// TotalAlloc counts every goroutine of the process, and two GCs empty the
+// pools first so both runs start cold.
+func TestParallelBuffersBounded(t *testing.T) {
+	l := layers.Conv{Name: "deep", B: 1, Ci: 256, Hi: 27, Wi: 27, Co: 128, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
+	runtime.GC()
+	runtime.GC()
+	allocated := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, l, Config{Device: xp, Workers: workers})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serial := allocated(1)
+	parallel := allocated(2)
+	if parallel > serial+4<<20 {
+		t.Errorf("a two-worker pass allocated %d B, the serial pass %d B: want at most 4 MiB more", parallel, serial)
 	}
 }

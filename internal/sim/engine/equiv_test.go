@@ -12,7 +12,13 @@ import (
 
 // equivCorpus spans the grid shapes the paper suite produces: all three
 // Fig. 6 tiles (Co <= 32, <= 64, > 64), pointwise and spatial filters,
-// stride 2, no padding, multi-wave launches, and an edge-heavy grid.
+// stride 2, no padding, and an edge-heavy grid. Every layer up to and
+// including "multiwave" (49 CTAs, despite its name, which is kept as a
+// golden key) runs in one wave on both devices. The two "waves" layers
+// have 196 CTAs: 4 waves on the TITAN Xp (60 CTAs per wave) and 2 on the
+// V100 (168), so the MaxWaves configs truncate them and the parallel
+// engine's buffers cross wave boundaries; waves3x3's 9 main loops are one
+// more than a recorded chunk (chunkLoops).
 var equivCorpus = []layers.Conv{
 	{Name: "narrow", B: 2, Ci: 96, Hi: 14, Wi: 14, Co: 32, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
 	{Name: "mid", B: 2, Ci: 64, Hi: 28, Wi: 28, Co: 64, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
@@ -21,6 +27,8 @@ var equivCorpus = []layers.Conv{
 	{Name: "stride2", B: 2, Ci: 48, Hi: 56, Wi: 56, Co: 96, Hf: 5, Wf: 5, Stride: 2, Pad: 2},
 	{Name: "nopad", B: 2, Ci: 32, Hi: 27, Wi: 27, Co: 48, Hf: 3, Wf: 3, Stride: 1},
 	{Name: "multiwave", B: 8, Ci: 32, Hi: 28, Wi: 28, Co: 128, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
+	{Name: "waves1x1", B: 8, Ci: 9, Hi: 56, Wi: 56, Co: 96, Hf: 1, Wf: 1, Stride: 1},
+	{Name: "waves3x3", B: 8, Ci: 8, Hi: 56, Wi: 56, Co: 96, Hf: 3, Wf: 3, Stride: 1, Pad: 1},
 }
 
 // equivConfigs are the Config variants the ablations and experiments

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"delta/internal/gpu"
+	"delta/internal/layers"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_results.json from the current engine")
@@ -31,18 +34,46 @@ func goldenKey(device string, layer string, ci int) string {
 //
 //	go test ./internal/sim/engine -run TestGoldenResults -update
 func TestGoldenResults(t *testing.T) {
-	results := map[string]Result{}
+	type cell struct {
+		key string
+		l   layers.Conv
+		cfg Config
+	}
+	var cells []cell
 	for _, d := range []gpu.Device{gpu.TitanXp(), gpu.V100()} {
 		for _, l := range equivCorpus {
 			for ci, cfg := range equivConfigs(d) {
 				cfg.Workers = 1
-				r, err := Run(l, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", goldenKey(d.Name, l.Name, ci), err)
-				}
-				results[goldenKey(d.Name, l.Name, ci)] = r
+				cells = append(cells, cell{goldenKey(d.Name, l.Name, ci), l, cfg})
 			}
 		}
+	}
+	// The cells are independent serial runs: spread them over GOMAXPROCS
+	// goroutines instead of running the whole corpus on one CPU.
+	rs := make([]Result, len(cells))
+	errs := make([]error, len(cells))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				rs[i], errs[i] = Run(cells[i].l, cells[i].cfg)
+			}
+		}()
+	}
+	for i := range cells {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	results := map[string]Result{}
+	for i, c := range cells {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", c.key, errs[i])
+		}
+		results[c.key] = rs[i]
 	}
 
 	if *updateGolden {

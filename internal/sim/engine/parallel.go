@@ -7,24 +7,36 @@ import (
 	"delta/internal/sim/trace"
 )
 
-// waveSlot buffers one CTA's L1 miss stream for one wave: misses holds the
-// missed line runs of every main loop back to back, in issue order, and
-// loopEnd[i] is the end offset (in runs) of loop i's segment.
+// chunkLoops is the number of main loops the parallel engine records
+// before the coordinator replays them. It bounds the miss buffers at
+// (wave size) x (chunkLoops) loops' worth of misses whatever a layer's loop
+// count. One loop per chunk costs a barrier per loop and ran 10-20% slower
+// on a 288-loop, two-wave layer over four L2s (2-vCPU Xeon, two workers);
+// 4 to 32 loops measured alike.
+const chunkLoops = 8
+
+// waveSlot buffers one CTA's L1 miss stream for one chunk: misses holds
+// the missed line runs of the chunk's main loops back to back, in issue
+// order, and loopEnd[i] is the end offset (in runs) of the segment of the
+// chunk's i-th loop.
 type waveSlot struct {
 	misses  []trace.LineRun
 	loopEnd []int32
 }
 
-// waveBuf is one wave's slots plus its schedule-index range. Two buffers
-// alternate so the L2 replay of wave w overlaps the L1 phase of wave w+1.
+// waveBuf is one chunk: a wave's schedule-index range, the main-loop range
+// [loop0, loop1) its slots record, and one slot per CTA of the wave. Two
+// buffers alternate so the L2 replay of one chunk overlaps the L1 phase of
+// the next, across wave boundaries too.
 type waveBuf struct {
-	start, end int
-	slots      []waveSlot
+	start, end   int
+	loop0, loop1 int
+	slots        []waveSlot
 }
 
-// waveBufPool recycles wave buffers (and the per-slot miss buffers they
+// waveBufPool recycles chunk buffers (and the per-slot miss buffers they
 // carry) across runs; getWaveBuf resizes a pooled buffer to the run's wave
-// geometry, reusing slot and segment capacity.
+// and chunk geometry, reusing slot and segment capacity.
 var waveBufPool sync.Pool
 
 func getWaveBuf(waveSize, loops int) *waveBuf {
@@ -49,30 +61,33 @@ func getWaveBuf(waveSize, loops int) *waveBuf {
 	return b
 }
 
-// runParallel is the deterministic two-phase engine.
+// runParallel is the deterministic two-phase engine. It walks each wave
+// in chunks of chunkLoops main loops.
 //
-// Phase 1 (parallel): each wave's CTAs fan out across workers keyed by SM —
+// Phase 1 (parallel): each chunk's CTAs fan out across workers keyed by SM —
 // worker w owns every SM with index ≡ w (mod workers) — so each L1 cache is
 // driven by exactly one goroutine, in the serial engine's per-SM access
 // order (loop-major lockstep, wave order within a loop). Per-SM L1
 // simulation is independent within a wave: instead of touching the L2s,
 // workers record each CTA's L1 sector misses into its (loop, slot) segment
-// of a reusable wave buffer. Each worker owns a StreamCache, so tile
+// of a reusable chunk buffer. Each worker owns a StreamCache, so tile
 // streams shared by its CTAs are generated and coalesced once, then
 // replayed; streams are pure functions of (axis, index, loop), so
 // per-worker memoization cannot diverge from the serial engine.
 //
 // Phase 2: the recorded miss segments are replayed through each L2 of the
-// pass in the exact serial interleave order — loop-major, wave order
-// within a loop, then the wave's epilogue stores — so L2 state
-// transitions, DRAM sector counts, and dirty writebacks are bit-identical
-// to runSerial (see replayWave). Wave w's replay overlaps wave w+1's L1
-// phase; the two phases always touch disjoint buffers.
+// pass in the exact serial interleave order — chunks in loop order,
+// loop-major and wave order within a loop inside a chunk, then, after the
+// wave's last chunk, its epilogue stores — so L2 state transitions, DRAM
+// sector counts, and dirty writebacks are bit-identical to runSerial (see
+// replayChunk). Chunk c's replay overlaps chunk c+1's L1 phase; the two
+// phases always touch disjoint buffers.
 func (s *sim) runParallel(workers int) {
 	nsm := s.d.NumSM
-	bufs := [2]*waveBuf{getWaveBuf(s.waveSize, s.loops), getWaveBuf(s.waveSize, s.loops)}
+	chunk := min(chunkLoops, s.loops)
+	bufs := [2]*waveBuf{getWaveBuf(s.waveSize, chunk), getWaveBuf(s.waveSize, chunk)}
 
-	var wave sync.WaitGroup // per-wave L1 phase barrier
+	var phase sync.WaitGroup // per-chunk L1 phase barrier
 	var exit sync.WaitGroup
 	chans := make([]chan *waveBuf, workers)
 	requests := make([]uint64, workers)
@@ -92,7 +107,7 @@ func (s *sim) runParallel(workers int) {
 				}
 			}
 			for b := range chans[w] {
-				for loop := 0; loop < s.loops; loop++ {
+				for loop := b.loop0; loop < b.loop1; loop++ {
 					for idx := b.start; idx < b.end; idx++ {
 						sm := idx % nsm
 						if sm%workers != w {
@@ -103,21 +118,21 @@ func (s *sim) runParallel(workers int) {
 						row, col := s.ctaAt(idx)
 						drive(slot, l1, sc.IFmap(row, loop))
 						drive(slot, l1, sc.Filter(col, loop))
-						slot.loopEnd[loop] = int32(len(slot.misses))
+						slot.loopEnd[loop-b.loop0] = int32(len(slot.misses))
 					}
 				}
-				wave.Done()
+				phase.Done()
 			}
 			requests[w] = reqs
 		}(w)
 	}
 
-	dispatch := func(b *waveBuf, start, end int) {
-		b.start, b.end = start, end
+	dispatch := func(b *waveBuf, start, end, loop0, loop1 int) {
+		b.start, b.end, b.loop0, b.loop1 = start, end, loop0, loop1
 		for i := range b.slots[:end-start] {
 			b.slots[i].misses = b.slots[i].misses[:0]
 		}
-		wave.Add(workers)
+		phase.Add(workers)
 		for _, ch := range chans {
 			ch <- b
 		}
@@ -126,24 +141,23 @@ func (s *sim) runParallel(workers int) {
 	var pending *waveBuf
 	cur := 0
 	for start := 0; start < s.limit; start += s.waveSize {
-		end := start + s.waveSize
-		if end > s.limit {
-			end = s.limit
+		end := min(start+s.waveSize, s.limit)
+		for loop0 := 0; loop0 < s.loops; loop0 += chunk {
+			dispatch(bufs[cur], start, end, loop0, min(loop0+chunk, s.loops))
+			if pending != nil {
+				s.replayChunk(pending, workers)
+			}
+			phase.Wait()
+			pending = bufs[cur]
+			cur ^= 1
 		}
-		dispatch(bufs[cur], start, end)
-		if pending != nil {
-			s.replayWave(pending, workers)
-		}
-		wave.Wait()
-		pending = bufs[cur]
-		cur ^= 1
 	}
 	for _, ch := range chans {
 		close(ch)
 	}
 	exit.Wait()
 	if pending != nil {
-		s.replayWave(pending, workers)
+		s.replayChunk(pending, workers)
 	}
 	for _, r := range requests {
 		s.l1Requests += r
@@ -152,11 +166,11 @@ func (s *sim) runParallel(workers int) {
 	waveBufPool.Put(bufs[1])
 }
 
-// replayWave replays one recorded wave into every L2 of the pass. The L2s
-// are independent, so a pass serving several configs spreads them over at
-// most workers goroutines, the coordinating one included; each L2 still
-// sees its accesses in the serial order.
-func (s *sim) replayWave(b *waveBuf, workers int) {
+// replayChunk replays one recorded chunk into every L2 of the pass. The
+// L2s are independent, so a pass serving several configs spreads them
+// over at most workers goroutines, the coordinating one included; each L2
+// still sees its accesses in the serial order.
+func (s *sim) replayChunk(b *waveBuf, workers int) {
 	g := min(workers, len(s.l2s))
 	part := func(w int) {
 		for i := w; i < len(s.l2s); i += g {
@@ -173,24 +187,30 @@ func (s *sim) replayWave(b *waveBuf, workers int) {
 	}
 	part(0)
 	wg.Wait()
-	s.simulated += b.end - b.start
+	if b.loop1 == s.loops {
+		s.simulated += b.end - b.start
+	}
 }
 
-// replay runs one wave's recorded L1 miss segments through one side's L2
-// in the serial interleave order, then issues the wave's epilogue stores.
+// replay runs one chunk's recorded L1 miss segments through one side's L2
+// in the serial interleave order; after the wave's last chunk it issues
+// the wave's epilogue stores.
 func (s *sim) replay(side *l2Side, b *waveBuf) {
 	n := b.end - b.start
-	for loop := 0; loop < s.loops; loop++ {
+	for i := 0; i < b.loop1-b.loop0; i++ {
 		for si := 0; si < n; si++ {
 			slot := &b.slots[si]
 			lo := int32(0)
-			if loop > 0 {
-				lo = slot.loopEnd[loop-1]
+			if i > 0 {
+				lo = slot.loopEnd[i-1]
 			}
-			for _, r := range slot.misses[lo:slot.loopEnd[loop]] {
+			for _, r := range slot.misses[lo:slot.loopEnd[i]] {
 				side.load(r.Line, r.Mask)
 			}
 		}
+	}
+	if b.loop1 < s.loops {
+		return
 	}
 	for idx := b.start; idx < b.end; idx++ {
 		row, col := s.ctaAt(idx)

@@ -33,11 +33,29 @@ REF="${REF:-127.0.0.1:18090}"
 
 TMP=$(mktemp -d)
 BIN="$TMP/delta-server"
-go build -o "$BIN" ./cmd/delta-server
 
+# The EXIT handler stops every server, prints the tail of each server log
+# when the run failed (the logs go with the temp dir), then removes it.
 PIDS=()
 declare -A ADDR_PID
-trap 'kill -9 "${PIDS[@]}" 2>/dev/null || true' EXIT
+cleanup() {
+  local rc=$?
+  if [ "${#PIDS[@]}" -gt 0 ]; then
+    kill -9 "${PIDS[@]}" 2>/dev/null || true
+    wait "${PIDS[@]}" 2>/dev/null || true
+  fi
+  if [ "$rc" != 0 ]; then
+    for log in "$TMP"/*.log; do
+      [ -f "$log" ] || continue
+      echo "fleet-e2e: last 20 lines of $(basename "$log"):" >&2
+      tail -n 20 "$log" >&2
+    done
+  fi
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
+
+go build -o "$BIN" ./cmd/delta-server
 
 start() { # addr [extra flags...] -> starts a server, logs to $TMP/<addr>.log
   local addr=$1; shift

@@ -8,6 +8,10 @@
 # exercise the 413 oversize-body path, and rerun with tight limits to
 # exercise 429 load shedding. Run by the CI server-e2e job and usable
 # locally: ./scripts/server_e2e.sh
+#
+# Everything the run writes (the server binary, a header dump, the
+# crash-recovery data dir and the two result files it compares) lives in
+# one mktemp -d directory, removed on every exit.
 set -Eeuo pipefail
 # Fail fast and name the offender: the ERR trap fires before the EXIT
 # cleanup, so the log ends with the exact line and command that broke.
@@ -15,13 +19,26 @@ trap 'echo "server-e2e: FAIL at ${BASH_SOURCE[0]}:$LINENO: $BASH_COMMAND" >&2' E
 
 ADDR="${ADDR:-127.0.0.1:18080}"
 BASE="http://$ADDR"
-BIN="$(mktemp -d)/delta-server"
+WORK=$(mktemp -d)
+BIN="$WORK/delta-server"
+
+# The one EXIT handler: stop whichever server is current, then remove the
+# work dir (the server is reaped first, so it cannot write into the data
+# dir while it is removed).
+SERVER_PID=
+cleanup() {
+  if [ -n "$SERVER_PID" ]; then
+    kill -9 "$SERVER_PID" 2>/dev/null || true
+    wait "$SERVER_PID" 2>/dev/null || true
+  fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/delta-server
 
 "$BIN" -addr "$ADDR" &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 50); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
@@ -151,13 +168,11 @@ echo "server-e2e: 413 OK"
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-trap - EXIT
 
 # Rerun with tight limits: past the burst the server sheds with 429 +
 # Retry-After while /healthz stays open.
 "$BIN" -addr "$ADDR" -rate-limit 0.1 -rate-burst 2 &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 50); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
   sleep 0.2
@@ -170,7 +185,7 @@ for i in 1 2; do
     exit 1
   fi
 done
-HDRS=$(mktemp)
+HDRS="$WORK/headers"
 STATUS=$(curl -s -o /dev/null -D "$HDRS" -w '%{http_code}' "$BASE/v1/devices")
 if [ "$STATUS" != 429 ] || ! grep -qi '^retry-after:' "$HDRS"; then
   echo "server-e2e: past-burst request answered $STATUS, want 429 + Retry-After" >&2
@@ -188,15 +203,14 @@ echo "server-e2e: 429 OK"
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-trap - EXIT
 
 # Crash-recovery leg: start with -data-dir, kill -9 mid-sweep, restart on
 # the same directory, and assert the job resumes from its last persisted
 # point and converges to the same results an uninterrupted run produces.
-DATA_DIR=$(mktemp -d)
+DATA_DIR="$WORK/data"
+mkdir "$DATA_DIR"
 "$BIN" -addr "$ADDR" -data-dir "$DATA_DIR" -fsync always &
 SERVER_PID=$!
-trap 'kill -9 "$SERVER_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 50); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
   sleep 0.2
@@ -235,7 +249,6 @@ echo "server-e2e: killed -9 with $DONE/6 results persisted"
 # Restart on the same data dir: the job must be adopted and resumed.
 "$BIN" -addr "$ADDR" -data-dir "$DATA_DIR" -fsync always &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 50); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
   sleep 0.2
@@ -252,7 +265,7 @@ if [ "$STATUS" != done ]; then
   curl -fsS "$BASE/v2/jobs/$CRASH_ID" >&2 || true
   exit 1
 fi
-curl -fsS "$BASE/v2/jobs/$CRASH_ID" > /tmp/resumed.json
+curl -fsS "$BASE/v2/jobs/$CRASH_ID" > "$WORK/resumed.json"
 
 # Reference: the identical sweep run uninterrupted on the same server.
 REF_ID=$(curl -fsS "$BASE/v2/jobs" -d "$CRASH_SCENARIO" \
@@ -263,11 +276,11 @@ for _ in $(seq 1 300); do
   [ "$STATUS" != running ] && break
   sleep 0.2
 done
-curl -fsS "$BASE/v2/jobs/$REF_ID" > /tmp/reference.json
-python3 - <<'EOF'
-import json
-resumed = json.load(open("/tmp/resumed.json"))
-reference = json.load(open("/tmp/reference.json"))
+curl -fsS "$BASE/v2/jobs/$REF_ID" > "$WORK/reference.json"
+python3 - "$WORK/resumed.json" "$WORK/reference.json" <<'EOF'
+import json, sys
+resumed = json.load(open(sys.argv[1]))
+reference = json.load(open(sys.argv[2]))
 assert resumed["status"] == reference["status"] == "done", (resumed["status"], reference["status"])
 assert resumed["done"] == reference["done"] == 6, (resumed["done"], reference["done"])
 assert resumed["results"] == reference["results"], "resumed results diverge from uninterrupted run"
@@ -291,7 +304,6 @@ echo "server-e2e: crash recovery OK"
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-trap - EXIT
 
 # A clean shutdown compacts the store: the WAL and its snapshot are the
 # only files the data dir holds.
