@@ -6,8 +6,11 @@
 //
 // Usage:
 //
-//	delta-bench [-o BENCH_sim.json] [-check-against BENCH_sim.json]
+//	delta-bench [-o BENCH_sim.json] [-check-against BASELINE.json]
 //	            [-workers-sweep] [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//
+// An -o that names the -check-against baseline exits 2 before anything
+// runs: check a change with -o BENCH_sim.fresh.json.
 //
 // The artifact is committed at the repo root as the recorded baseline and
 // regenerated per-PR by the CI benchmark job, so perf regressions in the
@@ -109,16 +112,32 @@ func main() {
 	// which is what actually writes the CPU profile — execute before the
 	// process exits, profile included on the failing (regressed) runs the
 	// profile exists to diagnose.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	out := flag.String("o", "BENCH_sim.json", "output path for the benchmark trajectory")
-	checkAgainst := flag.String("check-against", "", "baseline BENCH_sim.json to compare against; exit non-zero on >10% EngineSerial regression or failed speedup gates")
-	workersSweep := flag.Bool("workers-sweep", false, "measure engine throughput at 1/2/4/max workers into a scaling section")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark workload to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the benchmark workload to this file")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("delta-bench", flag.ExitOnError)
+	out := fs.String("o", "BENCH_sim.json", "output path for the benchmark trajectory")
+	checkAgainst := fs.String("check-against", "", "baseline BENCH_sim.json to compare against; exit non-zero on >10% EngineSerial regression or failed speedup gates")
+	workersSweep := fs.Bool("workers-sweep", false, "measure engine throughput at 1/2/4/max workers into a scaling section")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the benchmark workload to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the benchmark workload to this file")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
+
+	// The baseline is read before anything runs, and never overwritten:
+	// gating a fresh run against itself would pass any regression.
+	var base *baseline
+	if *checkAgainst != "" {
+		if sameFile(*out, *checkAgainst) {
+			fmt.Fprintf(os.Stderr, "delta-bench: -o %s is the -check-against baseline; write the fresh run elsewhere (-o BENCH_sim.fresh.json)\n", *out)
+			return 2
+		}
+		b, err := readBaseline(*checkAgainst)
+		if err != nil {
+			return fail(err)
+		}
+		base = &b
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -237,7 +256,7 @@ func run() int {
 			"delta-bench: WARNING: suite_parallel_vs_serial %.2fx < 1.0x on a multi-core host (GOMAXPROCS=%d)\n",
 			doc.Speedup["suite_parallel_vs_serial"], doc.GOMAXPROCS)
 	}
-	if *checkAgainst != "" && !checkRegression(*checkAgainst, engSerial) {
+	if base != nil && !checkRegression(*base, *checkAgainst, engSerial) {
 		failed = true
 	}
 	if failed {
@@ -246,19 +265,29 @@ func run() int {
 	return 0
 }
 
-// checkRegression compares the fresh EngineSerial throughput to the
-// recorded baseline and reports (loudly) whether it is acceptable.
-func checkRegression(path string, engSerial entry) bool {
+// readBaseline reads the -check-against document.
+func readBaseline(path string) (baseline, error) {
+	var base baseline
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		fail(fmt.Errorf("check-against: %w", err))
-		return false
+		return base, fmt.Errorf("check-against: %w", err)
 	}
-	var base baseline
 	if err := json.Unmarshal(buf, &base); err != nil {
-		fail(fmt.Errorf("check-against %s: %w", path, err))
-		return false
+		return base, fmt.Errorf("check-against %s: %w", path, err)
 	}
+	return base, nil
+}
+
+// sameFile reports whether a and b name one existing file.
+func sameFile(a, b string) bool {
+	ia, errA := os.Stat(a)
+	ib, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(ia, ib)
+}
+
+// checkRegression compares the fresh EngineSerial throughput to the
+// baseline read from path and reports (loudly) whether it is acceptable.
+func checkRegression(base baseline, path string, engSerial entry) bool {
 	ref, ok := base.Benchmarks["EngineSerial"]
 	if !ok || ref.Metrics[engineSerialMetric] == 0 {
 		fmt.Fprintf(os.Stderr, "delta-bench: check-against %s: no EngineSerial %s metric recorded; skipping check\n",

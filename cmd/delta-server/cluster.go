@@ -1,12 +1,14 @@
 // Coordinator-mode glue: with -coordinator -peers, /v2 job sweeps are
 // sharded across a fleet of delta-server workers (internal/cluster) and
 // the merged per-point stream is drained into the same job record a
-// single-node sweep fills. Workers render points with the job store's own
-// renderer, so a distributed job's results — payloads, ordering, progress
-// counts — are byte-identical to running the sweep on one node.
+// single-node sweep fills. Workers encode points with renderPoint and the
+// coordinator stores their bytes, so a distributed job's results —
+// payloads, ordering, progress counts — are byte-identical to running the
+// sweep on one node.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,12 +33,14 @@ func (s *server) runClusterJob(ctx context.Context, j *job, doc json.RawMessage,
 	runErr := s.coord.Run(ctx, cluster.Sweep{
 		JobID: j.id, Doc: doc, Scenario: sc, Offset: offset, Policy: policy,
 	}, func(u cluster.Update) error {
-		var pr pointResult
-		if err := json.Unmarshal(u.Payload, &pr); err != nil {
-			return fmt.Errorf("decoding worker result %d: %w", u.Index, err)
+		// Compacting checks the peer's bytes and keeps each stored result
+		// on one SSE data line, however the worker's frame broke it.
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, u.Payload); err != nil {
+			return fmt.Errorf("worker result %d: %w", u.Index, err)
 		}
-		seq := j.append(pr)
-		s.jobs.durable.recordResult(j.id, seq, pr)
+		res := json.RawMessage(buf.Bytes())
+		s.jobs.durable.recordResult(j.id, j.append(res), res)
 		if firstErr == "" {
 			firstErr = u.Err
 		}

@@ -22,6 +22,7 @@ import (
 
 	"delta"
 	"delta/internal/durable"
+	"delta/internal/spec"
 )
 
 // startFleetWorker brings up one single-node delta-server to serve
@@ -106,10 +107,8 @@ func TestFleetJobBitIdentical(t *testing.T) {
 		t.Fatalf("fleet job = %s (err %q)", got.Status, got.Error)
 	}
 
-	want, _ := json.Marshal(ref.Results)
-	have, _ := json.Marshal(got.Results)
-	if string(want) != string(have) {
-		t.Fatalf("fleet results diverge from single-node:\n  want %s\n  have %s", want, have)
+	if !sameResults(got.Raw, ref.Raw) {
+		t.Fatalf("fleet results diverge from single-node:\n  want %s\n  have %s", ref.Raw, got.Raw)
 	}
 
 	if v, ok := metricValue(t, coord, "delta_cluster_points_merged_total"); !ok || v != 8 {
@@ -120,6 +119,59 @@ func TestFleetJobBitIdentical(t *testing.T) {
 	}
 	if v, ok := metricValue(t, coord, "delta_cluster_peers"); !ok || v != 2 {
 		t.Errorf("peer gauge = %v, %v (want 2)", v, ok)
+	}
+}
+
+// TestFleetCompactsMultilinePayload: a worker whose result frames break
+// each payload across several data lines (valid JSON, line breaks between
+// tokens) still yields compact one-line results. The coordinator's job
+// stream is byte for byte a single-node run's.
+func TestFleetCompactsMultilinePayload(t *testing.T) {
+	single, _ := jobTestServer(t, jobStoreConfig{})
+	ref := pollJob(t, single, submitJob(t, single, multiAxisJob).ID)
+
+	p := delta.NewPipeline()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sh, err := spec.ReadShard(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		ch, err := p.Stream(r.Context(), sh.Scenario, delta.WithStreamOffset(sh.Offset),
+			delta.WithStreamLimit(sh.Limit), delta.WithStreamErrorPolicy(delta.StreamCollectPartial))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		n := 0
+		for upd := range ch {
+			payload, err := renderPoint(upd)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			data, err := json.MarshalIndent(map[string]any{"index": upd.Point.Index, "payload": payload}, "", "  ")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+			fmt.Fprintf(w, "id: %d\nevent: result\ndata: %s\n\n", n, strings.ReplaceAll(string(data), "\n", "\ndata: "))
+		}
+		fmt.Fprintf(w, "event: done\ndata: {\"count\": %d}\n\n", n)
+	}))
+	t.Cleanup(worker.Close)
+	coord := startFleetCoordinator(t, nil, serverConfig{Peers: []string{worker.URL}})
+
+	got := pollJob(t, coord, submitJob(t, coord, multiAxisJob).ID)
+	if got.Status != string(jobDone) {
+		t.Fatalf("fleet job = %s (err %q)", got.Status, got.Error)
+	}
+	if !sameResults(got.Raw, ref.Raw) {
+		t.Fatalf("results from multi-line frames diverge from single-node:\n  want %s\n  have %s", ref.Raw, got.Raw)
+	}
+	if want, have := jobEvents(t, single, ref.ID), jobEvents(t, coord, got.ID); have != want {
+		t.Fatalf("job stream from multi-line frames:\n%s\nwant\n%s", have, want)
 	}
 }
 
@@ -140,9 +192,7 @@ func TestFleetReassignsDeadWorker(t *testing.T) {
 	if got.Status != string(jobDone) {
 		t.Fatalf("fleet job with dead worker = %s (err %q)", got.Status, got.Error)
 	}
-	want, _ := json.Marshal(ref.Results)
-	have, _ := json.Marshal(got.Results)
-	if string(want) != string(have) {
+	if !sameResults(got.Raw, ref.Raw) {
 		t.Fatal("results with a dead worker diverge from single-node")
 	}
 	shards := func(peerURL, status string) float64 {

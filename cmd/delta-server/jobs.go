@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ type job struct {
 	mu       sync.Mutex
 	notify   chan struct{}
 	status   jobStatus
-	results  []pointResult
+	results  []json.RawMessage // renderPoint's bytes, never modified once appended
 	errMsg   string
 	finished time.Time
 }
@@ -186,10 +187,10 @@ type simLayerResponse struct {
 	TotalCTAs      int     `json:"total_ctas"`
 }
 
-// append records one streamed update and wakes SSE subscribers. It
+// append records one rendered result and wakes SSE subscribers. It
 // returns the result's dense index — the sequence number persisted with
 // it, and the resume offset contract across restarts.
-func (j *job) append(r pointResult) int {
+func (j *job) append(r json.RawMessage) int {
 	j.mu.Lock()
 	j.results = append(j.results, r)
 	seq := len(j.results) - 1
@@ -215,14 +216,15 @@ func (j *job) finish(status jobStatus, errMsg string, at time.Time) {
 }
 
 // snapshot returns the job's state for status responses: results from
-// offset on, plus the channel to wait on for more.
-func (j *job) snapshot(offset int) (status jobStatus, errMsg string, results []pointResult, done int, more <-chan struct{}) {
+// offset on, plus the channel to wait on for more. The results share the
+// job's stored bytes.
+func (j *job) snapshot(offset int) (status jobStatus, errMsg string, results []json.RawMessage, done int, more <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if offset < 0 || offset > len(j.results) {
 		offset = len(j.results)
 	}
-	return j.status, j.errMsg, append([]pointResult(nil), j.results[offset:]...), len(j.results), j.notify
+	return j.status, j.errMsg, slices.Clip(j.results[offset:]), len(j.results), j.notify
 }
 
 var errStoreFull = errors.New("job store full (all slots running); retry later")
@@ -387,7 +389,7 @@ type jobSummary struct {
 // jobResponse is the GET /v2/jobs/{id} answer: the summary plus results.
 type jobResponse struct {
 	jobSummary
-	Results []pointResult `json:"results"`
+	Results []json.RawMessage `json:"results"`
 }
 
 func (j *job) summary() jobSummary {
@@ -416,10 +418,7 @@ func (j *job) summaryLocked() jobSummary {
 func (j *job) response() jobResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobResponse{
-		jobSummary: j.summaryLocked(),
-		Results:    append([]pointResult(nil), j.results...),
-	}
+	return jobResponse{jobSummary: j.summaryLocked(), Results: slices.Clip(j.results)}
 }
 
 // handleJobSubmit answers POST /v2/jobs: decode + expand the scenario
@@ -496,20 +495,28 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.summary())
 }
 
-// runJob drains the stream into the job record, then classifies it.
+// runJob drains the stream into the job record, then classifies it. A
+// point that cannot be encoded fails the job; the deferred cancel then
+// stops the stream.
 func (s *server) runJob(ctx context.Context, j *job, ch <-chan delta.StreamUpdate, policy delta.StreamErrorPolicy) {
 	defer s.jobs.runners.Done()
 	defer j.cancel(nil)
-	var firstErr string
+	var (
+		firstErr string
+		runErr   error
+	)
 	for upd := range ch {
-		pr := renderPoint(upd)
-		seq := j.append(pr)
-		s.jobs.durable.recordResult(j.id, seq, pr)
-		if firstErr == "" {
-			firstErr = pr.Error
+		res, err := renderPoint(upd)
+		if err != nil {
+			runErr = err
+			break
+		}
+		s.jobs.durable.recordResult(j.id, j.append(res), res)
+		if firstErr == "" && upd.Err != nil {
+			firstErr = upd.Err.Error()
 		}
 	}
-	s.finishJob(ctx, j, nil, firstErr, policy)
+	s.finishJob(ctx, j, runErr, firstErr, policy)
 }
 
 // finishJob moves a drained sweep to its terminal status, durably. The
@@ -541,8 +548,10 @@ func (s *server) finishJob(ctx context.Context, j *job, runErr error, firstErr s
 	s.jobs.durable.recordFinish(j.id, status, msg, now)
 }
 
-// renderPoint converts a streamed update to its JSON shape.
-func renderPoint(upd delta.StreamUpdate) pointResult {
+// renderPoint encodes a streamed update as its /v2 result: the one
+// encoding of a point. The job record, GET, SSE, the WAL and a worker's
+// shard frames all carry these bytes unchanged.
+func renderPoint(upd delta.StreamUpdate) (json.RawMessage, error) {
 	p := upd.Point
 	out := pointResult{
 		Index: p.Index, Workload: p.Workload, Device: p.Device.Name,
@@ -552,11 +561,10 @@ func renderPoint(upd delta.StreamUpdate) pointResult {
 	if p.Sim != nil {
 		out.Kind = "sim"
 	}
-	if upd.Err != nil {
+	switch {
+	case upd.Err != nil:
 		out.Error = upd.Err.Error()
-		return out
-	}
-	if p.Sim != nil {
+	case p.Sim != nil:
 		for _, r := range upd.Sim {
 			out.Sim = append(out.Sim, simLayerResponse{
 				Name: r.Layer.Name, L1Bytes: r.L1Bytes, L2Bytes: r.L2Bytes,
@@ -565,11 +573,11 @@ func renderPoint(upd delta.StreamUpdate) pointResult {
 				SimulatedCTAs: r.SimulatedCTAs, TotalCTAs: r.TotalCTAs,
 			})
 		}
-		return out
+	default:
+		resp := renderNetwork(upd.Network, p.Net.Counts)
+		out.Result = &resp
 	}
-	resp := renderNetwork(upd.Network, p.Net.Counts)
-	out.Result = &resp
-	return out
+	return json.Marshal(out)
 }
 
 // handleJobList answers GET /v2/jobs with every live job's summary.

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,23 +42,56 @@ func submitJob(t *testing.T, ts *httptest.Server, body string) jobSummary {
 	return sum
 }
 
+// jobView is the test-side reading of GET /v2/jobs/{id}: the summary,
+// each result as served, and the same results decoded.
+type jobView struct {
+	jobSummary
+	Raw     []json.RawMessage `json:"results"`
+	Results []pointResult     `json:"-"`
+}
+
 // pollJob polls until the job leaves the running state.
-func pollJob(t *testing.T, ts *httptest.Server, id string) jobResponse {
+func pollJob(t *testing.T, ts *httptest.Server, id string) jobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var jr jobResponse
+		var jr jobView
 		resp := postGet(t, ts.URL+"/v2/jobs/"+id, &jr)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("poll status = %d", resp.StatusCode)
 		}
 		if jr.Status != string(jobRunning) {
+			jr.Results = make([]pointResult, len(jr.Raw))
+			for i, raw := range jr.Raw {
+				if err := json.Unmarshal(raw, &jr.Results[i]); err != nil {
+					t.Fatalf("result %d: %v", i, err)
+				}
+			}
 			return jr
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("job did not finish")
-	return jobResponse{}
+	return jobView{}
+}
+
+// sameResults reports whether two jobs' results are the same bytes.
+func sameResults(a, b []json.RawMessage) bool {
+	return slices.EqualFunc(a, b, func(x, y json.RawMessage) bool { return bytes.Equal(x, y) })
+}
+
+// jobEvents reads a finished job's whole /events stream.
+func jobEvents(t *testing.T, ts *httptest.Server, id string) string {
+	t.Helper()
+	resp := postGet(t, ts.URL+"/v2/jobs/"+id+"/events", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events status = %d", resp.StatusCode)
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func postGet(t *testing.T, url string, out any) *http.Response {
@@ -198,8 +233,12 @@ func TestJobEventsSSE(t *testing.T) {
 // continue from the result count.
 func TestJobEventsWire(t *testing.T) {
 	ts, st := jobTestServer(t, jobStoreConfig{})
-	point := func(i int) pointResult {
-		return pointResult{Index: i, Workload: "w", Device: "d", Kind: "analytic", Done: i + 1, Total: 4}
+	point := func(i int) json.RawMessage {
+		buf, err := json.Marshal(pointResult{Index: i, Workload: "w", Device: "d", Kind: "analytic", Done: i + 1, Total: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
 	frame := func(i int) string {
 		return fmt.Sprintf("id: %d\nevent: result\ndata: {\"index\":%d,\"workload\":\"w\",\"device\":\"d\",\"kind\":\"analytic\",\"done\":%d,\"total\":4}\n\n", i+1, i, i+1)
@@ -316,6 +355,40 @@ func TestJobFailFast(t *testing.T) {
 	}
 	if len(jr.Results) != 1 {
 		t.Errorf("fail-fast stored %d results", len(jr.Results))
+	}
+}
+
+// TestNonFinitePrediction: a device that passes validation but overflows
+// the model is an error, never an empty 200. The fail-fast job ends
+// failed with the point's error and serves well-formed GET and SSE, and
+// /v1/estimate answers 400 with a JSON error.
+func TestNonFinitePrediction(t *testing.T) {
+	ts, _ := jobTestServer(t, jobStoreConfig{})
+	const dev = `{"base": "V100", "mac_gflops": 1e-300}`
+	jr := pollJob(t, ts, submitJob(t, ts, `{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": `+dev+`}]}}`).ID)
+	if jr.Status != string(jobFailed) || !strings.Contains(jr.Error, "not finite") ||
+		len(jr.Results) != 1 || jr.Results[0].Error != jr.Error {
+		t.Fatalf("job = %+v, results %+v", jr.jobSummary, jr.Results)
+	}
+	var events []sse.Event
+	if err := sse.Parse(strings.NewReader(jobEvents(t, ts, jr.ID)), func(ev sse.Event) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var done struct{ Status, Error string }
+	if len(events) != 2 || events[0].Type != "result" || events[1].Type != "done" ||
+		json.Unmarshal(events[1].Data, &done) != nil || done.Status != string(jobFailed) || done.Error != jr.Error {
+		t.Errorf("event stream = %q", events)
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/estimate", `{"device_spec": `+dev+`,
+	  "layers": [{"name": "c", "b": 32, "ci": 96, "hi": 27, "co": 256, "hf": 5, "pad": 2}]}`, nil)
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(e.Error, `layer "c"`) || !strings.Contains(e.Error, "not finite") {
+		t.Errorf("/v1/estimate: status %d, error %q (%v)", resp.StatusCode, e.Error, err)
 	}
 }
 

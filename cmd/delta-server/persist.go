@@ -51,17 +51,14 @@ func (d *durability) recordSubmit(j *job, scenario json.RawMessage, policy strin
 	}
 }
 
-// recordResult persists one streamed point result at its dense position.
-func (d *durability) recordResult(id string, seq int, pr pointResult) {
+// recordResult persists one rendered point result at its dense position.
+// The store keeps res itself, so the job record and the durable state
+// share one copy of the bytes.
+func (d *durability) recordResult(id string, seq int, res json.RawMessage) {
 	if d == nil {
 		return
 	}
-	payload, err := json.Marshal(pr)
-	if err != nil {
-		d.log.Printf("delta-server: encoding job %s result %d: %v", id, seq, err)
-		return
-	}
-	if err := d.store.RecordResult(id, seq, payload); err != nil {
+	if err := d.store.RecordResult(id, seq, res); err != nil {
 		d.log.Printf("delta-server: persisting job %s result %d: %v", id, seq, err)
 	}
 }
@@ -132,10 +129,10 @@ func (s *server) resumeJobs() (restored, resumed int) {
 		return 0, 0
 	}
 	for _, js := range d.store.Jobs() {
-		results, dropped := decodeResults(js.Results)
-		if dropped > 0 {
-			d.log.Printf("delta-server: job %s: dropping %d undecodable persisted result(s); the sweep re-evaluates them", js.ID, dropped)
-		}
+		// The job adopts the persisted bytes as renderPoint wrote them:
+		// the WAL checks every frame's CRC and JSON at replay, and the
+		// snapshot is decoded whole.
+		results := js.Results
 		j := &job{
 			id: js.ID, name: js.Name, total: js.Total, created: js.Created,
 			notify:  make(chan struct{}),
@@ -168,10 +165,17 @@ func (s *server) resumeJobs() (restored, resumed int) {
 		}
 		// A fail-fast sweep whose last persisted result errored was
 		// crashing between that append and its finish record: classify it
-		// now instead of re-running anything.
-		if policy == delta.StreamFailFast {
-			if msg := firstResultError(results); msg != "" {
-				finishNow(jobFailed, msg)
+		// now instead of re-running anything. The stream stops at its
+		// first error, so only the last result can hold one.
+		if policy == delta.StreamFailFast && len(results) > 0 {
+			var last struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(results[len(results)-1], &last); err != nil {
+				last.Error = fmt.Sprintf("resume: decoding result %d: %v", len(results)-1, err)
+			}
+			if last.Error != "" {
+				finishNow(jobFailed, last.Error)
 				continue
 			}
 		}
@@ -214,30 +218,4 @@ func (s *server) resumeJobs() (restored, resumed int) {
 		d.log.Printf("delta-server: durable store: restored %d finished job(s), resumed %d running job(s)", restored, resumed)
 	}
 	return restored, resumed
-}
-
-// decodeResults rebuilds the in-memory result list from persisted
-// payloads, truncating at the first undecodable entry so the dense
-// resume-offset contract holds (later points simply re-evaluate).
-func decodeResults(raw []json.RawMessage) (out []pointResult, dropped int) {
-	out = make([]pointResult, 0, len(raw))
-	for i, buf := range raw {
-		var pr pointResult
-		if err := json.Unmarshal(buf, &pr); err != nil {
-			return out, len(raw) - i
-		}
-		out = append(out, pr)
-	}
-	return out, 0
-}
-
-// firstResultError returns the first per-point error in the recovered
-// results (the fail-fast classification input).
-func firstResultError(results []pointResult) string {
-	for _, r := range results {
-		if r.Error != "" {
-			return r.Error
-		}
-	}
-	return ""
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -125,10 +126,8 @@ func TestCrashRecoveryResume(t *testing.T) {
 
 	// The full result set — recovered prefix + re-evaluated tail — must be
 	// byte-identical to the uninterrupted run.
-	wantBuf, _ := json.Marshal(want.Results)
-	gotBuf, _ := json.Marshal(got.Results)
-	if string(wantBuf) != string(gotBuf) {
-		t.Fatalf("resumed results diverge from uninterrupted run:\nwant %s\ngot  %s", wantBuf, gotBuf)
+	if !sameResults(got.Raw, want.Raw) {
+		t.Fatalf("resumed results diverge from uninterrupted run:\nwant %s\ngot  %s", want.Raw, got.Raw)
 	}
 
 	// The WAL's operator surface: -data-dir adds exactly the four
@@ -414,4 +413,44 @@ func metricFamilies(t *testing.T, base string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// TestOneEncoding: renderPoint's bytes are the only encoding of a point.
+// For a finished job with -data-dir, SSE result frame i's data, the
+// compacted GET results[i] and the durable store's payload i are the same
+// bytes, and the store holds the job record's copy, not a second one.
+func TestOneEncoding(t *testing.T) {
+	d := openTestDurability(t, t.TempDir())
+	defer d.close()
+	ts, st, _ := durableTestServer(t, d, jobStoreConfig{})
+	jr := pollJob(t, ts, submitJob(t, ts, multiAxisJob).ID)
+	if jr.Status != string(jobDone) || len(jr.Raw) != 8 {
+		t.Fatalf("job = %s, %d results", jr.Status, len(jr.Raw))
+	}
+	var frames [][]byte
+	if err := sse.Parse(strings.NewReader(jobEvents(t, ts, jr.ID)), func(ev sse.Event) error {
+		if ev.Type == "result" {
+			frames = append(frames, ev.Data)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	js := findDurableJob(t, d, jr.ID)
+	j, _ := st.get(jr.ID)
+	if len(frames) != 8 || len(js.Results) != 8 || len(j.results) != 8 {
+		t.Fatalf("%d frames, %d durable results, %d stored, want 8 each", len(frames), len(js.Results), len(j.results))
+	}
+	for i, frame := range frames {
+		var get bytes.Buffer
+		if err := json.Compact(&get, jr.Raw[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(get.Bytes(), frame) || !bytes.Equal(js.Results[i], frame) {
+			t.Errorf("result %d:\n  SSE     %s\n  GET     %s\n  durable %s", i, frame, get.Bytes(), js.Results[i])
+		}
+		if &js.Results[i][0] != &j.results[i][0] {
+			t.Errorf("result %d: the durable store holds a second copy", i)
+		}
+	}
 }

@@ -178,10 +178,10 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 	mux.HandleFunc("/v2/jobs/", s.routeJob)
 	// Every delta-server is a capable fleet worker: /v2/shards streams a
 	// scenario window as SSE result frames (see internal/cluster). The
-	// handler renders points exactly like the job store, so coordinated
-	// sweeps merge to byte-identical results.
+	// handler encodes points with renderPoint, as the job store does, so
+	// coordinated sweeps merge to byte-identical results.
 	mux.Handle("/v2/shards", &cluster.ShardHandler{
-		Eval: p, Render: shardPayload, KeepAlive: s.keepAlive, MaxBody: maxBodyBytes,
+		Eval: p, Render: renderPoint, KeepAlive: s.keepAlive, MaxBody: maxBodyBytes,
 	})
 	return chain(mux,
 		withRequestID(),
@@ -191,13 +191,6 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 		withShedding(s.metrics, lim, gate),
 		withAuth(s.metrics, cfg.AuthToken),
 	), s, nil
-}
-
-// shardPayload renders one stream update for the /v2/shards protocol —
-// the same renderPoint shape /v2 jobs store, which is what makes
-// distributed job results byte-identical to single-node ones.
-func shardPayload(upd delta.StreamUpdate) (json.RawMessage, error) {
-	return json.Marshal(renderPoint(upd))
 }
 
 // methods dispatches one route by HTTP method, answering every unlisted

@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,26 @@ func TestFacadeRoofline(t *testing.T) {
 	}
 	if r.ArithmeticSeconds > dl.Seconds {
 		t.Error("arithmetic roof above the DeLTA prediction")
+	}
+}
+
+// TestFacadeNonFinite: a device that passes validation but overflows the
+// model (a vanishing MAC rate) makes each estimate an error naming the
+// layer and the device, not an infinite time.
+func TestFacadeNonFinite(t *testing.T) {
+	l := Conv{Name: "rf", B: 64, Ci: 256, Hi: 13, Wi: 13, Co: 384, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
+	d := V100()
+	d.Name, d.MACGFLOPS = "slow", 1e-300
+	want := `layer "rf" on "slow"`
+	if _, err := Estimate(l, d, TrafficOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Estimate: %v, want an error naming %s", err, want)
+	}
+	if _, err := EstimateTrainingStep(l, d, TrafficOptions{}, false); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("EstimateTrainingStep: %v, want an error naming %s", err, want)
+	}
+	d.MACGFLOPS = 1e-310
+	if _, err := Roofline(l, d); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Roofline: %v, want an error naming %s", err, want)
 	}
 }
 

@@ -196,8 +196,9 @@ type Update struct {
 	// Err is the point's evaluation error ("" on success).
 	Err string
 
-	// Payload is the worker-rendered result, byte-identical to what the
-	// same point renders single-node.
+	// Payload is the worker-rendered result as its frame carried it: the
+	// bytes the same point renders single-node, unless the frame broke
+	// them across several data lines.
 	Payload json.RawMessage
 }
 

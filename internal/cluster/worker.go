@@ -54,10 +54,9 @@ type ShardHandler struct {
 	// Eval runs the shard's points; required.
 	Eval *pipeline.Evaluator
 
-	// Render turns one stream update into the result frame's payload.
-	// delta-server passes its job-result renderer so distributed job
-	// results are byte-identical to single-node ones; nil omits payloads
-	// (index/error only — enough for throughput benchmarks).
+	// Render encodes one stream update as the result frame's payload;
+	// required. delta-server passes the encoder its job records use, so a
+	// distributed job stores the bytes a single node would.
 	Render func(pipeline.StreamUpdate) (json.RawMessage, error)
 
 	// KeepAlive is the idle comment-frame interval (default 15s).
@@ -130,19 +129,21 @@ func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if upd.Err != nil {
 				res.Error = upd.Err.Error()
 			}
-			if h.Render != nil {
-				payload, rerr := h.Render(upd)
-				if rerr != nil {
-					// Rendering is infrastructure, not evaluation: report
-					// through the done frame so the coordinator retries
-					// the attempt instead of recording a bogus point.
-					_ = sw.Done(wireDone{Count: sw.ID(), Error: rerr.Error()})
-					sw.Flush()
-					return
-				}
+			payload, err := h.Render(upd)
+			var data []byte
+			if err == nil {
 				res.Payload = payload
+				data, err = json.Marshal(res)
 			}
-			if err := sw.Result(res); err != nil {
+			if err != nil {
+				// Rendering is infrastructure, not evaluation: report
+				// through the done frame so the coordinator retries the
+				// attempt instead of recording a bogus point.
+				_ = sw.Done(wireDone{Count: sw.ID(), Error: err.Error()})
+				sw.Flush()
+				return
+			}
+			if err := sw.Result(data); err != nil {
 				return
 			}
 			sw.Flush()

@@ -31,7 +31,7 @@ func NoFlush(w http.ResponseWriter, r *http.Request) { // want `SSE handler NoFl
 			return
 		default:
 		}
-		if sw.Result(i) != nil {
+		if sw.Result([]byte(fmt.Sprint(i))) != nil {
 			return
 		}
 	}
@@ -45,7 +45,7 @@ func NoDone(w http.ResponseWriter, r *http.Request) { // want `SSE handler NoDon
 		return
 	}
 	for i := 0; ; i++ {
-		if sw.Result(i) != nil {
+		if sw.Result([]byte(fmt.Sprint(i))) != nil {
 			return
 		}
 		sw.Flush()
@@ -66,7 +66,7 @@ func Good(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		if sw.Result(i) != nil {
+		if sw.Result([]byte(fmt.Sprint(i))) != nil {
 			return
 		}
 		sw.Flush()

@@ -171,6 +171,11 @@ func Model(e traffic.Estimate, d gpu.Device) (Result, error) {
 		}
 	}
 	r.Seconds = d.CyclesToSeconds(r.Cycles)
+	// A device that passes Validate can still overflow the model: a
+	// vanishing MAC rate makes the compute path infinite.
+	if math.IsInf(r.Seconds, 0) || math.IsNaN(r.Seconds) {
+		return Result{}, fmt.Errorf("perf: layer %q on %q: predicted time %v is not finite", e.Layer.Name, d.Name, r.Seconds)
+	}
 	r.Utilization = e.Layer.MACs() / (r.Cycles * macPerClk * float64(d.NumSM))
 	if r.Utilization > 1 {
 		r.Utilization = 1

@@ -7,6 +7,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"delta/internal/backprop"
 	"delta/internal/cnn"
@@ -76,6 +77,10 @@ func (e *Evaluator) Network(ctx context.Context, nr NetworkRequest) (NetworkResu
 			c = counts[i]
 		}
 		out.Seconds += r.Seconds * float64(c)
+	}
+	if math.IsInf(out.Seconds, 0) || math.IsNaN(out.Seconds) {
+		return NetworkResult{}, fmt.Errorf("pipeline: network %q on %q: predicted time %v is not finite",
+			nr.Net.Name, nr.Device.Name, out.Seconds)
 	}
 	if out.Pass == PassInference && out.Model != ModelRoofline {
 		out.Bottlenecks = make(map[perf.Bottleneck]int)

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -294,6 +295,19 @@ func TestErrorPropagation(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("real error masked by cancellation: %v", err)
+	}
+}
+
+// TestNetworkTotalNonFinite: finite per-layer times whose count-weighted
+// total overflows are an error naming the network and device, not an
+// infinite network time.
+func TestNetworkTotalNonFinite(t *testing.T) {
+	d := xp
+	d.Name, d.MACGFLOPS = "slow", 1e-295
+	net := cnn.Network{Name: "huge", Layers: []layers.Conv{cnn.SensitivityBase(8)}, Counts: []int{1 << 60}}
+	_, err := New().Network(ctxBg(), NetworkRequest{Net: net, Device: d, Model: ModelRoofline})
+	if err == nil || !strings.Contains(err.Error(), `network "huge" on "slow"`) {
+		t.Fatalf("err = %v, want the overflowing total named", err)
 	}
 }
 

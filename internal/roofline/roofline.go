@@ -10,6 +10,9 @@
 package roofline
 
 import (
+	"fmt"
+	"math"
+
 	"delta/internal/gpu"
 	"delta/internal/layers"
 )
@@ -75,6 +78,9 @@ func Model(l layers.Conv, d gpu.Device) (Result, error) {
 	} else {
 		r.Seconds = r.MemorySeconds
 		r.Bound = MemoryBound
+	}
+	if math.IsInf(r.Seconds, 0) || math.IsNaN(r.Seconds) {
+		return Result{}, fmt.Errorf("roofline: layer %q on %q: predicted time %v is not finite", l.Name, d.Name, r.Seconds)
 	}
 	return r, nil
 }

@@ -171,24 +171,30 @@ func (s *sim) runParallel(workers int) {
 // over at most workers goroutines, the coordinating one included; each L2
 // still sees its accesses in the serial order.
 func (s *sim) replayChunk(b *waveBuf, workers int) {
-	g := min(workers, len(s.l2s))
-	part := func(w int) {
-		for i := w; i < len(s.l2s); i += g {
-			s.replay(&s.l2s[i], b)
+	if g := min(workers, len(s.l2s)); g > 1 {
+		var wg sync.WaitGroup
+		for w := 1; w < g; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				s.replayEvery(b, w, g)
+			}(w)
 		}
+		s.replayEvery(b, 0, g)
+		wg.Wait()
+	} else {
+		// One goroutine serves every L2: no closure, no WaitGroup.
+		s.replayEvery(b, 0, 1)
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part(w)
-		}(w)
-	}
-	part(0)
-	wg.Wait()
 	if b.loop1 == s.loops {
 		s.simulated += b.end - b.start
+	}
+}
+
+// replayEvery replays b into every g-th L2 of the pass, from the w-th.
+func (s *sim) replayEvery(b *waveBuf, w, g int) {
+	for i := w; i < len(s.l2s); i += g {
+		s.replay(&s.l2s[i], b)
 	}
 }
 

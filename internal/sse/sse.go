@@ -16,6 +16,10 @@
 // with nothing replayed or skipped. The terminal done frame carries the
 // result count as its id. Idle streams send `: keep-alive` comment frames
 // so proxies with idle timeouts do not reap them.
+//
+// Result frames carry JSON their caller encoded, written verbatim, so a
+// job stream re-serves stored bytes to every subscriber without encoding
+// them again; the writer marshals only the done frame.
 package sse
 
 import (
@@ -61,9 +65,11 @@ type Writer struct {
 // before any): the number of results the client holds.
 func (sw *Writer) ID() int { return sw.id }
 
-// Result writes v as a JSON `event: result` frame carrying the next id.
-func (sw *Writer) Result(v any) error {
-	if err := sw.frame(sw.id+1, "result", v); err != nil {
+// Result writes data verbatim as an `event: result` frame carrying the
+// next id. The caller encodes: data is one line of JSON, such as
+// json.Marshal returns, so it fits the frame's single `data:` line.
+func (sw *Writer) Result(data []byte) error {
+	if err := sw.frame(sw.id+1, "result", data); err != nil {
 		return err
 	}
 	sw.id++
@@ -72,7 +78,13 @@ func (sw *Writer) Result(v any) error {
 
 // Done writes v as the terminal JSON `event: done` frame, whose id is the
 // last result's (none when the client holds no result).
-func (sw *Writer) Done(v any) error { return sw.frame(sw.id, "done", v) }
+func (sw *Writer) Done(v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return sw.frame(sw.id, "done", data)
+}
 
 // KeepAlive writes a comment frame, which clients skip.
 func (sw *Writer) KeepAlive() error {
@@ -83,16 +95,12 @@ func (sw *Writer) KeepAlive() error {
 // Flush sends the frames written so far to the client.
 func (sw *Writer) Flush() { sw.f.Flush() }
 
-func (sw *Writer) frame(id int, event string, v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+func (sw *Writer) frame(id int, event string, data []byte) error {
 	if id > 0 {
-		_, err = fmt.Fprintf(sw.w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, buf)
+		_, err := fmt.Fprintf(sw.w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
 		return err
 	}
-	_, err = fmt.Fprintf(sw.w, "event: %s\ndata: %s\n\n", event, buf)
+	_, err := fmt.Fprintf(sw.w, "event: %s\ndata: %s\n\n", event, data)
 	return err
 }
 

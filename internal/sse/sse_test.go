@@ -35,7 +35,7 @@ func TestWriterFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < tc.results; i++ {
-			if err := sw.Result(map[string]int{"i": i}); err != nil {
+			if err := sw.Result([]byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -71,18 +71,18 @@ func TestWriterFrames(t *testing.T) {
 	}
 }
 
-// TestWriterUnencodable: a value JSON cannot encode writes nothing and
-// does not consume an id.
+// TestWriterUnencodable: a done value JSON cannot encode writes nothing,
+// and the stream goes on.
 func TestWriterUnencodable(t *testing.T) {
 	rec := httptest.NewRecorder()
 	sw, err := Start(rec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Result(func() {}); err == nil {
-		t.Fatal("Result accepted a func")
+	if err := sw.Done(func() {}); err == nil {
+		t.Fatal("Done accepted a func")
 	}
-	if err := sw.Result(1); err != nil {
+	if err := sw.Result([]byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rec.Body.String(), "id: 1\nevent: result\ndata: 1\n\n"; got != want {

@@ -2,7 +2,8 @@
 # End-to-end exercises of distributed sweeps, split into legs selectable
 # via LEGS (default: all). Every leg builds the same assertion core: the
 # coordinator's merged sweep must be identical point for point to a
-# single-node run of the same scenario, no matter what the fleet suffered.
+# single-node run of the same scenario, and its event stream identical
+# byte for byte, no matter what the fleet suffered.
 #
 #   kill           two workers + coordinator; kill -9 a worker mid-sweep;
 #                  assert the survivor takes over, the killed worker has an
@@ -94,6 +95,11 @@ poll_done() { # host, job id -> waits out of running, echoes final status
   echo "$status"
 }
 
+fetch_job() { # host, job id, outfile: the job record, and its event stream beside it
+  curl -fsS "http://$1/v2/jobs/$2" > "$3"
+  curl -fsS --max-time 60 "http://$1/v2/jobs/$2/events" > "${3%.json}.events"
+}
+
 run_job() { # host, scenario, outfile; fails unless the job ends done
   local id status
   id=$(submit "$1" "$2")
@@ -103,10 +109,10 @@ run_job() { # host, scenario, outfile; fails unless the job ends done
     curl -fsS "http://$1/v2/jobs/$id" >&2 || true
     exit 1
   fi
-  curl -fsS "http://$1/v2/jobs/$id" > "$3"
+  fetch_job "$1" "$id" "$3"
 }
 
-identical() { # merged.json, reference.json, total
+identical() { # merged.json, reference.json, total (each fetched by fetch_job)
   python3 - "$1" "$2" "$3" <<'EOF'
 import json, sys
 merged = json.load(open(sys.argv[1]))
@@ -118,6 +124,13 @@ for i, r in enumerate(merged["results"]):
 assert merged["results"] == reference["results"], "merged results diverge from single-node run"
 print("fleet-e2e: merged results identical to single-node run")
 EOF
+  # The finished jobs' event streams carry the stored result bytes, so
+  # they must match byte for byte, not only as parsed values.
+  if ! cmp "${1%.json}.events" "${2%.json}.events" >&2; then
+    echo "fleet-e2e: merged job stream differs from the single-node stream" >&2
+    exit 1
+  fi
+  echo "fleet-e2e: merged job stream identical byte for byte"
 }
 
 metric() { # host, exact metric name (no labels) -> value (0 if absent)
@@ -205,7 +218,7 @@ print("fleet-e2e: healthz quorum OK")
     curl -fsS "http://$CO/v2/jobs/$FLEET_ID" >&2 || true
     exit 1
   fi
-  curl -fsS "http://$CO/v2/jobs/$FLEET_ID" > "$TMP/kill_merged.json"
+  fetch_job "$CO" "$FLEET_ID" "$TMP/kill_merged.json"
   identical "$TMP/kill_merged.json" "$TMP/ref_sim.json" 6
 
   # The fleet metrics must show the takeover: the killed worker's attempt

@@ -10,8 +10,8 @@
 # locally: ./scripts/server_e2e.sh
 #
 # Everything the run writes (the server binary, a header dump, the
-# crash-recovery data dir and the two result files it compares) lives in
-# one mktemp -d directory, removed on every exit.
+# crash-recovery data dir and the two jobs' records and event streams it
+# compares) lives in one mktemp -d directory, removed on every exit.
 set -Eeuo pipefail
 # Fail fast and name the offender: the ERR trap fires before the EXIT
 # cleanup, so the log ends with the exact line and command that broke.
@@ -286,6 +286,15 @@ assert resumed["done"] == reference["done"] == 6, (resumed["done"], reference["d
 assert resumed["results"] == reference["results"], "resumed results diverge from uninterrupted run"
 print("server-e2e: resumed results match uninterrupted run")
 EOF
+# The event streams carry the stored result bytes: the recovered prefix
+# and the re-evaluated tail must match the uninterrupted run byte for byte.
+curl -fsS --max-time 30 "$BASE/v2/jobs/$CRASH_ID/events" > "$WORK/resumed.events"
+curl -fsS --max-time 30 "$BASE/v2/jobs/$REF_ID/events" > "$WORK/reference.events"
+if ! cmp "$WORK/resumed.events" "$WORK/reference.events" >&2; then
+  echo "server-e2e: resumed job stream differs from the uninterrupted stream" >&2
+  exit 1
+fi
+echo "server-e2e: resumed job stream identical byte for byte"
 
 # The durable metrics must reflect the recovery: the WAL replayed the job
 # and kept recording.
