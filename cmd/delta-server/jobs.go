@@ -457,11 +457,11 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.submit(sc.Name, sc.Size(), cancel)
 	if err != nil {
 		cancel(nil)
-		status := http.StatusServiceUnavailable
-		if !errors.Is(err, errStoreFull) {
-			status = http.StatusInternalServerError
+		if errors.Is(err, errStoreFull) {
+			writeOverloaded(w, err)
+		} else {
+			writeError(w, http.StatusInternalServerError, err)
 		}
-		writeError(w, status, err)
 		return
 	}
 	policyName := req.ErrorPolicy

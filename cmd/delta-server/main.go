@@ -21,10 +21,10 @@
 //	DELETE /v2/jobs/{id}        cancel / discard a job
 //
 // Operations: GET /metrics serves Prometheus text metrics; /healthz is a
-// readiness view (503 when saturated). Load shedding (-rate-limit,
-// -max-inflight) answers 429/503 with Retry-After, and -auth-token (or
-// DELTA_AUTH_TOKEN) puts every data endpoint behind a bearer token while
-// /healthz and /metrics stay open.
+// readiness view (503 when saturated). The in-flight gate (-max-inflight)
+// sheds load with 503 and Retry-After, as does a job store full of running
+// jobs. -auth-token (or DELTA_AUTH_TOKEN) puts every data endpoint behind
+// a bearer token while /healthz and /metrics stay open.
 //
 // Durability: -data-dir enables a WAL-backed job store (internal/durable)
 // with an -fsync policy — restarts re-adopt persisted jobs and resume
@@ -85,10 +85,6 @@ func main() {
 
 		authToken = flag.String("auth-token", "",
 			"bearer token guarding all endpoints but /healthz and /metrics (empty = $DELTA_AUTH_TOKEN, unset = no auth)")
-		rateLimit = flag.Float64("rate-limit", 0,
-			"sustained per-client requests/second; exceeding answers 429 + Retry-After (0 = unlimited)")
-		rateBurst = flag.Float64("rate-burst", 0,
-			"per-client token-bucket burst (0 = 2x -rate-limit)")
 		maxInflight = flag.Int("max-inflight", 0,
 			"global concurrent-request cap; exceeding answers 503 + Retry-After (0 = uncapped)")
 
@@ -158,8 +154,6 @@ func main() {
 	}
 	handler, sv, err := buildServer(p, jobs, serverConfig{
 		AuthToken:     *authToken,
-		RateLimit:     *rateLimit,
-		RateBurst:     *rateBurst,
 		MaxInFlight:   *maxInflight,
 		AccessLog:     log.Default(),
 		Peers:         peers,

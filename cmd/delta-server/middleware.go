@@ -1,6 +1,6 @@
 // The delta-server middleware stack: request-ID injection, access logging,
-// per-route metrics, panic recovery, load shedding (per-client token
-// buckets + a global in-flight gate), and optional bearer-token auth.
+// per-route metrics, panic recovery, load shedding (a global in-flight
+// gate), and optional bearer-token auth.
 // Every middleware is a plain func(http.Handler) http.Handler so the chain
 // reads top to bottom in newServerWith and each layer is testable alone.
 package main
@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -22,7 +21,6 @@ import (
 
 	"delta"
 	"delta/internal/obs"
-	"delta/internal/ratelimit"
 )
 
 // middleware wraps a handler; chain applies a stack outermost-first.
@@ -78,7 +76,6 @@ const (
 	metricJobsRunning       = "delta_jobs_running"
 	metricJobsCapacity      = "delta_jobs_capacity"
 	metricJobsEvicted       = "delta_jobs_evicted_total"
-	metricRatelimitClients  = "delta_ratelimit_clients"
 	metricInflightInUse     = "delta_inflight_in_use"
 	metricInflightCapacity  = "delta_inflight_capacity"
 	metricWALRecords        = "delta_wal_records_total"
@@ -96,13 +93,13 @@ type serverMetrics struct {
 	latency  *obs.HistogramVec // route
 	inFlight *obs.Gauge
 	panics   *obs.Counter
-	shed     *obs.CounterVec // reason: rate | inflight
+	shed     *obs.CounterVec // reason: inflight
 	authFail *obs.Counter
 }
 
 // newServerMetrics registers the request-level metrics plus the func-backed
-// views over the pipeline, the job store, and the shedding primitives.
-func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter, gate *ratelimit.Gate) *serverMetrics {
+// views over the pipeline, the job store, and the in-flight gate.
+func newServerMetrics(p *delta.Pipeline, jobs *jobStore, g gate) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
@@ -116,7 +113,7 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 		panics: reg.Counter(metricHTTPPanics,
 			"Handler panics recovered into JSON 500 responses."),
 		shed: reg.CounterVec(metricHTTPShed,
-			"Requests shed by load limiting, by reason (rate, inflight).",
+			"Requests shed by load limiting, by reason (inflight).",
 			"reason"),
 		authFail: reg.Counter(metricHTTPAuthFailures,
 			"Requests rejected with 401 by bearer-token auth."),
@@ -145,18 +142,13 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, lim *ratelimit.Limiter,
 	reg.CounterFunc(metricJobsEvicted,
 		"Finished jobs evicted from the /v2 store (TTL or capacity).",
 		func() float64 { return float64(jobs.evictions()) })
-	if lim != nil {
-		reg.GaugeFunc(metricRatelimitClients,
-			"Client buckets tracked by the rate limiter.",
-			func() float64 { return float64(lim.Clients()) })
-	}
-	if gate != nil {
+	if g != nil {
 		reg.GaugeFunc(metricInflightInUse,
 			"Global in-flight gate slots in use.",
-			func() float64 { return float64(gate.InFlight()) })
+			func() float64 { return float64(len(g)) })
 		reg.GaugeFunc(metricInflightCapacity,
 			"Global in-flight gate capacity.",
-			func() float64 { return float64(gate.Cap()) })
+			func() float64 { return float64(cap(g)) })
 	}
 	if d := jobs.durable; d != nil {
 		// Durable-mode metrics (-data-dir).
@@ -258,7 +250,7 @@ func methodLabel(method string) string {
 }
 
 // withMetrics records per-route request counts, latencies, and the
-// in-flight gauge. It sits outside recovery and shedding so 500s and 429s
+// in-flight gauge. It sits outside recovery and shedding so 500s and 503s
 // are counted like every other response.
 func withMetrics(m *serverMetrics) middleware {
 	return func(next http.Handler) http.Handler {
@@ -313,46 +305,38 @@ func withRecover(m *serverMetrics, logger *log.Logger) middleware {
 	}
 }
 
-// withShedding enforces the per-client token buckets (429 + Retry-After)
-// and the global in-flight gate (503 + Retry-After). /healthz and /metrics
+// gate caps globally concurrent requests: a send into the buffered channel
+// takes a slot, a receive gives it back, and len and cap report occupancy.
+// A nil gate means no cap.
+type gate chan struct{}
+
+// withShedding enforces the in-flight gate: past its capacity a request
+// answers 503 + Retry-After instead of queueing. /healthz and /metrics
 // stay open so probes and scrapes survive overload.
-func withShedding(m *serverMetrics, lim *ratelimit.Limiter, gate *ratelimit.Gate) middleware {
+func withShedding(m *serverMetrics, g gate) middleware {
 	return func(next http.Handler) http.Handler {
-		if lim == nil && gate == nil {
+		if g == nil {
 			return next
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if openPath(r.URL.Path) {
+			// SSE streams (job event subscriptions and shard result
+			// streams) live as long as their work and would pin slots
+			// indefinitely: a handful of idle subscribers must not 503
+			// the whole server. The gate guards compute-bound request
+			// handling.
+			route := routeLabel(r.URL.Path)
+			if openPath(r.URL.Path) || route == "/v2/jobs/{id}/events" || route == "/v2/shards" {
 				next.ServeHTTP(w, r)
 				return
 			}
-			if lim != nil {
-				if ok, retry := lim.Allow(clientIP(r)); !ok {
-					m.shed.With("rate").Inc()
-					w.Header().Set("Retry-After", retryAfterSeconds(retry))
-					writeError(w, http.StatusTooManyRequests,
-						errors.New("rate limit exceeded; retry later"))
-					return
-				}
-			}
-			// SSE streams — job event subscriptions and shard result
-			// streams — live as long as their work and would pin gate
-			// slots indefinitely (a handful of idle subscribers must not
-			// 503 the whole server); they are rate-limited above but
-			// exempt from the in-flight cap, which guards compute-bound
-			// request handling.
-			if route := routeLabel(r.URL.Path); route == "/v2/jobs/{id}/events" || route == "/v2/shards" {
-				next.ServeHTTP(w, r)
-				return
-			}
-			if !gate.TryAcquire() {
+			select {
+			case g <- struct{}{}:
+			default:
 				m.shed.With("inflight").Inc()
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable,
-					errors.New("server at concurrent-request capacity; retry later"))
+				writeOverloaded(w, errors.New("server at concurrent-request capacity; retry later"))
 				return
 			}
-			defer gate.Release()
+			defer func() { <-g }()
 			next.ServeHTTP(w, r)
 		})
 	}
@@ -383,22 +367,12 @@ func withAuth(m *serverMetrics, token string) middleware {
 	}
 }
 
-// clientIP is the rate-limit key: the connection's remote IP (the port
-// would make every request a distinct client).
+// clientIP names the access log's client: the connection's remote IP
+// (the port would make every request a distinct client).
 func clientIP(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
 		return r.RemoteAddr
 	}
 	return host
-}
-
-// retryAfterSeconds renders a Retry-After value, rounding up so clients
-// never retry before a token is actually available.
-func retryAfterSeconds(d time.Duration) string {
-	s := int(math.Ceil(d.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }

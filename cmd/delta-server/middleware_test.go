@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"delta"
-	"delta/internal/ratelimit"
 )
 
 // hardenedServer wires a full server with the given hardening config.
@@ -27,7 +26,7 @@ func testMetrics(t *testing.T) *serverMetrics {
 	t.Helper()
 	st := newJobStore(jobStoreConfig{})
 	t.Cleanup(st.Close)
-	return newServerMetrics(delta.NewPipeline(), st, nil, nil)
+	return newServerMetrics(delta.NewPipeline(), st, nil)
 }
 
 // TestPanicRecovery: a panicking handler answers a JSON 500 (instead of a
@@ -88,63 +87,18 @@ func TestPanicMidStream(t *testing.T) {
 	}
 }
 
-// TestRateLimit429: past the per-client burst the server answers 429 with
-// a Retry-After header; /healthz and /metrics stay exempt.
-func TestRateLimit429(t *testing.T) {
-	ts := hardenedServer(t, serverConfig{RateLimit: 0.5, RateBurst: 2})
-
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(ts.URL + "/v1/devices")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("burst request %d: status %d", i, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/devices")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Errorf("Retry-After = %q, want a positive value", ra)
-	}
-	var e errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-		t.Errorf("429 body not JSON: %v", err)
-	}
-	// Probes and scrapes survive a rate-limited client.
-	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s while rate limited: status %d", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestInflightShed: a saturated in-flight gate answers 503 + Retry-After
 // instead of queueing or dropping.
 func TestInflightShed(t *testing.T) {
 	m := testMetrics(t)
-	gate := ratelimit.NewGate(1)
+	g := make(gate, 1)
 	h := chain(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	}), withShedding(m, nil, gate))
+	}), withShedding(m, g))
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
-	if !gate.TryAcquire() {
-		t.Fatal("gate refused first slot")
-	}
+	g <- struct{}{}
 	resp, err := http.Get(ts.URL + "/v1/devices")
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +113,7 @@ func TestInflightShed(t *testing.T) {
 	if m.shed.With("inflight").Value() != 1 {
 		t.Errorf("shed{inflight} = %d, want 1", m.shed.With("inflight").Value())
 	}
-	gate.Release()
+	<-g
 	resp2, err := http.Get(ts.URL + "/v1/devices")
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +122,113 @@ func TestInflightShed(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("post-release status = %d, want 200", resp2.StatusCode)
 	}
+}
+
+// TestInflightGateFullStack: with -max-inflight 1 and its slot held by a
+// request whose body never arrives, data endpoints answer 503 with
+// Retry-After, while /healthz reports the full gate as 503 "degraded",
+// /metrics scrapes the shed counter and the gate gauges, and SSE streams
+// still serve. Releasing the slot reopens the server.
+func TestInflightGateFullStack(t *testing.T) {
+	ts := hardenedServer(t, serverConfig{MaxInFlight: 1})
+	sum := submitJob(t, ts, multiAxisJob)
+	pr, pw := io.Pipe()
+	defer pw.Close() // the server cannot close while the holder waits
+	held := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", pr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		held <- err
+	}()
+
+	type health struct {
+		Status      string `json:"status"`
+		InFlight    int    `json:"in_flight"`
+		MaxInFlight int    `json:"max_in_flight"`
+	}
+	healthz := func() (int, health) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h health
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatalf("decoding /healthz: %v", err)
+		}
+		return resp.StatusCode, h
+	}
+	code, h := healthz()
+	for deadline := time.Now().Add(10 * time.Second); h.InFlight != 1; code, h = healthz() {
+		if time.Now().After(deadline) {
+			t.Fatalf("holder never took the slot: /healthz = %d %+v", code, h)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/devices")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Errorf("503 body not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("saturated /v1/devices = %d, Retry-After %q; want 503, 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if e.Error != "server at concurrent-request capacity; retry later" {
+		t.Errorf("503 error = %q", e.Error)
+	}
+	if code, h := healthz(); code != http.StatusServiceUnavailable || h.Status != "degraded" ||
+		h.InFlight != 1 || h.MaxInFlight != 1 {
+		t.Errorf("saturated /healthz = %d %+v, want 503 degraded with in_flight and max_in_flight 1", code, h)
+	}
+
+	// read returns the body of a 200 answer and fails the test on any other.
+	read := func(resp *http.Response, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d, %v", resp.Request.URL.Path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	// SSE streams live as long as their work, so the gate never holds them.
+	for _, stream := range []string{
+		read(http.Get(ts.URL + "/v2/jobs/" + sum.ID + "/events")),
+		read(http.Post(ts.URL+"/v2/shards", "application/json", strings.NewReader(
+			`{"scenario": {"workloads": [{"network": "alexnet"}]}, "offset": 0, "limit": 1}`))),
+	} {
+		if !strings.Contains(stream, "event: done") {
+			t.Errorf("SSE stream while shedding ends without done: %q", stream)
+		}
+	}
+	metrics := read(http.Get(ts.URL + "/metrics"))
+	for _, want := range []string{
+		"\n" + `delta_http_shed_total{reason="inflight"} 1` + "\n",
+		"\ndelta_inflight_in_use 1\n",
+		"\ndelta_inflight_capacity 1\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+
+	pw.Close()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	read(http.Get(ts.URL + "/v1/devices"))
 }
 
 // TestAuthToken: with -auth-token set, data endpoints demand the bearer
@@ -281,6 +342,29 @@ func TestHealthReadiness(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"degraded"`) {
 		t.Errorf("saturated health body = %s", body)
+	}
+}
+
+// TestJobStoreFullRetryAfter: a submit against a store full of running
+// jobs is an overload refusal like the in-flight gate's: 503 with
+// Retry-After.
+func TestJobStoreFullRetryAfter(t *testing.T) {
+	st := newJobStore(jobStoreConfig{MaxJobs: 1})
+	t.Cleanup(st.Close)
+	ts := httptest.NewServer(newServerWith(delta.NewPipeline(), st, serverConfig{}))
+	t.Cleanup(ts.Close)
+	if _, err := st.submit("hog", 1, func(error) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp := postJSON(t, ts.URL+"/v2/jobs", multiAxisJob, nil)
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("503 body not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("full-store submit = %d, Retry-After %q; want 503, 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 
 	"delta"
 	"delta/internal/cluster"
-	"delta/internal/ratelimit"
 	"delta/internal/spec"
 )
 
@@ -36,12 +35,6 @@ const defaultSSEKeepAlive = 15 * time.Second
 type serverConfig struct {
 	// AuthToken guards every endpoint but /healthz and /metrics when set.
 	AuthToken string
-
-	// RateLimit is the sustained per-client allowance in requests/second
-	// (0 disables rate limiting); RateBurst is the token-bucket capacity
-	// (0 means 2×RateLimit, min 1).
-	RateLimit float64
-	RateBurst float64
 
 	// MaxInFlight caps globally concurrent requests (0 = uncapped);
 	// excess answers 503 + Retry-After instead of queueing.
@@ -78,8 +71,7 @@ type server struct {
 	p         *delta.Pipeline
 	jobs      *jobStore
 	metrics   *serverMetrics
-	limiter   *ratelimit.Limiter
-	gate      *ratelimit.Gate
+	inflight  gate
 	keepAlive time.Duration
 
 	// coord is non-nil in coordinator mode (serverConfig.Peers): /v2 job
@@ -114,23 +106,14 @@ func newServerWith(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) http.Han
 // need the durable-restart hook (resumeJobs) after assembly. It errors
 // only on a malformed coordinator config (bad Peers entry).
 func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Handler, *server, error) {
-	var lim *ratelimit.Limiter
-	if cfg.RateLimit > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = 2 * cfg.RateLimit
-		}
-		lim = ratelimit.New(ratelimit.Config{Rate: cfg.RateLimit, Burst: burst})
-	}
-	var gate *ratelimit.Gate
+	var inflight gate
 	if cfg.MaxInFlight > 0 {
-		gate = ratelimit.NewGate(cfg.MaxInFlight)
+		inflight = make(gate, cfg.MaxInFlight)
 	}
 	s := &server{
 		p: p, jobs: jobs,
-		metrics:   newServerMetrics(p, jobs, lim, gate),
-		limiter:   lim,
-		gate:      gate,
+		metrics:   newServerMetrics(p, jobs, inflight),
+		inflight:  inflight,
 		keepAlive: cfg.SSEKeepAlive,
 	}
 	if s.keepAlive <= 0 {
@@ -188,7 +171,7 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 		withAccessLog(cfg.AccessLog),
 		withMetrics(s.metrics),
 		withRecover(s.metrics, cfg.AccessLog),
-		withShedding(s.metrics, lim, gate),
+		withShedding(s.metrics, inflight),
 		withAuth(s.metrics, cfg.AuthToken),
 	), s, nil
 }
@@ -323,16 +306,29 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it sends status: once the status is sent it
+// is too late to report that v cannot be encoded, which answers a JSON 500.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// A failed write means the client is gone; nobody is left to tell.
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// writeOverloaded answers an overload refusal, from the in-flight gate or
+// a job store full of running jobs: 503 with Retry-After.
+func writeOverloaded(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, err)
 }
 
 // decodeBody strictly parses a bounded JSON request body.
@@ -388,7 +384,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	stats := s.p.Stats()
 	stored, running := s.jobs.occupancy()
 	jobsFull := running >= s.jobs.cfg.MaxJobs
-	gateFull := s.gate.Cap() > 0 && s.gate.InFlight() >= s.gate.Cap()
+	gateFull := s.inflight != nil && len(s.inflight) == cap(s.inflight)
 
 	body := map[string]any{
 		"status":       "ok",
@@ -401,12 +397,9 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"evicted":  s.jobs.evictions(),
 		},
 	}
-	if s.limiter != nil {
-		body["rate_limit_clients"] = s.limiter.Clients()
-	}
-	if s.gate != nil {
-		body["in_flight"] = s.gate.InFlight()
-		body["max_in_flight"] = s.gate.Cap()
+	if s.inflight != nil {
+		body["in_flight"] = len(s.inflight)
+		body["max_in_flight"] = cap(s.inflight)
 	}
 	// With -data-dir, surface WAL health.
 	if d := s.jobs.durable; d != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -299,5 +300,22 @@ func TestExploreRejectsModelFields(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST /v1/explore %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot encode answers a JSON 500,
+// not its intended status with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("body %q is not a JSON error: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
 	}
 }

@@ -49,7 +49,7 @@ type wireDone struct {
 }
 
 // ShardHandler serves the worker half of distributed sweeps. Wire it at
-// POST /v2/shards behind the server's usual auth/rate-limit middleware.
+// POST /v2/shards behind the server's usual auth middleware.
 type ShardHandler struct {
 	// Eval runs the shard's points; required.
 	Eval *pipeline.Evaluator

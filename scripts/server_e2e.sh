@@ -5,13 +5,14 @@
 # (one group: the points share each layer's engine pass), check that a sim
 # config whose L2 cannot be built answers 400 and the server keeps serving,
 # then scrape /metrics and assert the request/job/memo counters moved,
-# exercise the 413 oversize-body path, and rerun with tight limits to
-# exercise 429 load shedding. Run by the CI server-e2e job and usable
-# locally: ./scripts/server_e2e.sh
+# exercise the 413 oversize-body path, and rerun with -max-inflight 1 to
+# exercise 503 load shedding while /healthz and /metrics stay open. Run by
+# the CI server-e2e job and usable locally: ./scripts/server_e2e.sh
 #
-# Everything the run writes (the server binary, a header dump, the
-# crash-recovery data dir and the two jobs' records and event streams it
-# compares) lives in one mktemp -d directory, removed on every exit.
+# Everything the run writes (the server binary, a header dump, a /healthz
+# answer, the crash-recovery data dir and the two jobs' records and event
+# streams it compares) lives in one mktemp -d directory, removed on every
+# exit.
 set -Eeuo pipefail
 # Fail fast and name the offender: the ERR trap fires before the EXIT
 # cleanup, so the log ends with the exact line and command that broke.
@@ -22,15 +23,16 @@ BASE="http://$ADDR"
 WORK=$(mktemp -d)
 BIN="$WORK/delta-server"
 
-# The one EXIT handler: stop whichever server is current, then remove the
-# work dir (the server is reaped first, so it cannot write into the data
-# dir while it is removed).
+# The one EXIT handler: stop whichever server is current and the load-
+# shedding leg's slot holder, then remove the work dir (the server is
+# reaped first, so it cannot write into the data dir while it is removed).
 SERVER_PID=
+HOLDER_PID=
 cleanup() {
-  if [ -n "$SERVER_PID" ]; then
-    kill -9 "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-  fi
+  for pid in $HOLDER_PID $SERVER_PID; do
+    kill -9 "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+  done
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -169,37 +171,75 @@ echo "server-e2e: 413 OK"
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 
-# Rerun with tight limits: past the burst the server sheds with 429 +
-# Retry-After while /healthz stays open.
-"$BIN" -addr "$ADDR" -rate-limit 0.1 -rate-burst 2 &
+# Rerun with -max-inflight 1 and hold its one slot with a request whose
+# body never arrives: the server sheds with 503 + Retry-After while
+# /healthz (503 "degraded") and /metrics stay open, then reopens once the
+# holder is gone.
+"$BIN" -addr "$ADDR" -max-inflight 1 &
 SERVER_PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
   sleep 0.2
 done
 
-for i in 1 2; do
-  STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/devices")
-  if [ "$STATUS" != 200 ]; then
-    echo "server-e2e: burst request $i answered $STATUS, want 200" >&2
-    exit 1
-  fi
+python3 -c '
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)))
+s.sendall(b"POST /v1/estimate HTTP/1.1\r\nHost: " + sys.argv[1].encode()
+          + b"\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n")
+time.sleep(3600)
+' "$ADDR" &
+HOLDER_PID=$!
+# in_flight reads the gate's occupancy; /healthz is never gated, so it
+# answers while the slot is held.
+inflight() {
+  curl -s "$BASE/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin).get("in_flight", 0))'
+}
+INFLIGHT=0
+for _ in $(seq 1 200); do
+  INFLIGHT=$(inflight)
+  [ "$INFLIGHT" = 1 ] && break
 done
+if [ "$INFLIGHT" != 1 ]; then
+  echo "server-e2e: the holder never took the in-flight slot" >&2
+  exit 1
+fi
+
 HDRS="$WORK/headers"
 STATUS=$(curl -s -o /dev/null -D "$HDRS" -w '%{http_code}' "$BASE/v1/devices")
-if [ "$STATUS" != 429 ] || ! grep -qi '^retry-after:' "$HDRS"; then
-  echo "server-e2e: past-burst request answered $STATUS, want 429 + Retry-After" >&2
+if [ "$STATUS" != 503 ] || ! grep -qi '^retry-after:' "$HDRS"; then
+  echo "server-e2e: request past the in-flight cap answered $STATUS, want 503 + Retry-After" >&2
   cat "$HDRS" >&2
   exit 1
 fi
-curl -fsS "$BASE/healthz" >/dev/null  # probes survive shedding
+STATUS=$(curl -s -o "$WORK/health.json" -w '%{http_code}' "$BASE/healthz")
+if [ "$STATUS" != 503 ] || ! grep -q '"degraded"' "$WORK/health.json"; then
+  echo "server-e2e: /healthz with the gate full answered $STATUS, want 503 degraded" >&2
+  cat "$WORK/health.json" >&2
+  exit 1
+fi
 # Plain grep drains the whole scrape; grep -q exits on first match and a
 # still-writing curl would fail the pipeline with SIGPIPE under pipefail.
-curl -fsS "$BASE/metrics" | grep 'delta_http_shed_total{reason="rate"}' >/dev/null || {
+curl -fsS "$BASE/metrics" | grep 'delta_http_shed_total{reason="inflight"}' >/dev/null || {
   echo "server-e2e: shed counter missing from /metrics" >&2
   exit 1
 }
-echo "server-e2e: 429 OK"
+
+kill "$HOLDER_PID"
+wait "$HOLDER_PID" 2>/dev/null || true
+HOLDER_PID=
+# The server frees the slot once it reads the holder's closed connection.
+for _ in $(seq 1 200); do
+  INFLIGHT=$(inflight)
+  [ "$INFLIGHT" = 0 ] && break
+done
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/devices")
+if [ "$STATUS" != 200 ]; then
+  echo "server-e2e: /v1/devices answered $STATUS after the slot was released, want 200" >&2
+  exit 1
+fi
+echo "server-e2e: 503 OK"
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
