@@ -31,7 +31,7 @@ func (s *server) runClusterJob(ctx context.Context, j *job, doc json.RawMessage,
 	defer j.cancel(nil)
 	var firstErr string
 	runErr := s.coord.Run(ctx, cluster.Sweep{
-		JobID: j.id, Doc: doc, Scenario: sc, Offset: offset, Policy: policy,
+		Doc: doc, Scenario: sc, Offset: offset, Policy: policy,
 	}, func(u cluster.Update) error {
 		// Compacting checks the peer's bytes and keeps each stored result
 		// on one SSE data line, however the worker's frame broke it.

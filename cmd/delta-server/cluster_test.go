@@ -36,9 +36,10 @@ func startFleetWorker(t *testing.T, token string) *httptest.Server {
 	return ts
 }
 
-// startFleetCoordinator brings up a coordinator-mode server over peers.
-// The tiny retry backoff keeps reassignment tests fast.
-func startFleetCoordinator(t *testing.T, st *jobStore, cfg serverConfig) *httptest.Server {
+// startFleetCoordinator brings up a coordinator-mode server over peers,
+// returning the *server too for the durable-restart hook. The tiny retry
+// backoff keeps reassignment tests fast.
+func startFleetCoordinator(t *testing.T, st *jobStore, cfg serverConfig) (*httptest.Server, *server) {
 	t.Helper()
 	if st == nil {
 		st = newJobStore(jobStoreConfig{})
@@ -48,13 +49,13 @@ func startFleetCoordinator(t *testing.T, st *jobStore, cfg serverConfig) *httpte
 		cfg.ShardRetryBackoff = 2 * time.Millisecond
 	}
 	cfg.AccessLog = quietLogger()
-	handler, _, err := buildServer(delta.NewPipeline(), st, cfg)
+	handler, sv, err := buildServer(delta.NewPipeline(), st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
-	return ts
+	return ts, sv
 }
 
 // metricValue scrapes ts's /metrics and sums every series of name (all
@@ -100,7 +101,7 @@ func TestFleetJobBitIdentical(t *testing.T) {
 	}
 
 	w1, w2 := startFleetWorker(t, ""), startFleetWorker(t, "")
-	coord := startFleetCoordinator(t, nil, serverConfig{Peers: []string{w1.URL, w2.URL}})
+	coord, _ := startFleetCoordinator(t, nil, serverConfig{Peers: []string{w1.URL, w2.URL}})
 	sum := submitJob(t, coord, multiAxisJob)
 	got := pollJob(t, coord, sum.ID)
 	if got.Status != string(jobDone) {
@@ -161,7 +162,7 @@ func TestFleetCompactsMultilinePayload(t *testing.T) {
 		fmt.Fprintf(w, "event: done\ndata: {\"count\": %d}\n\n", n)
 	}))
 	t.Cleanup(worker.Close)
-	coord := startFleetCoordinator(t, nil, serverConfig{Peers: []string{worker.URL}})
+	coord, _ := startFleetCoordinator(t, nil, serverConfig{Peers: []string{worker.URL}})
 
 	got := pollJob(t, coord, submitJob(t, coord, multiAxisJob).ID)
 	if got.Status != string(jobDone) {
@@ -186,7 +187,7 @@ func TestFleetReassignsDeadWorker(t *testing.T) {
 	live := startFleetWorker(t, "")
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // the URL now refuses connections
-	coord := startFleetCoordinator(t, nil, serverConfig{Peers: []string{dead.URL, live.URL}})
+	coord, _ := startFleetCoordinator(t, nil, serverConfig{Peers: []string{dead.URL, live.URL}})
 
 	got := pollJob(t, coord, submitJob(t, coord, multiAxisJob).ID)
 	if got.Status != string(jobDone) {
@@ -216,7 +217,7 @@ func TestFleetReassignsDeadWorker(t *testing.T) {
 func TestFleetAuthForwarded(t *testing.T) {
 	const token = "fleet-secret"
 	w := startFleetWorker(t, token)
-	coord := startFleetCoordinator(t, nil, serverConfig{AuthToken: token, Peers: []string{w.URL}})
+	coord, _ := startFleetCoordinator(t, nil, serverConfig{AuthToken: token, Peers: []string{w.URL}})
 
 	do := func(method, url, body string) *http.Response {
 		t.Helper()
@@ -274,7 +275,7 @@ func TestFleetAuthForwarded(t *testing.T) {
 // to degraded 503 when a majority of workers is unreachable.
 func TestFleetHealthQuorum(t *testing.T) {
 	w1, w2 := startFleetWorker(t, ""), startFleetWorker(t, "")
-	healthy := startFleetCoordinator(t, nil, serverConfig{Peers: []string{w1.URL, w2.URL}})
+	healthy, _ := startFleetCoordinator(t, nil, serverConfig{Peers: []string{w1.URL, w2.URL}})
 	var body struct {
 		Status string `json:"status"`
 		Fleet  struct {
@@ -294,7 +295,7 @@ func TestFleetHealthQuorum(t *testing.T) {
 	dead1.Close()
 	dead2 := httptest.NewServer(http.NotFoundHandler())
 	dead2.Close()
-	degraded := startFleetCoordinator(t, nil, serverConfig{Peers: []string{dead1.URL, dead2.URL, w1.URL}})
+	degraded, _ := startFleetCoordinator(t, nil, serverConfig{Peers: []string{dead1.URL, dead2.URL, w1.URL}})
 	resp, err := http.Get(degraded.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -318,41 +319,76 @@ func TestFleetHealthQuorum(t *testing.T) {
 	}
 }
 
-// TestFleetDurableShardRecords: a durable coordinator audits the shard
-// lifecycle in the job WAL — every shard reaches "done" on a completed
-// sweep.
-func TestFleetDurableShardRecords(t *testing.T) {
-	d := openTestDurability(t, t.TempDir())
+// TestFleetCoordinatorResume: what durability promises a coordinator. A
+// durable job left mid-sweep — submit plus the first 3 of multiAxisJob's
+// 8 results, no finish record, what a kill -9 leaves — resumes on a
+// restarted coordinator at its merged prefix: the workers evaluate only
+// the tail, and the job and its durable state end byte-identical to a
+// single-node run.
+func TestFleetCoordinatorResume(t *testing.T) {
+	single, singleStore := jobTestServer(t, jobStoreConfig{})
+	ref := pollJob(t, single, submitJob(t, single, multiAxisJob).ID)
+	if ref.Status != string(jobDone) || len(ref.Raw) != 8 {
+		t.Fatalf("single-node reference = %s, %d results", ref.Status, len(ref.Raw))
+	}
+	refJob, _ := singleStore.get(ref.ID)
+	want := refJob.results // the stored bytes, as renderPoint wrote them
+
+	var req jobRequest
+	if err := json.Unmarshal([]byte(multiAxisJob), &req); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	crashed, err := durable.Open(dir, durable.StoreOptions{Fsync: durable.FsyncNever, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "fleet01"
+	if err := crashed.RecordSubmit(id, ref.Name, 8, time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC), req.Scenario, "fail_fast"); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 0; seq < 3; seq++ {
+		if err := crashed.RecordResult(id, seq, want[seq]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := openTestDurability(t, dir)
 	defer d.close()
 	st := newJobStore(jobStoreConfig{})
 	st.durable = d
 	t.Cleanup(st.Close)
-	w := startFleetWorker(t, "")
-	coord := startFleetCoordinator(t, st, serverConfig{Peers: []string{w.URL}})
+	w1, w2 := startFleetWorker(t, ""), startFleetWorker(t, "")
+	coord, sv := startFleetCoordinator(t, st, serverConfig{Peers: []string{w1.URL, w2.URL}})
+	if restored, resumed := sv.resumeJobs(); restored != 0 || resumed != 1 {
+		t.Fatalf("resumeJobs = (%d restored, %d resumed), want (0, 1)", restored, resumed)
+	}
 
-	got := pollJob(t, coord, submitJob(t, coord, multiAxisJob).ID)
-	if got.Status != string(jobDone) {
-		t.Fatalf("durable fleet job = %s (err %q)", got.Status, got.Error)
+	got := pollJob(t, coord, id)
+	if got.Status != string(jobDone) || got.Error != "" {
+		t.Fatalf("resumed fleet job = %+v", got.jobSummary)
 	}
-	js := findDurableJob(t, d, got.ID)
-	if js.Status != durable.StatusDone || len(js.Results) != 8 {
-		t.Fatalf("durable state: status %s, %d results", js.Status, len(js.Results))
+	if !sameResults(got.Raw, ref.Raw) {
+		t.Fatalf("resumed fleet results diverge from single-node:\n  want %s\n  have %s", ref.Raw, got.Raw)
 	}
-	if len(js.Shards) == 0 {
-		t.Fatal("no shard records in the job WAL")
+	js := findDurableJob(t, d, id)
+	if js.Status != durable.StatusDone || !sameResults(js.Results, want) {
+		t.Fatalf("durable state after resume: status %s, results\n  %s\nwant\n  %s", js.Status, js.Results, want)
 	}
-	covered := 0
-	for idx, sh := range js.Shards {
-		if sh.Status != durable.ShardDone {
-			t.Errorf("shard %d status = %s (want done)", idx, sh.Status)
-		}
-		if sh.Peer == "" || sh.Attempts < 1 {
-			t.Errorf("shard %d missing peer/attempt: %+v", idx, sh)
-		}
-		covered += sh.Count
+
+	// Only the 5-point tail was dispatched. A one-point remainder re-run
+	// on the other worker may evaluate its point twice.
+	var evaluated float64
+	for _, w := range []*httptest.Server{w1, w2} {
+		v, _ := metricValue(t, w, "delta_scenario_points_total")
+		evaluated += v
 	}
-	if covered != 8 {
-		t.Errorf("shard records cover %d points (want 8)", covered)
+	reruns, _ := metricValue(t, coord, "delta_cluster_hedged_shards_total")
+	if evaluated < 5 || evaluated > 5+reruns {
+		t.Errorf("workers evaluated %v points with %v re-runs; want the 5-point tail only", evaluated, reruns)
 	}
 }
 

@@ -469,17 +469,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		policyName = "fail_fast"
 	}
 	s.jobs.durable.recordSubmit(j, req.Scenario, policyName)
-	if s.coord != nil {
-		// Coordinator mode: shard the sweep across the worker fleet. The
-		// raw scenario document travels to workers verbatim; expansion
-		// errors already 400'd via ReadScenario above.
-		s.jobs.runners.Add(1)
-		go s.runClusterJob(ctx, j, req.Scenario, sc, 0, policy)
-		writeJSON(w, http.StatusAccepted, j.summary())
-		return
-	}
-	ch, err := s.p.Stream(ctx, sc, delta.WithStreamErrorPolicy(policy))
-	if err != nil {
+	if err := s.launch(ctx, j, req.Scenario, sc, 0, policy); err != nil {
 		// Expansion errors normally surface from ReadScenario above; if
 		// one slips through, release the slot (finish first, so the
 		// store's running count is balanced) and report it. remove also
@@ -490,9 +480,29 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	writeJSON(w, http.StatusAccepted, j.summary())
+}
+
+// launch starts j's sweep at point offset — a fresh submit's 0, a resumed
+// job's persisted result count: sharded across the worker fleet in
+// coordinator mode, else on the local pipeline. Only a local stream that
+// cannot start errors, and then nothing runs.
+func (s *server) launch(ctx context.Context, j *job, doc json.RawMessage, sc delta.Scenario, offset int, policy delta.StreamErrorPolicy) error {
+	if s.coord != nil {
+		// The raw scenario document travels to the workers verbatim, and
+		// only the points past offset are dispatched, so a resumed sweep
+		// never recomputes or duplicates merged results.
+		s.jobs.runners.Add(1)
+		go s.runClusterJob(ctx, j, doc, sc, offset, policy)
+		return nil
+	}
+	ch, err := s.p.Stream(ctx, sc, delta.WithStreamErrorPolicy(policy), delta.WithStreamOffset(offset))
+	if err != nil {
+		return err
+	}
 	s.jobs.runners.Add(1)
 	go s.runJob(ctx, j, ch, policy)
-	writeJSON(w, http.StatusAccepted, j.summary())
+	return nil
 }
 
 // runJob drains the stream into the job record, then classifies it. A

@@ -35,18 +35,19 @@
 // Distributed sweeps: every delta-server also serves POST /v2/shards, the
 // worker half of fleet mode — a scenario window streamed back as SSE
 // result frames. With -coordinator -peers=<list|@file>, submitted /v2
-// jobs are instead split into a queue of shards (-shards-per-peer) that
-// each worker pulls from when free (internal/cluster), and merged back
-// in expansion order, byte-identical to a single-node run. An idle worker
+// jobs are instead split into a queue of four shards per worker that each
+// worker pulls from when free (internal/cluster), and merged back in
+// expansion order, byte-identical to a single-node run. An idle worker
 // takes over the back half of the busiest in-flight shard, or re-runs
 // its last point; a failed attempt's remainder goes back on the queue,
-// bounded by -shard-attempts, and each attempt by -shard-timeout. See
-// the README's "Distributed sweeps" section.
+// at most max(3, workers+1) failed attempts per shard, and each attempt
+// is bounded by -shard-timeout. See the README's "Distributed sweeps"
+// section.
 //
 // Chaos testing: -chaos arms a seeded deterministic fault injector
-// (internal/chaos) on the server's listener — refusals, synthetic 5xx,
-// latency, and SSE-frame cut/truncate/corrupt — for resilience drills
-// that replay identically from their seed ($DELTA_CHAOS_SEED).
+// (internal/chaos) on the server's listener — refusals, latency, and
+// SSE-frame cut/truncate/corrupt — for resilience drills that replay
+// identically from the spec's seed.
 //
 // Example:
 //
@@ -101,15 +102,11 @@ func main() {
 			"shard /v2 job sweeps across a worker fleet (-peers) instead of evaluating them locally")
 		peersFlag = flag.String("peers", "",
 			"worker base URLs for -coordinator: comma-separated list, or @file with one per line")
-		shardsPerPeer = flag.Int("shards-per-peer", 0,
-			"shards per worker when coordinating (0 = default 4)")
-		shardAttempts = flag.Int("shard-attempts", 0,
-			"failed attempts per shard before a coordinated sweep fails (0 = default max(3, peers+1))")
 		shardTimeout = flag.Duration("shard-timeout", 0,
 			"bound on one shard attempt when coordinating (0 = default 10m)")
 
 		chaosFlag = flag.String("chaos", "",
-			`fault-injection spec (JSON rules or @file, see internal/chaos): injects connection refusals, 5xx, latency, and SSE-frame cut/truncate/corrupt into accepted connections; seeded by the spec or $DELTA_CHAOS_SEED`)
+			`fault-injection spec (JSON rules or @file, see internal/chaos): injects request refusals, latency, and SSE-frame cut/truncate/corrupt into accepted connections; seeded by the spec's seed`)
 	)
 	flag.Parse()
 	// The env var is read after flag parsing, not wired as the flag
@@ -153,13 +150,11 @@ func main() {
 		log.Printf("delta-server: durable jobs in %s (fsync=%s)", *dataDir, *fsyncMode)
 	}
 	handler, sv, err := buildServer(p, jobs, serverConfig{
-		AuthToken:     *authToken,
-		MaxInFlight:   *maxInflight,
-		AccessLog:     log.Default(),
-		Peers:         peers,
-		ShardsPerPeer: *shardsPerPeer,
-		ShardAttempts: *shardAttempts,
-		ShardTimeout:  *shardTimeout,
+		AuthToken:    *authToken,
+		MaxInFlight:  *maxInflight,
+		AccessLog:    log.Default(),
+		Peers:        peers,
+		ShardTimeout: *shardTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "delta-server:", err)

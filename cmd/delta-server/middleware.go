@@ -170,7 +170,8 @@ func newServerMetrics(p *delta.Pipeline, jobs *jobStore, g gate) *serverMetrics 
 
 // statusWriter records the response status for logging and metrics while
 // passing Flush through, so the SSE handler keeps streaming through the
-// middleware stack.
+// middleware stack, and Unwrap, so an http.ResponseController reaches the
+// connection's deadlines.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -195,6 +196,8 @@ func (w *statusWriter) Flush() {
 		f.Flush()
 	}
 }
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // withRequestID tags every request with an X-Request-ID (the client's, or
 // a fresh one), echoed on the response and carried on the request headers

@@ -231,6 +231,52 @@ func TestInflightGateFullStack(t *testing.T) {
 	read(http.Get(ts.URL + "/v1/devices"))
 }
 
+// TestStalledBodyFreesSlot: with -max-inflight 1, a request that sends
+// its headers and then stalls its body answers 408 once bodyTimeout has
+// passed and gives its slot back, though its client keeps the connection
+// open: /healthz reads in_flight 0 and data endpoints answer again.
+func TestStalledBodyFreesSlot(t *testing.T) {
+	orig := bodyTimeout
+	defer func() { bodyTimeout = orig }()
+	bodyTimeout = 200 * time.Millisecond
+
+	ts := hardenedServer(t, serverConfig{MaxInFlight: 1})
+	pr, pw := io.Pipe()
+	defer pw.Close() // never written: the body stalls until the test ends
+	type answer struct {
+		code int
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", pr)
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		resp.Body.Close()
+		answered <- answer{code: resp.StatusCode}
+	}()
+	select {
+	case a := <-answered:
+		if a.err != nil || a.code != http.StatusRequestTimeout {
+			t.Fatalf("stalled body answered %d, %v; want 408", a.code, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled body not answered within 5 s; it still holds its slot")
+	}
+
+	var h struct {
+		InFlight int `json:"in_flight"`
+	}
+	if resp := postGet(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK || h.InFlight != 0 {
+		t.Errorf("/healthz after the 408 = %d, in_flight %d; want 200, 0", resp.StatusCode, h.InFlight)
+	}
+	if resp := postGet(t, ts.URL+"/v1/devices", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/devices after the 408 = %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestAuthToken: with -auth-token set, data endpoints demand the bearer
 // token (constant-time compared) while /healthz and /metrics stay open.
 func TestAuthToken(t *testing.T) {

@@ -75,18 +75,6 @@ func (d *durability) recordFinish(id string, status jobStatus, errMsg string, at
 	}
 }
 
-// RecordShard persists one distributed-shard lifecycle transition
-// (dispatched / done / failed, with the peer and attempt number). It
-// implements cluster.Recorder, so coordinator mode audits every shard
-// hand-off in the job WAL. Exported shape aside, it is nil-safe like the
-// other hooks: in-memory coordinators simply skip recording.
-func (d *durability) RecordShard(job string, shard, offset, count int, peer string, attempt int, status string) error {
-	if d == nil {
-		return nil
-	}
-	return d.store.RecordShard(job, shard, offset, count, peer, attempt, status)
-}
-
 // recordEvict truncates a job's durable state (TTL/capacity eviction or a
 // client DELETE discarding it).
 func (d *durability) recordEvict(id string) {
@@ -195,23 +183,10 @@ func (s *server) resumeJobs() (restored, resumed int) {
 			finishNow(jobFailed, fmt.Sprintf("resume: scenario now expands to %d points, job recorded %d", got, js.Total))
 			continue
 		}
-		if s.coord != nil {
-			// Coordinator mode resumes like single-node: only the points
-			// past the merged prefix are re-dispatched (Sweep.Offset), so
-			// a restart never recomputes or duplicates merged results.
-			s.jobs.runners.Add(1)
-			go s.runClusterJob(ctx, j, js.Scenario, sc, len(results), policy)
-			resumed++
-			continue
-		}
-		ch, err := s.p.Stream(ctx, sc,
-			delta.WithStreamErrorPolicy(policy), delta.WithStreamOffset(len(results)))
-		if err != nil {
+		if err := s.launch(ctx, j, js.Scenario, sc, len(results), policy); err != nil {
 			finishNow(jobFailed, fmt.Sprintf("resume: %v", err))
 			continue
 		}
-		s.jobs.runners.Add(1)
-		go s.runJob(ctx, j, ch, policy)
 		resumed++
 	}
 	if restored+resumed > 0 {

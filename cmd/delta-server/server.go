@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -54,11 +55,9 @@ type serverConfig struct {
 	// to share AuthToken; empty Peers is single-node mode.
 	Peers []string
 
-	// ShardsPerPeer / ShardAttempts / ShardTimeout tune coordinator
-	// sharding (0 takes the cluster defaults: 4, max(3, peers+1), 10m).
-	ShardsPerPeer int
-	ShardAttempts int
-	ShardTimeout  time.Duration
+	// ShardTimeout bounds one coordinator shard attempt (0 takes the
+	// cluster default, 10m).
+	ShardTimeout time.Duration
 
 	// ShardRetryBackoff overrides the failure and reconnect backoff base
 	// (0 = cluster defaults); tests shrink it.
@@ -120,20 +119,13 @@ func buildServer(p *delta.Pipeline, jobs *jobStore, cfg serverConfig) (http.Hand
 		s.keepAlive = defaultSSEKeepAlive
 	}
 	if len(cfg.Peers) > 0 {
-		var rec cluster.Recorder
-		if jobs.durable != nil {
-			rec = jobs.durable
-		}
 		coord, err := cluster.New(cluster.Config{
 			Peers:         cfg.Peers,
-			ShardsPerPeer: cfg.ShardsPerPeer,
-			MaxAttempts:   cfg.ShardAttempts,
 			ShardTimeout:  cfg.ShardTimeout,
 			RetryBackoff:  cfg.ShardRetryBackoff,
 			ClientBackoff: cfg.ShardRetryBackoff,
 			Token:         cfg.AuthToken,
 			Metrics:       cluster.NewMetrics(s.metrics.reg),
-			Recorder:      rec,
 			Log:           cfg.AccessLog,
 		})
 		if err != nil {
@@ -331,20 +323,41 @@ func writeOverloaded(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
-// decodeBody strictly parses a bounded JSON request body.
+// bodyTimeout bounds reading one request body, so a client that sends
+// its headers and then stalls cannot hold an in-flight slot: 30 s lets a
+// maxBodyBytes body arrive at 35 KB/s. Tests shorten it.
+var bodyTimeout = 30 * time.Second
+
+// decodeBody strictly parses a bounded JSON request body, read within
+// bodyTimeout.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	// A writer without deadline support (a handler test's recorder) reads
+	// without one.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyTimeout))
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		// The deadline must not outlive the body: the server's background
+		// read would hit it and cancel a long request's context. A deadline
+		// that fired stays, so answering never waits on the unread rest.
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	return err
 }
 
 // bodyErrStatus maps a decodeBody failure to its status: a body past the
 // request cap is 413 (the client sent too much, not something malformed),
-// everything else is a plain 400.
+// one that did not arrive within bodyTimeout is 408, everything else is a
+// plain 400.
 func bodyErrStatus(err error) int {
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
+	switch {
+	case errors.As(err, &mbe):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusRequestTimeout
 	}
 	return http.StatusBadRequest
 }

@@ -54,12 +54,29 @@ func listenerServer(t *testing.T, inj *Injector, frames int) string {
 	return "http://" + ln.Addr().String()
 }
 
-// get fetches url on a fresh connection, so the listener's accept-level
-// rules see every request in order, and returns the status, the body up
-// to where the stream ended, and the read error.
+// get fetches url on a fresh connection, so a fault that killed one
+// request's connection cannot touch the next, and returns the status, the
+// body up to where the stream ended, and the read error.
 func get(t *testing.T, url string) (int, string, error) {
 	t.Helper()
 	return fetch(&http.Client{Transport: &http.Transport{DisableKeepAlives: true}}, url)
+}
+
+// injections captures inj's injection log through Logf, the sink
+// delta-server hands log.Printf, and returns a reader for the lines so far.
+func injections(inj *Injector) func() []string {
+	var mu sync.Mutex
+	var lines []string
+	inj.Logf(func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), lines...)
+	}
 }
 
 func fetch(cl *http.Client, url string) (int, string, error) {
@@ -108,6 +125,13 @@ func TestParseSpec(t *testing.T) {
 		`[{"fault": "cut", "after_frame": 3}]`,
 		`{"rules": [{"fault": "refuse", "peer": "18091"}]}`,
 		`{"seed": 1, "rules": [{"fault": "refuse"}], "extra": true}`,
+		// Removed vocabulary: the status fault, the dial latency site and
+		// the for_requests and wall-clock windows.
+		`[{"fault": "status", "status": 502}]`,
+		`[{"fault": "latency", "where": "dial", "latency_ms": 5}]`,
+		`[{"fault": "refuse", "for_requests": 2}]`,
+		`[{"fault": "refuse", "after_ms": 100}]`,
+		`[{"fault": "refuse", "for_ms": 100}]`,
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -151,14 +175,6 @@ func TestSeedResolution(t *testing.T) {
 	if got := Seed(42); got != 42 {
 		t.Fatalf("explicit seed: %d", got)
 	}
-	t.Setenv(SeedEnv, "99")
-	if got := Seed(0); got != 99 {
-		t.Fatalf("env seed: %d", got)
-	}
-	if got := Seed(42); got != 42 {
-		t.Fatalf("explicit beats env: %d", got)
-	}
-	t.Setenv(SeedEnv, "not-a-number")
 	if got := Seed(0); got != 1 {
 		t.Fatalf("fallback seed: %d", got)
 	}
@@ -166,30 +182,16 @@ func TestSeedResolution(t *testing.T) {
 
 func TestSchedulingWindows(t *testing.T) {
 	inj := MustNew(Spec{Rules: []Rule{
-		{Fault: FaultRefuse, AfterRequests: 2, ForRequests: 2},
+		{Fault: FaultRefuse, AfterRequests: 2, Count: 2},
 	}})
 	var fired []bool
 	for i := 0; i < 6; i++ {
-		fired = append(fired, len(inj.plan("")) > 0)
+		fired = append(fired, len(inj.plan("/plain")) > 0)
 	}
 	want := []bool{false, false, true, true, false, false}
 	for i := range want {
 		if fired[i] != want[i] {
 			t.Fatalf("request %d: fired=%v want %v (%v)", i, fired[i], want[i], fired)
-		}
-	}
-
-	// Elapsed-time window via the now seam.
-	inj = MustNew(Spec{Rules: []Rule{{Fault: FaultRefuse, AfterMS: 100, ForMS: 100}}})
-	base := time.Unix(0, 0)
-	inj.start = base
-	for i, tc := range []struct {
-		at   time.Duration
-		want bool
-	}{{0, false}, {50 * time.Millisecond, false}, {150 * time.Millisecond, true}, {250 * time.Millisecond, false}} {
-		inj.now = func() time.Time { return base.Add(tc.at) }
-		if got := len(inj.plan("")) > 0; got != tc.want {
-			t.Fatalf("probe %d at %v: fired=%v want %v", i, tc.at, got, tc.want)
 		}
 	}
 }
@@ -202,10 +204,18 @@ func TestSelectorMatching(t *testing.T) {
 		t.Fatal("wrong path matched")
 	}
 	if len(inj.plan("")) != 0 {
-		t.Fatal("path rule planned at accept time")
+		t.Fatal("path rule matched a request whose path was not sniffed")
 	}
 	if len(inj.plan("/v2/shards")) != 1 {
 		t.Fatal("exact match missed")
+	}
+
+	// An empty path matches every request, sniffed or not.
+	inj = MustNew(Spec{Rules: []Rule{{Fault: FaultRefuse}}})
+	for _, path := range []string{"/healthz", "/v2/shards", ""} {
+		if len(inj.plan(path)) != 1 {
+			t.Fatalf("pathless rule missed %q", path)
+		}
 	}
 }
 
@@ -213,12 +223,13 @@ func TestSeededReplayIdentical(t *testing.T) {
 	run := func() []string {
 		inj := MustNew(Spec{Seed: 1234, Rules: []Rule{
 			{Fault: FaultRefuse, Prob: 0.5},
-			{Fault: FaultStatus, Prob: 0.3},
+			{Fault: FaultLatency, LatencyMS: 5, Prob: 0.3},
 		}})
+		injected := injections(inj)
 		for i := 0; i < 40; i++ {
-			inj.plan("")
+			inj.plan("/v2/shards")
 		}
-		return inj.Events()
+		return injected()
 	}
 	a, b := run(), run()
 	if len(a) == 0 {
@@ -236,12 +247,13 @@ func TestSeededReplayIdentical(t *testing.T) {
 	// A different seed must yield a different schedule.
 	inj := MustNew(Spec{Seed: 4321, Rules: []Rule{
 		{Fault: FaultRefuse, Prob: 0.5},
-		{Fault: FaultStatus, Prob: 0.3},
+		{Fault: FaultLatency, LatencyMS: 5, Prob: 0.3},
 	}})
+	injected := injections(inj)
 	for i := 0; i < 40; i++ {
-		inj.plan("")
+		inj.plan("/v2/shards")
 	}
-	c := inj.Events()
+	c := injected()
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -256,41 +268,30 @@ func TestSeededReplayIdentical(t *testing.T) {
 	}
 }
 
-// TestListenerFaults drives every fault through the Listener: accept-
-// level refusal and synthetic status, frame-level cut, truncate and
-// corrupt on a matched path, and the dial, first-byte and frame latency
-// sites.
+// TestListenerFaults drives every fault through the Listener: refusal,
+// frame-level cut, truncate and corrupt on a matched path, and the
+// first-byte and frame latency sites.
 func TestListenerFaults(t *testing.T) {
 	clean := sseBody(3)
 	frames := strings.SplitAfter(clean, "\n\n")
 
-	t.Run("refuse_status", func(t *testing.T) {
+	t.Run("refuse", func(t *testing.T) {
 		inj := MustNew(Spec{Rules: []Rule{
-			{Fault: FaultRefuse, Count: 1},
-			{Fault: FaultStatus, AfterRequests: 1, Count: 1},
-			{Fault: FaultStatus, AfterRequests: 2, Count: 1, Status: 502},
+			{Fault: FaultRefuse, AfterRequests: 1, Count: 2},
 		}})
+		injected := injections(inj)
 		base := listenerServer(t, inj, 3)
-		// Request 1: accept-level refusal — the conn dies before HTTP.
-		if _, _, err := get(t, base+"/plain"); err == nil {
-			t.Fatal("refused accept still answered")
-		}
-		// Requests 2 and 3: raw synthetic status, the default then an
-		// explicit one.
-		for _, want := range []int{503, 502} {
+		// Request 1 is clean; requests 2 and 3 die before any response
+		// byte; request 4 is clean again, the rule's budget spent.
+		for i, refused := range []bool{false, true, true, false} {
 			code, body, err := get(t, base+"/plain")
-			if err != nil || code != want || !strings.Contains(body, "chaos") {
-				t.Fatalf("want raw %d, got %d %q %v", want, code, body, err)
+			if refused != (err != nil) || !refused && (code != 200 || body != "ok") {
+				t.Fatalf("request %d (refused=%v): %d %q %v", i+1, refused, code, body, err)
 			}
 		}
-		// Request 4: clean — every rule budget is spent.
-		if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {
-			t.Fatalf("want clean 200, got %d %q %v", code, body, err)
-		}
-		ev := inj.Events()
-		if len(ev) != 3 || !strings.Contains(ev[0], "refuse") ||
-			!strings.Contains(ev[1], "status=503") || !strings.Contains(ev[2], "status=502") {
-			t.Fatalf("events %v", ev)
+		if ev := injected(); len(ev) != 2 || !strings.Contains(ev[0], "#1 refuse path=/plain") ||
+			!strings.Contains(ev[1], "#2 refuse path=/plain") {
+			t.Fatalf("injections %v", ev)
 		}
 	})
 
@@ -327,6 +328,7 @@ func TestListenerFaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := MustNew(Spec{Rules: []Rule{tc.rule}})
+			injected := injections(inj)
 			base := listenerServer(t, inj, 3)
 			// The path rule leaves other paths alone.
 			if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {
@@ -337,17 +339,16 @@ func TestListenerFaults(t *testing.T) {
 				t.Fatalf("status %d (%v)", code, err)
 			}
 			tc.check(t, body, err)
-			if ev := inj.Events(); len(ev) != 1 || !strings.Contains(ev[0], tc.name) {
-				t.Fatalf("events %v", ev)
+			if ev := injected(); len(ev) != 1 || !strings.Contains(ev[0], tc.name) {
+				t.Fatalf("injections %v", ev)
 			}
 		})
 	}
 
 	t.Run("latency_sites", func(t *testing.T) {
 		inj := MustNew(Spec{Rules: []Rule{
-			{Fault: FaultLatency, Where: "dial", LatencyMS: 7, Count: 1},
-			{Fault: FaultLatency, Where: "first_byte", LatencyMS: 5, AfterRequests: 1, Count: 1},
-			{Fault: FaultLatency, Where: "frame", LatencyMS: 3, AfterRequests: 2},
+			{Fault: FaultLatency, Where: "first_byte", LatencyMS: 5, Count: 1},
+			{Fault: FaultLatency, Where: "frame", LatencyMS: 3, AfterRequests: 1},
 		}})
 		var mu sync.Mutex
 		var slept []time.Duration
@@ -358,7 +359,6 @@ func TestListenerFaults(t *testing.T) {
 		}
 		base := listenerServer(t, inj, 2)
 		for i, want := range [][]time.Duration{
-			{7 * time.Millisecond},
 			{5 * time.Millisecond},
 			// 2 result frames + 1 done frame, each delayed.
 			{3 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond},
@@ -378,8 +378,8 @@ func TestListenerFaults(t *testing.T) {
 		}
 	})
 
-	// A connection-level stream rule filters every response on the
-	// connection; one that is not an event stream passes untouched.
+	// A stream rule with no path filters every response; one that is not
+	// an event stream passes untouched.
 	t.Run("plain_passthrough", func(t *testing.T) {
 		base := listenerServer(t, MustNew(Spec{Rules: []Rule{{Fault: FaultCorrupt}}}), 3)
 		if code, body, err := get(t, base+"/plain"); err != nil || code != 200 || body != "ok" {

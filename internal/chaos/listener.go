@@ -7,13 +7,10 @@ import (
 )
 
 // Listener wraps base so accepted connections pass through the
-// injector's rules. Rules without a Path are evaluated once per accepted
-// connection (refuse closes it immediately; status answers a raw HTTP
-// error and closes; latency and stream faults attach to the
-// connection). Rules with a Path are evaluated per HTTP request: the
-// request line is sniffed from the inbound bytes — including follow-up
-// requests on a kept-alive connection — so faults can target /v2/shards
-// without touching /healthz probes.
+// injector's rules. Rules are evaluated per HTTP request: the request
+// line is sniffed from the inbound bytes — including follow-up requests
+// on a kept-alive connection — so faults can target /v2/shards without
+// touching /healthz probes.
 func (inj *Injector) Listener(base net.Listener) net.Listener {
 	return &listener{inj: inj, base: base}
 }
@@ -27,54 +24,19 @@ func (l *listener) Addr() net.Addr { return l.base.Addr() }
 func (l *listener) Close() error   { return l.base.Close() }
 
 func (l *listener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.base.Accept()
-		if err != nil {
-			return nil, err
-		}
-		plan := splitFaults(l.inj.plan(""))
-		if plan.refuse {
-			conn.Close()
-			continue
-		}
-		// A synthetic status is answered from Read once the request
-		// arrives — writing before the client speaks would look like an
-		// unsolicited response on an idle connection.
-		return &chaosConn{Conn: conn, inj: l.inj, accept: plan, plan: plan}, nil
+	conn, err := l.base.Accept()
+	if err != nil {
+		return nil, err
 	}
-}
-
-func writeRawStatus(conn net.Conn, status int) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	body := "chaos injected\n"
-	head := "HTTP/1.1 " + itoa(status) + " Service Unavailable\r\n" +
-		"Content-Type: text/plain\r\n" +
-		"Content-Length: " + itoa(len(body)) + "\r\n" +
-		"Connection: close\r\n\r\n"
-	conn.Write([]byte(head + body))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	// No fault applies before the first request is sniffed.
+	return &chaosConn{Conn: conn, inj: l.inj, plan: splitFaults(nil)}, nil
 }
 
 // streamPlan is the resolution of all faults fired for one exchange into
-// one action set, applied in precedence order: refuse > status > latency
-// > stream surgery.
+// one action set, applied in precedence order: refuse > latency > stream
+// surgery.
 type streamPlan struct {
 	refuse    bool
-	status    int
-	dial      time.Duration
 	firstByte time.Duration
 	frameLat  time.Duration
 	cutAfter  int // complete frames delivered before the cut; -1 = off
@@ -82,22 +44,17 @@ type streamPlan struct {
 	corruptAt int // frame index with a flipped payload byte; -1 = off
 }
 
-func splitFaults(faults []fault) streamPlan {
+func splitFaults(faults []Rule) streamPlan {
 	p := streamPlan{cutAfter: -1, truncAt: -1, corruptAt: -1}
 	for _, f := range faults {
 		switch f.Fault {
 		case FaultRefuse:
 			p.refuse = true
-		case FaultStatus:
-			p.status = statusOf(f.Rule)
 		case FaultLatency:
 			d := time.Duration(f.LatencyMS) * time.Millisecond
-			switch f.Where {
-			case "dial":
-				p.dial += d
-			case "frame":
+			if f.Where == "frame" {
 				p.frameLat += d
-			default: // "", "first_byte"
+			} else { // "", "first_byte"
 				p.firstByte += d
 			}
 		case FaultCut:
@@ -205,14 +162,13 @@ func indexFrameEnd(b []byte) int {
 }
 
 // chaosConn applies stream plans to one accepted connection. Each
-// sniffed HTTP request line starts a fresh exchange: path-matched rules
-// are planned for it and merged over the accept-time plan, and the
-// write-side frame filter restarts so frame indices are per-response.
+// sniffed HTTP request line starts a fresh exchange: the rules are
+// planned for it, and the write-side frame filter restarts so frame
+// indices are per-response.
 type chaosConn struct {
 	net.Conn
-	inj    *Injector
-	accept streamPlan // connection-level plan from accept time
-	plan   streamPlan // current exchange's plan
+	inj  *Injector
+	plan streamPlan // current exchange's plan
 
 	responded bool // first write of the current exchange already seen
 	filter    *frameFilter
@@ -221,23 +177,12 @@ type chaosConn struct {
 func (c *chaosConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 && looksLikeRequest(p[:n]) {
-		c.plan = c.accept
+		c.plan = splitFaults(c.inj.plan(sniffPath(p[:n])))
 		c.responded = false
 		c.filter = nil
-		if path := sniffPath(p[:n]); path != "" {
-			c.plan = mergePlans(c.plan, splitFaults(c.inj.plan(path)))
-		}
 		if c.plan.refuse {
 			c.Conn.Close()
 			return 0, net.ErrClosed
-		}
-		if c.plan.status != 0 {
-			writeRawStatus(c.Conn, c.plan.status)
-			c.Conn.Close()
-			return 0, net.ErrClosed
-		}
-		if c.plan.dial > 0 {
-			c.inj.doSleep(c.plan.dial)
 		}
 	}
 	return n, err
@@ -303,24 +248,4 @@ func sniffPath(b []byte) string {
 		return string(b[sp1+1 : i])
 	}
 	return ""
-}
-
-func mergePlans(a, b streamPlan) streamPlan {
-	a.refuse = a.refuse || b.refuse
-	if b.status != 0 {
-		a.status = b.status
-	}
-	a.dial += b.dial
-	a.firstByte += b.firstByte
-	a.frameLat += b.frameLat
-	if b.cutAfter >= 0 {
-		a.cutAfter = b.cutAfter
-	}
-	if b.truncAt >= 0 {
-		a.truncAt = b.truncAt
-	}
-	if b.corruptAt >= 0 {
-		a.corruptAt = b.corruptAt
-	}
-	return a
 }

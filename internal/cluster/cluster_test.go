@@ -10,14 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"delta/internal/durable"
 	"delta/internal/obs"
 	"delta/internal/pipeline"
 	"delta/internal/scenario"
@@ -35,9 +33,26 @@ const testDoc = `{
   "models": ["delta", "prior"]
 }`
 
+// longDoc is testDoc over eight batches, 64 points: the coordinator
+// queues four shards per peer, so each of one peer's shards holds 16
+// points and each of two peers' shards 8 — long enough for a fault or a
+// split to land mid-shard.
+const longDoc = `{
+  "name": "fleet",
+  "workloads": [{"network": "alexnet"}, {"network": "googlenet"}],
+  "devices": [{"name": "TITAN Xp"}, {"name": "V100"}],
+  "batches": [1, 2, 4, 8, 16, 32, 64, 128],
+  "models": ["delta", "prior"]
+}`
+
 func testScenario(t *testing.T) scenario.Scenario {
 	t.Helper()
-	sc, err := spec.ReadScenario(strings.NewReader(testDoc))
+	return readScenario(t, testDoc)
+}
+
+func readScenario(t *testing.T, doc string) scenario.Scenario {
+	t.Helper()
+	sc, err := spec.ReadScenario(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +244,7 @@ func TestClientReconnect(t *testing.T) {
 	var requests atomic.Int64
 	srv := droppingWorker(t, 5, &requests)
 	body := fmt.Sprintf(`{"scenario": %s, "offset": 0, "limit": 16}`, testDoc)
-	cli := &Client{Retries: 10, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+	cli := &Client{Retries: 10, Backoff: time.Millisecond}
 	var got []wireResult
 	err := cli.Stream(context.Background(), srv.URL, []byte(body), func(ev sse.Event) error {
 		if ev.Type == "result" {
@@ -275,71 +290,38 @@ func TestClientTerminalStatus(t *testing.T) {
 	}
 }
 
-// shardRecord is one RecordShard call.
-type shardRecord struct {
-	status               string
-	shard, offset, count int
-	peer                 string
-	attempt              int
-}
-
-// fakeRecorder captures shard lifecycle records.
-type fakeRecorder struct {
-	mu   sync.Mutex
-	recs []shardRecord
-}
-
-func (f *fakeRecorder) RecordShard(job string, shard, offset, count int, peer string, attempt int, status string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recs = append(f.recs, shardRecord{status, shard, offset, count, peer, attempt})
-	return nil
-}
-
-func (f *fakeRecorder) records() []shardRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]shardRecord(nil), f.recs...)
-}
-
-// all renders every record in arrival order, for comparing record logs.
-func (f *fakeRecorder) all() []string {
-	var out []string
-	for _, r := range f.records() {
-		out = append(out, fmt.Sprintf("%s/%d@%d+%d a%d %s", r.status, r.shard, r.offset, r.count, r.attempt, r.peer))
+// shardsDone sums the done attempts of peers: every shard, whether queued
+// at the start or split off later, ends with exactly one.
+func shardsDone(mt *Metrics, peers ...string) uint64 {
+	var n uint64
+	for _, p := range peers {
+		n += mt.Shards.With(peerLabel(p), statusDone).Value()
 	}
-	return out
+	return n
 }
 
-// checkTiled asserts what the shard queue guarantees of a completed
-// sweep's records: every shard's latest record is done, and the done
-// windows tile [from, to) with no gap and no overlap. It returns the
-// latest record of each shard, by index.
-func checkTiled(t *testing.T, f *fakeRecorder, from, to int) []shardRecord {
-	t.Helper()
-	var last []shardRecord
-	for _, r := range f.records() {
-		for len(last) <= r.shard {
-			last = append(last, shardRecord{})
+// TestShardMayTake pins the retake rule: a peer that failed a shard may
+// not take it back while another peer has not failed it yet.
+func TestShardMayTake(t *testing.T) {
+	s := &shard{failedBy: make([]bool, 3)}
+	for _, tc := range []struct {
+		failed int // peer whose failure is recorded first; -1 for none
+		want   [3]bool
+	}{
+		{-1, [3]bool{true, true, true}},
+		{0, [3]bool{false, true, true}},
+		{2, [3]bool{false, true, false}},
+		{1, [3]bool{true, true, true}}, // every peer failed it
+	} {
+		if tc.failed >= 0 {
+			s.failedBy[tc.failed] = true
 		}
-		last[r.shard] = r
-	}
-	tiles := append([]shardRecord(nil), last...)
-	sort.Slice(tiles, func(i, j int) bool { return tiles[i].offset < tiles[j].offset })
-	next := from
-	for _, r := range tiles {
-		if r.status != durable.ShardDone {
-			t.Errorf("shard %d ended %q, want done\n%v", r.shard, r.status, f.all())
+		for peer, want := range tc.want {
+			if got := s.mayTake(peer); got != want {
+				t.Errorf("failedBy %v: mayTake(%d) = %v, want %v", s.failedBy, peer, got, want)
+			}
 		}
-		if r.offset != next || r.count < 1 {
-			t.Errorf("shard %d covers [%d,+%d), want a window from %d\n%v", r.shard, r.offset, r.count, next, f.all())
-		}
-		next = r.offset + r.count
 	}
-	if next != to {
-		t.Errorf("shard windows end at %d, want %d\n%v", next, to, f.all())
-	}
-	return last
 }
 
 // runSweep runs a coordinator sweep and collects the merged updates.
@@ -382,19 +364,15 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	sc := testScenario(t)
 	reg := obs.NewRegistry()
 	mt := NewMetrics(reg)
-	rec := &fakeRecorder{}
 	c, err := New(Config{
-		Peers: []string{a.URL, b.URL}, ShardsPerPeer: 3,
+		Peers:        []string{a.URL, b.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
-		Metrics: mt, Recorder: rec, Log: quietLog(),
+		Metrics: mt, Log: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upds := runSweep(t, c, Sweep{
-		JobID: "j1", Doc: json.RawMessage(testDoc), Scenario: sc,
-		Policy: pipeline.CollectPartial,
-	})
+	upds := runSweep(t, c, Sweep{Doc: json.RawMessage(testDoc), Scenario: sc, Policy: pipeline.CollectPartial})
 	checkMerged(t, upds, singleNodeRef(t, sc))
 	if got := mt.Merged.Value(); got != 16 {
 		t.Errorf("points merged metric = %d, want 16", got)
@@ -402,9 +380,9 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	if got := mt.InFlight.Value(); got != 0 {
 		t.Errorf("in-flight gauge = %d after sweep", got)
 	}
-	// Six shards were queued; each split adds one more.
-	if got, want := len(checkTiled(t, rec, 0, 16)), 6+int(mt.Splits.Value()); got != want {
-		t.Errorf("%d shards recorded, want %d (6 queued + splits)\n%v", got, want, rec.all())
+	// Eight shards were queued, four per peer; each split adds one more.
+	if got, want := shardsDone(mt, a.URL, b.URL), 8+mt.Splits.Value(); got != want {
+		t.Errorf("%d shards done, want %d (8 queued + splits)", got, want)
 	}
 	if mt.Retries.Value() != 0 {
 		t.Errorf("retries = %d on a healthy fleet", mt.Retries.Value())
@@ -422,7 +400,7 @@ func TestCoordinatorResumeAcrossDrops(t *testing.T) {
 	b := droppingWorker(t, 1, &requests)
 	sc := testScenario(t)
 	c, err := New(Config{
-		Peers: []string{a.URL, b.URL}, ShardsPerPeer: 2,
+		Peers:        []string{a.URL, b.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		ClientRetries: 20, Log: quietLog(),
 	})
@@ -438,10 +416,10 @@ func TestCoordinatorResumeAcrossDrops(t *testing.T) {
 
 // TestCoordinatorReassignsDeadPeer: a peer that refuses every connection
 // loses its shards to the surviving peer — the sweep completes with no
-// duplicated or missing points, every window is finished by the live
-// peer, and the dead peer's attempts end failed (its client gave up) or
-// cancelled (the live peer re-ran the point first), failing each shard at
-// most once: it may not retake a shard the live peer has not failed.
+// duplicated or missing points, every shard is finished by the live peer,
+// and the dead peer's attempts end failed (its client gave up) or
+// cancelled (the live peer re-ran the point first), at most one failure
+// per shard: it may not retake a shard the live peer has not failed.
 func TestCoordinatorReassignsDeadPeer(t *testing.T) {
 	a := newWorker(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -449,51 +427,42 @@ func TestCoordinatorReassignsDeadPeer(t *testing.T) {
 	sc := testScenario(t)
 	reg := obs.NewRegistry()
 	mt := NewMetrics(reg)
-	rec := &fakeRecorder{}
 	c, err := New(Config{
-		Peers: []string{a.URL, dead.URL}, ShardsPerPeer: 2,
+		Peers:        []string{a.URL, dead.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
-		ClientRetries: 1, Metrics: mt, Recorder: rec, Log: quietLog(),
+		ClientRetries: 1, Metrics: mt, Log: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upds := runSweep(t, c, Sweep{
-		JobID: "j2", Doc: json.RawMessage(testDoc), Scenario: sc,
-		Policy: pipeline.CollectPartial,
-	})
+	upds := runSweep(t, c, Sweep{Doc: json.RawMessage(testDoc), Scenario: sc, Policy: pipeline.CollectPartial})
 	checkMerged(t, upds, singleNodeRef(t, sc))
-	deadPeer := peerLabel(dead.URL)
-	failures := map[int]int{}
-	for _, r := range rec.records() {
-		if r.status != durable.ShardFailed {
-			continue
-		}
-		if r.peer != deadPeer {
-			t.Errorf("live peer failed shard %d", r.shard)
-		}
-		failures[r.shard]++
+	livePeer, deadPeer := peerLabel(a.URL), peerLabel(dead.URL)
+	shards := 8 + mt.Splits.Value()
+	if got := mt.Shards.With(livePeer, statusFailed).Value(); got != 0 {
+		t.Errorf("live peer failed %d attempt(s)", got)
 	}
-	for shard, n := range failures {
-		if n > 1 {
-			t.Errorf("dead peer failed shard %d %d times; it must not retake it before the live peer fails it", shard, n)
-		}
+	if got := shardsDone(mt, a.URL); got != shards {
+		t.Errorf("live peer finished %d shard(s), want all %d", got, shards)
 	}
-	for _, r := range checkTiled(t, rec, 0, 16) {
-		if r.peer == deadPeer {
-			t.Errorf("dead peer finished shard %d", r.shard)
-		}
+	if got := mt.Shards.With(deadPeer, statusDone).Value(); got != 0 {
+		t.Errorf("dead peer finished %d shard(s)", got)
 	}
-	if mt.Shards.With(deadPeer, durable.ShardFailed).Value()+mt.Shards.With(deadPeer, statusCancelled).Value() == 0 {
+	failed := mt.Shards.With(deadPeer, statusFailed).Value()
+	if failed+mt.Shards.With(deadPeer, statusCancelled).Value() == 0 {
 		t.Error("no failed or cancelled attempt counted for the dead peer")
+	}
+	if failed > shards {
+		t.Errorf("dead peer failed %d attempts on %d shards; it must not retake a shard before the live peer fails it", failed, shards)
 	}
 }
 
 // TestCoordinatorSplitsAndRerunsStraggler: one of two peers accepts its
-// shard and then stalls without sending a frame. The free peer finishes
-// its own shard, splits the stalled one's back half off three times (8 ->
-// 4 -> 2 -> 1 points), re-runs the last point and wins it; the stalled
-// attempt is cancelled, and the merged result stays byte-identical.
+// first 8-point shard of longDoc and then stalls without sending a frame.
+// The free peer finishes the other seven shards, splits the stalled one's
+// back half off three times (8 -> 4 -> 2 -> 1 points), re-runs the last
+// point and wins it; the stalled attempt is cancelled, and the merged
+// result stays byte-identical.
 func TestCoordinatorSplitsAndRerunsStraggler(t *testing.T) {
 	stalled := make(chan struct{})
 	var once sync.Once
@@ -517,21 +486,17 @@ func TestCoordinatorSplitsAndRerunsStraggler(t *testing.T) {
 	}))
 	t.Cleanup(fast.Close)
 
-	sc := testScenario(t)
+	sc := readScenario(t, longDoc)
 	mt := NewMetrics(obs.NewRegistry())
-	rec := &fakeRecorder{}
 	c, err := New(Config{
-		Peers: []string{fast.URL, slow.URL}, ShardsPerPeer: 1,
+		Peers:        []string{fast.URL, slow.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
-		Metrics: mt, Recorder: rec, Log: quietLog(),
+		Metrics: mt, Log: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upds := runSweep(t, c, Sweep{
-		JobID: "straggler", Doc: json.RawMessage(testDoc), Scenario: sc,
-		Policy: pipeline.CollectPartial,
-	})
+	upds := runSweep(t, c, Sweep{Doc: json.RawMessage(longDoc), Scenario: sc, Policy: pipeline.CollectPartial})
 	checkMerged(t, upds, singleNodeRef(t, sc))
 
 	if got := mt.Splits.Value(); got != 3 {
@@ -544,13 +509,13 @@ func TestCoordinatorSplitsAndRerunsStraggler(t *testing.T) {
 	if got := mt.Shards.With(slowPeer, statusCancelled).Value(); got != 1 {
 		t.Errorf("slow peer cancelled attempts = %d, want 1", got)
 	}
-	for _, status := range []string{durable.ShardDone, durable.ShardFailed} {
+	for _, status := range []string{statusDone, statusFailed} {
 		if got := mt.Shards.With(slowPeer, status).Value(); got != 0 {
 			t.Errorf("slow peer %s attempts = %d, want 0", status, got)
 		}
 	}
-	if got := len(checkTiled(t, rec, 0, 16)); got != 5 {
-		t.Errorf("%d shards recorded, want 2 queued + 3 split", got)
+	if got := shardsDone(mt, fast.URL); got != 11 {
+		t.Errorf("fast peer finished %d shards, want 8 queued + 3 split", got)
 	}
 	if got := mt.InFlight.Value(); got != 0 {
 		t.Errorf("in-flight gauge = %d after sweep", got)
@@ -558,14 +523,14 @@ func TestCoordinatorSplitsAndRerunsStraggler(t *testing.T) {
 }
 
 // TestCoordinatorExhaustsRetries: with every peer dead, Run fails with the
-// shard's attempt budget spent instead of hanging.
+// shard's attempt budget, max(3, peers+1), spent instead of hanging.
 func TestCoordinatorExhaustsRetries(t *testing.T) {
 	d1 := httptest.NewServer(http.NotFoundHandler())
 	d1.Close()
 	d2 := httptest.NewServer(http.NotFoundHandler())
 	d2.Close()
 	c, err := New(Config{
-		Peers: []string{d1.URL, d2.URL}, ShardsPerPeer: 1, MaxAttempts: 2,
+		Peers:        []string{d1.URL, d2.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond,
 		ClientRetries: 1, Log: quietLog(),
 	})
@@ -576,7 +541,7 @@ func TestCoordinatorExhaustsRetries(t *testing.T) {
 		Doc: json.RawMessage(testDoc), Scenario: testScenario(t),
 		Policy: pipeline.CollectPartial,
 	}, func(Update) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "failed after") {
+	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempt(s)") {
 		t.Fatalf("err = %v, want exhausted-attempts error", err)
 	}
 }
@@ -611,7 +576,7 @@ func TestCoordinatorFailFastPrefix(t *testing.T) {
 	}
 	a, b := newWorker(t), newWorker(t)
 	c, err := New(Config{
-		Peers: []string{a.URL, b.URL}, ShardsPerPeer: 2,
+		Peers:        []string{a.URL, b.URL},
 		RetryBackoff: time.Millisecond, ClientBackoff: time.Millisecond, Log: quietLog(),
 	})
 	if err != nil {
@@ -637,7 +602,7 @@ func TestCoordinatorFailFastPrefix(t *testing.T) {
 func TestCoordinatorResumeOffset(t *testing.T) {
 	a := newWorker(t)
 	sc := testScenario(t)
-	c, err := New(Config{Peers: []string{a.URL}, ShardsPerPeer: 2, Log: quietLog()})
+	c, err := New(Config{Peers: []string{a.URL}, Log: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +638,7 @@ func TestPeerHealthQuorum(t *testing.T) {
 	down := httptest.NewServer(http.NotFoundHandler())
 	down.Close()
 
-	c, err := New(Config{Peers: []string{up.URL, down.URL}, HealthTimeout: time.Second, Log: quietLog()})
+	c, err := New(Config{Peers: []string{up.URL, down.URL}, Log: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +650,7 @@ func TestPeerHealthQuorum(t *testing.T) {
 		t.Error("1 of 2 peers up reported as quorum (majority of 2 is 2)")
 	}
 
-	c3, err := New(Config{Peers: []string{up.URL, up.URL, down.URL}, HealthTimeout: time.Second, Log: quietLog()})
+	c3, err := New(Config{Peers: []string{up.URL, up.URL, down.URL}, Log: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}

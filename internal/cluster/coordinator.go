@@ -9,8 +9,8 @@
 // the most undelivered points; a one-point remainder is run again instead,
 // the first copy to finish wins and the other is cancelled. A failed
 // attempt puts its undelivered remainder back at the queue head, charged
-// against MaxAttempts, and the peer that failed it may not take it back
-// while another peer has not failed it yet. Attempts always start at the
+// against the shard's attempt budget, and the peer that failed it may not
+// take it back while another peer has not failed it yet. Attempts always start at the
 // shard's delivered high-water mark, so no point is skipped and none
 // reaches the result twice.
 package cluster
@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"delta/internal/durable"
 	"delta/internal/obs"
 	"delta/internal/pipeline"
 	"delta/internal/scenario"
@@ -48,9 +47,24 @@ const (
 	metricSplits   = "delta_cluster_shard_splits_total"
 )
 
-// statusCancelled is the metricShards status of an attempt that lost to a
-// re-run of the same window, beside durable's done and failed.
-const statusCancelled = "cancelled"
+// metricShards status values: an attempt that delivered its window, one
+// that failed, and one that lost to a re-run of the same window.
+const (
+	statusDone      = "done"
+	statusFailed    = "failed"
+	statusCancelled = "cancelled"
+)
+
+// Fixed dispatch policy. A sweep is queued as shardsPerPeer dense shards
+// per peer, capped at the point count; one shard per peer measured no
+// faster on perfbench's fleet-sim workload (2 vCPUs, 10 paired runs). A
+// runner backs off at most maxBackoff after consecutive failed attempts,
+// and a /healthz probe waits at most healthTimeout.
+const (
+	shardsPerPeer = 4
+	maxBackoff    = 5 * time.Second
+	healthTimeout = 2 * time.Second
+)
 
 // Metrics is the fleet's instrumentation; register with NewMetrics and
 // share one instance across sweeps.
@@ -79,47 +93,21 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// Recorder persists shard lifecycle transitions (the durable store's
-// RecordShard). Recording failures are logged, never fatal to the sweep.
-// RecordShard runs under the sweep's lock, so a shard's records arrive in
-// the order its state changed; it must not call back into the Coordinator.
-type Recorder interface {
-	RecordShard(job string, shard, offset, count int, peer string, attempt int, status string) error
-}
-
 // Config wires a Coordinator; Peers is required, everything else defaults.
 type Config struct {
 	// Peers are the workers' base URLs (e.g. http://host:8080).
 	Peers []string
 
-	// ShardsPerPeer scales the initial split: the sweep is queued as
-	// len(Peers)*ShardsPerPeer dense shards (capped at the point count).
-	// Default 4.
-	ShardsPerPeer int
-
-	// MaxAttempts bounds failed attempts per shard; default
-	// max(3, len(Peers)+1), so every peer can fail a shard once before
-	// its budget is gone.
-	MaxAttempts int
-
 	// ShardTimeout bounds one shard attempt end to end (default 10m).
 	ShardTimeout time.Duration
 
-	// RetryBackoff and MaxBackoff pace a runner after its n-th
-	// consecutive failed attempt: RetryBackoff (default 250ms) doubled
-	// n-1 times, capped at MaxBackoff (default 5s), jittered ±50%.
+	// RetryBackoff paces a runner after its n-th consecutive failed
+	// attempt: RetryBackoff (default 250ms) doubled n-1 times, capped at
+	// maxBackoff, jittered ±50%.
 	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-
-	// HealthTimeout bounds one peer /healthz probe (default 2s).
-	HealthTimeout time.Duration
 
 	// Token authenticates against the workers' bearer-auth middleware.
 	Token string
-
-	// HTTP issues shard and health requests; nil means a default client
-	// (no client-level timeout — shard streams are long-lived).
-	HTTP *http.Client
 
 	// Client tunes the per-attempt SSE reconnect policy; zero values take
 	// the Client defaults.
@@ -127,9 +115,8 @@ type Config struct {
 	ClientBackoff time.Duration
 
 	// Metrics records fleet series; nil records into a private registry.
-	Metrics  *Metrics
-	Recorder Recorder
-	Log      *log.Logger
+	Metrics *Metrics
+	Log     *log.Logger
 }
 
 // Coordinator fans scenario sweeps out across a worker fleet.
@@ -154,26 +141,11 @@ func New(cfg Config) (*Coordinator, error) {
 		peers[i] = p
 	}
 	cfg.Peers = peers
-	if cfg.ShardsPerPeer <= 0 {
-		cfg.ShardsPerPeer = 4
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = max(3, len(peers)+1)
-	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 10 * time.Minute
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 2 * time.Second
-	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(obs.NewRegistry())
@@ -204,9 +176,6 @@ type Update struct {
 
 // Sweep describes one distributed run.
 type Sweep struct {
-	// JobID labels durable shard records (empty skips recording).
-	JobID string
-
 	// Doc is the scenario document forwarded verbatim to workers.
 	Doc json.RawMessage
 
@@ -239,9 +208,9 @@ var (
 type shard struct {
 	idx, off, end, next int
 
-	fails    int    // failed attempts, charged against MaxAttempts
+	fails    int    // failed attempts, charged against the attempt budget
 	failedBy []bool // per peer: an attempt on this window failed there
-	attempts int    // dispatches, numbering attempts in shard records
+	attempts int    // dispatches, numbering attempts in the requeue log
 	running  []*attempt
 	done     bool
 }
@@ -311,7 +280,7 @@ func (c *Coordinator) Run(ctx context.Context, sw Sweep, emit func(Update) error
 			stop: func() { cancel(errSweepStopped) }, metrics: c.cfg.Metrics,
 		},
 	}
-	for _, r := range scenario.SplitSpan(offset, size-offset, len(c.cfg.Peers)*c.cfg.ShardsPerPeer) {
+	for _, r := range scenario.SplitSpan(offset, size-offset, len(c.cfg.Peers)*shardsPerPeer) {
 		st.shards = append(st.shards, &shard{
 			idx: len(st.shards), off: r.Offset, end: r.End(), next: r.Offset,
 			failedBy: make([]bool, len(c.cfg.Peers)),
@@ -356,11 +325,11 @@ func (st *sweep) run(peer int) {
 			}
 		}
 		switch st.finish(a, st.stream(a)) {
-		case durable.ShardDone:
+		case statusDone:
 			fails = 0
-		case durable.ShardFailed:
+		case statusFailed:
 			fails++
-			if !sleepCtx(st.ctx, backoffFor(st.c.cfg.RetryBackoff, st.c.cfg.MaxBackoff, fails)) {
+			if !sleepCtx(st.ctx, backoffFor(st.c.cfg.RetryBackoff, maxBackoff, fails)) {
 				return
 			}
 		}
@@ -415,7 +384,6 @@ func (st *sweep) start(s *shard, peer int) *attempt {
 	a.ctx, a.cancel = context.WithTimeout(st.ctx, st.c.cfg.ShardTimeout)
 	s.running = append(s.running, a)
 	st.c.cfg.Metrics.InFlight.Inc()
-	st.record(a, durable.ShardDispatched)
 	st.notify()
 	return a
 }
@@ -456,19 +424,17 @@ func (st *sweep) finish(a *attempt, err error) string {
 		for _, r := range s.running {
 			r.cancel()
 		}
-		st.record(a, durable.ShardDone)
-		mt.Shards.With(peer, durable.ShardDone).Inc()
+		mt.Shards.With(peer, statusDone).Inc()
 		mt.PeerUp.With(peer).Set(1)
 		if st.pending--; st.pending == 0 {
 			st.cancel(errSweepDone)
 		}
-		return durable.ShardDone
+		return statusDone
 	}
 
 	s.fails++
 	s.failedBy[a.peer] = true
-	st.record(a, durable.ShardFailed)
-	mt.Shards.With(peer, durable.ShardFailed).Inc()
+	mt.Shards.With(peer, statusFailed).Inc()
 	mt.PeerUp.With(peer).Set(0)
 	var ee errEmit
 	switch {
@@ -476,7 +442,8 @@ func (st *sweep) finish(a *attempt, err error) string {
 		st.cancel(fmt.Errorf("cluster: merging shard %d: %w", s.idx, ee.err))
 	case len(s.running) > 0:
 		// A re-run still streams the window.
-	case s.fails >= st.c.cfg.MaxAttempts:
+	case s.fails >= max(3, len(st.c.cfg.Peers)+1):
+		// The budget lets every peer fail the shard once.
 		st.cancel(fmt.Errorf("cluster: shard %d [%d,%d) failed after %d attempt(s), last on %s: %w",
 			s.idx, s.off, s.end, s.fails, peer, err))
 	default:
@@ -484,7 +451,7 @@ func (st *sweep) finish(a *attempt, err error) string {
 		st.c.cfg.Log.Printf("cluster: shard %d attempt %d on %s failed (%v); requeued", s.idx, a.no, peer, err)
 		st.queue = append([]*shard{s}, st.queue...)
 	}
-	return durable.ShardFailed
+	return statusFailed
 }
 
 // notify wakes the runners waiting in take. Callers hold st.mu.
@@ -502,10 +469,7 @@ func (st *sweep) stream(a *attempt) error {
 	if err != nil {
 		return errEmit{err} // malformed sweep doc: retrying cannot help
 	}
-	cli := &Client{
-		HTTP: c.cfg.HTTP, Token: c.cfg.Token,
-		Retries: c.cfg.ClientRetries, Backoff: c.cfg.ClientBackoff,
-	}
+	cli := &Client{Token: c.cfg.Token, Retries: c.cfg.ClientRetries, Backoff: c.cfg.ClientBackoff}
 	next, doneCount := a.from, 0
 	err = cli.Stream(a.ctx, c.cfg.Peers[a.peer]+"/v2/shards", body, func(ev sse.Event) error {
 		switch ev.Type {
@@ -549,19 +513,7 @@ func (st *sweep) stream(a *attempt) error {
 	return nil
 }
 
-// record persists one transition of a's shard, logging (not failing) on
-// error. Callers hold st.mu, so records land in state order.
-func (st *sweep) record(a *attempt, status string) {
-	c, s := st.c, a.s
-	if c.cfg.Recorder == nil || st.sw.JobID == "" {
-		return
-	}
-	if err := c.cfg.Recorder.RecordShard(st.sw.JobID, s.idx, s.off, s.end-s.off, peerLabel(c.cfg.Peers[a.peer]), a.no, status); err != nil {
-		c.cfg.Log.Printf("cluster: recording shard %d %s: %v", s.idx, status, err)
-	}
-}
-
-// peerLabel is the metric/WAL label for a peer URL (scheme stripped to
+// peerLabel is the metric and log label for a peer URL (scheme stripped to
 // bound label churn across config styles).
 func peerLabel(u string) string {
 	if _, rest, ok := strings.Cut(u, "://"); ok {
@@ -631,8 +583,8 @@ type PeerStatus struct {
 	Err  string `json:"error,omitempty"`
 }
 
-// PeerHealth probes every peer's /healthz concurrently (bounded by
-// HealthTimeout) and updates the per-peer reachability gauge. A peer is OK
+// PeerHealth probes every peer's /healthz concurrently (each bounded by
+// healthTimeout) and updates the per-peer reachability gauge. A peer is OK
 // only on HTTP 200 — reachable-but-degraded workers count against quorum.
 // Only /healthz is probed: a peer whose /v2/shards fails still reads as
 // up; the shard queue routes around it.
@@ -644,12 +596,12 @@ func (c *Coordinator) PeerHealth(ctx context.Context) []PeerStatus {
 		go func() {
 			defer wg.Done()
 			st := PeerStatus{Peer: peerLabel(peerURL)}
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
+			pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, peerURL+"/healthz", nil)
 			if err == nil {
 				var resp *http.Response
-				resp, err = c.cfg.HTTP.Do(req)
+				resp, err = http.DefaultClient.Do(req)
 				if err == nil {
 					if resp.StatusCode == http.StatusOK {
 						st.OK = true

@@ -21,14 +21,11 @@ import (
 	"delta/internal/sse"
 )
 
-// Client streams SSE responses with automatic resume. The zero value is
+// Client streams SSE responses with automatic resume over
+// http.DefaultClient, which sets no client-level timeout: streams are
+// long-lived, so the Stream context bounds an attempt. The zero value is
 // usable; fields tune the reconnect policy.
 type Client struct {
-	// HTTP issues the requests; nil means a default client. Do not set a
-	// client-level timeout — streams are long-lived; bound attempts with
-	// the Stream context instead.
-	HTTP *http.Client
-
 	// Token, when set, is sent as a bearer Authorization header.
 	Token string
 
@@ -38,9 +35,8 @@ type Client struct {
 	Retries int
 
 	// Backoff is the initial reconnect delay (default 100ms), doubled per
-	// consecutive failure up to MaxBackoff (default 2s), with ±50% jitter.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// consecutive failure up to 2s, with ±50% jitter.
+	Backoff time.Duration
 }
 
 // errEmit marks an abort requested by the caller's emit function: terminal,
@@ -68,10 +64,6 @@ func (e BadFrameError) Unwrap() error { return e.Err }
 // frame), and an error when the context ends, emit fails, the server
 // answers a non-retryable status, or reconnect attempts are exhausted.
 func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(sse.Event) error) error {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = &http.Client{}
-	}
 	retries := c.Retries
 	if retries <= 0 {
 		retries = 4
@@ -80,10 +72,6 @@ func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	maxB := c.MaxBackoff
-	if maxB <= 0 {
-		maxB = 2 * time.Second
-	}
 
 	lastID, fails := 0, 0
 	var lastErr error
@@ -91,7 +79,7 @@ func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		progressed, done, err := c.attempt(ctx, httpc, url, body, lastID, &lastID, emit)
+		progressed, done, err := c.attempt(ctx, url, body, lastID, &lastID, emit)
 		if done {
 			return nil
 		}
@@ -114,7 +102,7 @@ func (c *Client) Stream(ctx context.Context, url string, body []byte, emit func(
 		// Capped, jittered exponential backoff; the jitter keeps a fleet
 		// of coordinators from thundering back in lockstep after a shared
 		// outage.
-		if !sleepCtx(ctx, backoffFor(base, maxB, fails)) {
+		if !sleepCtx(ctx, backoffFor(base, 2*time.Second, fails)) {
 			return ctx.Err()
 		}
 	}
@@ -127,7 +115,7 @@ type terminalErr struct{ msg string }
 func (e terminalErr) Error() string { return e.msg }
 
 // attempt runs one connection: POST, parse frames, track the resume id.
-func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, body []byte, resumeID int, lastID *int, emit func(sse.Event) error) (progressed, done bool, err error) {
+func (c *Client) attempt(ctx context.Context, url string, body []byte, resumeID int, lastID *int, emit func(sse.Event) error) (progressed, done bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return false, false, err
@@ -140,7 +128,7 @@ func (c *Client) attempt(ctx context.Context, httpc *http.Client, url string, bo
 	if resumeID > 0 {
 		req.Header.Set("Last-Event-ID", strconv.Itoa(resumeID))
 	}
-	resp, err := httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false, false, err
 	}

@@ -21,14 +21,6 @@ const (
 	StatusCancelled = "cancelled"
 )
 
-// Shard statuses as persisted: a shard is dispatched to a peer, completes,
-// or fails (and is then re-dispatched, bumping the attempt count).
-const (
-	ShardDispatched = "dispatched"
-	ShardDone       = "done"
-	ShardFailed     = "failed"
-)
-
 // FsyncMode selects how eagerly WAL appends reach stable storage.
 type FsyncMode int
 
@@ -77,22 +69,6 @@ type JobState struct {
 	// Results holds the rendered point payloads, dense in expansion
 	// order: len(Results) is the resume offset.
 	Results []json.RawMessage `json:"results,omitempty"`
-
-	// Shards records the coordinator's fan-out bookkeeping for a
-	// distributed sweep, keyed by shard index. Single-node jobs leave it
-	// nil. The merged Results remain the resume source of truth; shard
-	// records exist so an operator (and the resumed coordinator) can see
-	// which windows were dispatched where and how often they were retried.
-	Shards map[int]*ShardState `json:"shards,omitempty"`
-}
-
-// ShardState is one shard's latest persisted lifecycle state.
-type ShardState struct {
-	Offset   int    `json:"offset"`
-	Count    int    `json:"count"`
-	Peer     string `json:"peer,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Status   string `json:"status"`
 }
 
 // StoreOptions configures Open; zero values take the defaults.
@@ -282,23 +258,12 @@ func (s *Store) apply(rec walRecord) error {
 			js.Status, js.Error = rec.Status, rec.Error
 			js.Finished = time.Unix(0, rec.FinishedUnix).UTC()
 		}
-	case recShard:
-		js, ok := s.jobs[rec.Job]
-		if !ok {
-			return nil
-		}
-		if js.Shards == nil {
-			js.Shards = make(map[int]*ShardState)
-		}
-		js.Shards[rec.Shard] = &ShardState{
-			Offset: rec.Offset, Count: rec.Count,
-			Peer: rec.Peer, Attempts: rec.Attempt, Status: rec.Status,
-		}
 	case recEvict:
 		delete(s.jobs, rec.Job)
 	default:
-		// Unknown record types from a newer writer are skipped so a
-		// downgraded binary can still read its predecessor's log.
+		// Unknown record types are skipped: a newer writer's, so a
+		// downgraded binary can still read its successor's log, and the
+		// "shard" records older coordinators wrote.
 		s.log.Printf("durable: skipping unknown WAL record type %q", rec.T)
 	}
 	return nil
@@ -313,13 +278,6 @@ func (s *Store) Jobs() []*JobState {
 	for _, js := range s.jobs {
 		c := *js
 		c.Results = append([]json.RawMessage(nil), js.Results...)
-		if js.Shards != nil {
-			c.Shards = make(map[int]*ShardState, len(js.Shards))
-			for i, sh := range js.Shards {
-				cp := *sh
-				c.Shards[i] = &cp
-			}
-		}
 		out = append(out, &c)
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -387,17 +345,6 @@ func (s *Store) RecordFinish(id, status, errMsg string, at time.Time) error {
 	return s.append(walRecord{
 		T: recFinish, Job: id, Status: status, Error: errMsg,
 		FinishedUnix: at.UnixNano(),
-	})
-}
-
-// RecordShard persists one shard lifecycle transition of a distributed
-// sweep: shard (index) covering [offset, offset+count) was dispatched to
-// peer on the attempt-th try, or reached done/failed there. The latest
-// record per shard index wins on replay.
-func (s *Store) RecordShard(id string, shard, offset, count int, peer string, attempt int, status string) error {
-	return s.append(walRecord{
-		T: recShard, Job: id, Shard: shard, Offset: offset, Count: count,
-		Peer: peer, Attempt: attempt, Status: status,
 	})
 }
 

@@ -259,65 +259,73 @@ func TestParseFsyncMode(t *testing.T) {
 	}
 }
 
-// TestStoreShardLifecycle: shard dispatch/retry/done records survive both
-// WAL replay and snapshot round-trips, latest record per shard index wins,
-// and shard records for unknown jobs are ignored.
-func TestStoreShardLifecycle(t *testing.T) {
+// TestStoreReopensParentShardRecords: a data dir written by a release
+// whose coordinator logged shard records (a "shards" object in a snapshot
+// job, "shard" frames in the WAL) reopens with every job, result and
+// status intact, skips each shard frame with one logged line, and the
+// next snapshot carries no shard state.
+func TestStoreReopensParentShardRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := testStore(t, dir, StoreOptions{})
-	writeJob(t, s, "fleet", 8, 0)
-	if err := s.RecordShard("fleet", 0, 0, 4, "w1:8080", 1, ShardDispatched); err != nil {
+	snap := `{"jobs":[{"id":"snap","name":"job-snap","total":2,"created":"2026-10-01T00:00:00Z",` +
+		`"scenario":{"workloads":[]},"policy":"fail_fast","status":"done","finished":"2026-10-01T00:01:00Z",` +
+		`"results":[{"index":0,"value":"point-0"},{"index":1,"value":"point-1"}],` +
+		`"shards":{"0":{"offset":0,"count":2,"peer":"w1:8080","attempts":1,"status":"done"}}}]}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(snap), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RecordShard("fleet", 1, 4, 4, "w2:8080", 1, ShardDispatched); err != nil {
-		t.Fatal(err)
+	var wal []byte
+	for _, rec := range []string{
+		`{"t":"submit","job":"wal","name":"job-wal","total":3,"created":1000000000000,"scenario":{"workloads":[]},"policy":"collect_partial"}`,
+		`{"t":"shard","job":"wal","status":"dispatched","count":2,"peer":"w1:8080","attempt":1}`,
+		`{"t":"shard","job":"wal","status":"dispatched","shard":1,"offset":2,"count":1,"peer":"w2:8080","attempt":1}`,
+		`{"t":"result","job":"wal","payload":{"index":0,"value":"point-0"}}`,
+		`{"t":"shard","job":"wal","status":"failed","shard":1,"offset":2,"count":1,"peer":"w2:8080","attempt":1}`,
+		`{"t":"result","job":"wal","seq":1,"payload":{"index":1,"value":"point-1"}}`,
+		`{"t":"shard","job":"wal","status":"done","count":2,"peer":"w1:8080","attempt":1}`,
+	} {
+		wal = appendFrame(wal, []byte(rec))
 	}
-	// Shard 1 fails on w2 and is re-dispatched to w1; the latest record
-	// per index wins.
-	if err := s.RecordShard("fleet", 1, 4, 4, "w2:8080", 1, ShardFailed); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordShard("fleet", 1, 4, 4, "w1:8080", 2, ShardDispatched); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordShard("fleet", 0, 0, 4, "w1:8080", 1, ShardDone); err != nil {
-		t.Fatal(err)
-	}
-	// Unknown job: accepted and ignored, like the other record types.
-	if err := s.RecordShard("ghost", 0, 0, 1, "w1:8080", 1, ShardDispatched); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	var logged strings.Builder
+	s := testStore(t, dir, StoreOptions{Log: log.New(&logged, "", 0)})
+	if n := strings.Count(logged.String(), `skipping unknown WAL record type "shard"`); n != 4 {
+		t.Errorf("logged %d skipped shard records, want 4:\n%s", n, logged.String())
+	}
 	check := func(s *Store, phase string) {
 		t.Helper()
 		jobs := s.Jobs()
-		if len(jobs) != 1 {
-			t.Fatalf("%s: %d jobs, want 1", phase, len(jobs))
+		if len(jobs) != 2 {
+			t.Fatalf("%s: %d jobs, want 2", phase, len(jobs))
 		}
-		js := jobs[0]
-		if len(js.Shards) != 2 {
-			t.Fatalf("%s: shards = %+v", phase, js.Shards)
-		}
-		s0, s1 := js.Shards[0], js.Shards[1]
-		if s0 == nil || s0.Status != ShardDone || s0.Peer != "w1:8080" || s0.Offset != 0 || s0.Count != 4 {
-			t.Errorf("%s: shard 0 = %+v", phase, s0)
-		}
-		if s1 == nil || s1.Status != ShardDispatched || s1.Peer != "w1:8080" || s1.Attempts != 2 ||
-			s1.Offset != 4 || s1.Count != 4 {
-			t.Errorf("%s: shard 1 = %+v", phase, s1)
+		for _, js := range jobs {
+			want := map[string]struct {
+				status string
+				total  int
+			}{"snap": {StatusDone, 2}, "wal": {StatusRunning, 3}}[js.ID]
+			if js.Status != want.status || js.Total != want.total || len(js.Results) != 2 {
+				t.Errorf("%s: job %s = %s, total %d, %d results; want %s, %d, 2",
+					phase, js.ID, js.Status, js.Total, len(js.Results), want.status, want.total)
+			}
+			for i, r := range js.Results {
+				if string(r) != string(payload(i)) {
+					t.Errorf("%s: job %s result %d = %s", phase, js.ID, i, r)
+				}
+			}
 		}
 	}
-	check(s, "live")
-
-	// Crash-style reopen: pure WAL replay.
-	s.mu.Lock()
-	s.wal.Sync()
-	s.mu.Unlock()
-	check(testStore(t, copyDir(t, dir), StoreOptions{}), "wal-replay")
-
-	// Clean close writes a snapshot; reopen replays from it.
+	check(s, "reopened")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(buf), `"shards"`) {
+		t.Errorf("snapshot still carries shard state:\n%s", buf)
 	}
 	check(testStore(t, dir, StoreOptions{}), "snapshot")
 }

@@ -36,7 +36,6 @@ const (
 	recResult = "result"
 	recFinish = "finish"
 	recEvict  = "evict"
-	recShard  = "shard"
 )
 
 // walRecord is the JSON payload of one WAL frame. One struct covers every
@@ -57,20 +56,10 @@ type walRecord struct {
 	Seq     int             `json:"seq,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 
-	// recFinish fields. Status doubles as the shard status on recShard.
+	// recFinish fields.
 	Status       string `json:"status,omitempty"`
 	Error        string `json:"error,omitempty"`
 	FinishedUnix int64  `json:"finished,omitempty"` // UnixNano
-
-	// recShard fields: one shard lifecycle transition of a distributed
-	// sweep (the coordinator's fan-out bookkeeping). Shard is the shard
-	// index; Offset/Count its point window in expansion order; Peer the
-	// worker it was last routed to; Attempt the 1-based dispatch count.
-	Shard   int    `json:"shard,omitempty"`
-	Offset  int    `json:"offset,omitempty"`
-	Count   int    `json:"count,omitempty"`
-	Peer    string `json:"peer,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
 }
 
 // appendFrame encodes one frame into buf and returns the extended slice.

@@ -2,12 +2,9 @@ package scenario
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"delta/internal/gpu"
-	"delta/internal/sim/engine"
-	"delta/internal/traffic"
 )
 
 func TestSplitSpanExactCover(t *testing.T) {
@@ -51,57 +48,6 @@ func TestSplitSpanDegenerate(t *testing.T) {
 	rs := SplitSpan(2, 5, 0)
 	if len(rs) != 1 || rs[0] != (Range{Offset: 2, Count: 5}) {
 		t.Errorf("n=0: got %v, want one full range", rs)
-	}
-}
-
-// TestSplitRangesPropertyCover drives randomized scenarios through the
-// method form: SplitRanges(n) must be a disjoint exact cover of
-// [0, Size()) in expansion order for every n, including n far above the
-// point count (no empty shards appear — fewer shards do).
-func TestSplitRangesPropertyCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		sc := Scenario{
-			Name:       "prop",
-			Workloads:  make([]Workload, 1+rng.Intn(3)),
-			Devices:    make([]gpu.Device, 1+rng.Intn(3)),
-			Batches:    make([]int, rng.Intn(4)),
-			Models:     []string{ModelDelta, ModelPrior, ModelRoofline}[:1+rng.Intn(3)],
-			Passes:     []string{PassInference, PassTraining}[:1+rng.Intn(2)],
-			Options:    make([]traffic.Options, rng.Intn(3)),
-			SimConfigs: make([]engine.Config, rng.Intn(3)),
-		}
-		for i := range sc.Workloads {
-			sc.Workloads[i] = Workload{Name: "alexnet"}
-		}
-		size := sc.Size()
-		n := 1 + rng.Intn(2*size+4)
-		rs, err := sc.SplitRanges(n)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if size == 0 {
-			if len(rs) != 0 {
-				t.Fatalf("trial %d: zero-size scenario split into %v", trial, rs)
-			}
-			continue
-		}
-		next := 0
-		for i, r := range rs {
-			if r.Count <= 0 {
-				t.Fatalf("trial %d: empty shard %d of %v (size %d, n %d)", trial, i, rs, size, n)
-			}
-			if r.Offset != next {
-				t.Fatalf("trial %d: shard %d offset %d, want %d (size %d, n %d)", trial, i, r.Offset, next, size, n)
-			}
-			next = r.End()
-		}
-		if next != size {
-			t.Fatalf("trial %d: cover ends at %d, want %d (n %d)", trial, next, size, n)
-		}
-		if len(rs) > n {
-			t.Fatalf("trial %d: %d shards exceed requested %d", trial, len(rs), n)
-		}
 	}
 }
 

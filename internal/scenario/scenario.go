@@ -329,20 +329,6 @@ type Range struct {
 // End returns the exclusive upper bound of the range.
 func (r Range) End() int { return r.Offset + r.Count }
 
-// SplitRanges partitions the scenario's full index space [0, Size()) into
-// at most n contiguous ranges in expansion order — a disjoint exact cover,
-// so evaluating every range on any mix of workers and concatenating the
-// results in range order reproduces a single-node sweep exactly. It
-// returns an error when the point count overflows (splitting a saturated
-// size would silently drop points).
-func (s Scenario) SplitRanges(n int) ([]Range, error) {
-	size, err := s.SizeChecked()
-	if err != nil {
-		return nil, err
-	}
-	return SplitSpan(0, size, n), nil
-}
-
 // SplitSpan partitions the half-open index span [start, start+count) into
 // at most n contiguous, non-empty ranges of near-equal size (the first
 // count%n ranges are one point longer). Fewer than n points yield one

@@ -9,10 +9,11 @@
 #                  assert the survivor takes over, the killed worker has an
 #                  attempt counted failed or cancelled, fleet metrics, and
 #                  quorum-loss 503 (the original smoke).
-#   chaos-stream   workers run under -chaos rules that cut a shard stream
-#                  mid-frame and corrupt an SSE frame; assert the SSE
-#                  client recovers in-stream (no shard retries burned) and
-#                  results stay identical.
+#   chaos-stream   workers run under -chaos rules that corrupt an SSE
+#                  frame and then cut a shard stream mid-shard; assert
+#                  both faults were applied (each forced a reconnect), the
+#                  SSE client recovered in-stream (no shard retries
+#                  burned), and results stay identical.
 #   chaos-slow     one worker is slow from its first request (injected
 #                  per-frame latency); the free worker splits its shard or
 #                  re-runs its last point; assert a split or re-run was
@@ -268,17 +269,20 @@ EOF
 }
 
 # -------------------------------------------------------- chaos-stream leg
-# Both workers arm the same deterministic rules: the first shard stream is
-# cut after one frame, and the first reconnect has a frame corrupted. The
-# SSE client must recover both in-stream — reconnect with Last-Event-ID at
-# the last good frame — without burning a single shard reassignment.
+# Both workers arm the same deterministic rules. The coordinator queues the
+# six-point sweep as six one-point shards, so each rule targets a frame
+# every shard stream carries: the first shard stream has its result frame
+# (frame 0) corrupted, and its reconnect is cut after that frame, before
+# the done frame. The SSE client must recover both in-stream — reconnect
+# with Last-Event-ID at the last good frame — without burning a single
+# shard reassignment.
 leg_chaos_stream() {
   local W1=127.0.0.1:18094 W2=127.0.0.1:18095 CO=127.0.0.1:18096
-  local RULES='[{"fault":"cut","path":"/v2/shards","after_frames":1,"count":1},
-                {"fault":"corrupt","path":"/v2/shards","after_requests":1,"after_frames":1,"count":1}]'
+  local RULES='[{"fault":"corrupt","path":"/v2/shards","after_frames":0,"count":1},
+                {"fault":"cut","path":"/v2/shards","after_requests":1,"after_frames":1,"count":1}]'
   start "$W1" -chaos "$RULES"
   start "$W2" -chaos "$RULES"
-  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1
+  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")"
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   sim_reference
@@ -292,6 +296,20 @@ leg_chaos_stream() {
   if ! grep -qh "chaos: inject .*corrupt@frame" "$TMP/$W1.log" "$TMP/$W2.log"; then
     echo "fleet-e2e: no corrupt injection logged by either worker" >&2; exit 1
   fi
+  # ...and were applied, not only planned: each forced a reconnect, so
+  # each worker served two more shard requests than the coordinator
+  # counted attempts on it.
+  local W SERVED ATTEMPTS
+  for W in "$W1" "$W2"; do
+    SERVED=$(grep -c "POST /v2/shards " "$TMP/$W.log" || true)
+    ATTEMPTS=$(curl -fsS "http://$CO/metrics" | awk -v p="delta_cluster_shards_total{peer=\"$W\"," \
+      'index($1, p) == 1 {n += $2} END {print n + 0}')
+    if [ "$SERVED" -lt $(( ATTEMPTS + 2 )) ]; then
+      echo "fleet-e2e: $W served $SERVED shard requests for $ATTEMPTS attempts; want 2 more, one per applied fault" >&2
+      exit 1
+    fi
+    echo "fleet-e2e: $W served $SERVED shard requests for $ATTEMPTS attempts"
+  done
   # ...and both were absorbed inside the SSE stream: zero shard retries.
   if [ "$(metric "$CO" delta_cluster_shard_retries_total)" != 0 ]; then
     echo "fleet-e2e: stream faults burned shard retries; want in-stream recovery" >&2; exit 1
@@ -310,7 +328,7 @@ leg_chaos_slow() {
   local W1=127.0.0.1:18097 W2=127.0.0.1:18098 CO=127.0.0.1:18099
   start "$W1"
   start "$W2" -chaos '[{"fault":"latency","where":"frame","latency_ms":1500,"path":"/v2/shards"}]'
-  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1
+  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")"
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   fast_reference
@@ -334,7 +352,7 @@ leg_chaos_refuse() {
   local W1=127.0.0.1:18100 W2=127.0.0.1:18101 CO=127.0.0.1:18102
   start "$W1"
   start "$W2" -chaos '[{"fault":"refuse","path":"/v2/shards"}]'
-  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")" -shards-per-peer 1
+  start "$CO" -coordinator -peers "@$(peers_file "$W1" "$W2")"
   wait_up "$W1"; wait_up "$W2"; wait_up "$CO"
 
   fast_reference
