@@ -425,6 +425,9 @@ func TestJobBadRequests(t *testing.T) {
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l2_ways": 100000}]}}`, "L2"},
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "devices": [{"spec": {"base": "V100", "name": "tiny", "l2_size_mb": 0.001}}], "sim_configs": [{}]}}`, "L2"},
 		{`{"scenario": {"workloads": [{"network": "alexnet"}], "sim_configs": [{"l1_ways": -1}]}}`, "L1"},
+		// An L1 request narrower than a sector once answered 202 and then
+		// killed the process with a divide by zero in the coalescer.
+		{`{"scenario":{"name":"x","workloads":[{"network":"alexnet"}],"devices":[{"spec":{"base":"TITAN Xp","l1_req_bytes":16}}],"batches":[1],"sim_configs":[{}]}}`, "request 16B"},
 	}
 	// Devices whose caches would ask the simulator for unbounded memory:
 	// a 400 from both the job and the worker endpoint, not an allocation

@@ -131,6 +131,27 @@ func main() {
 		}
 	}
 
+	// The chaos spec is checked before anything with side effects: a bad
+	// one must exit before the data dir is opened and its sweeps resumed.
+	var (
+		cspec chaos.Spec
+		inj   *chaos.Injector
+	)
+	if *chaosFlag != "" {
+		var err error
+		if cspec, err = chaos.ParseSpec(*chaosFlag); err == nil {
+			inj, err = chaos.New(cspec)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "delta-server: -chaos:", err)
+			os.Exit(2)
+		}
+		// Injections land in the server log, so a failed chaos drill shows
+		// exactly which faults fired in what order — and the seed to replay
+		// them.
+		inj.Logf(log.Printf)
+	}
+
 	p := delta.NewPipeline(delta.WithPipelineWorkers(*workers))
 	jobs := newJobStore(jobStoreConfig{MaxJobs: *maxJobs, TTL: *jobTTL})
 	defer jobs.Close()
@@ -178,21 +199,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "delta-server:", err)
 		os.Exit(1)
 	}
-	if *chaosFlag != "" {
-		cspec, err := chaos.ParseSpec(*chaosFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "delta-server: -chaos:", err)
-			os.Exit(2)
-		}
-		inj, err := chaos.New(cspec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "delta-server: -chaos:", err)
-			os.Exit(2)
-		}
-		// Injections land in the server log, so a failed chaos drill shows
-		// exactly which faults fired in what order — and the seed to replay
-		// them.
-		inj.Logf(log.Printf)
+	if inj != nil {
 		ln = inj.Listener(ln)
 		log.Printf("delta-server: CHAOS fault injection armed: %d rule(s), seed %d", len(cspec.Rules), chaos.Seed(cspec.Seed))
 	}

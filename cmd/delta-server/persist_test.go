@@ -1,7 +1,8 @@
 // Tests for the durable-jobs wiring: crash-recovery resume with
 // byte-identical results and the WAL's /metrics and /healthz surface,
 // persistence-aware eviction racing job completion, the entropy-failure
-// job-id fallback, and SSE Last-Event-ID resume.
+// job-id fallback, SSE Last-Event-ID resume, and a bad -chaos spec exiting
+// before the data dir is touched.
 package main
 
 import (
@@ -13,6 +14,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"slices"
 	"sort"
 	"strings"
@@ -452,5 +455,61 @@ func TestOneEncoding(t *testing.T) {
 		if &js.Results[i][0] != &j.results[i][0] {
 			t.Errorf("result %d: the durable store holds a second copy", i)
 		}
+	}
+}
+
+// runMainArg, followed by server flags, makes the test binary run main
+// instead of the tests (see TestMain), so a test can start the real server
+// as a child process and watch how it exits.
+const runMainArg = "-run-delta-server-main"
+
+func TestMain(m *testing.M) {
+	if i := slices.Index(os.Args, runMainArg); i > 0 {
+		os.Args = append([]string{"delta-server"}, os.Args[i+1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadChaosSpecExitsFirst: a -chaos spec that does not parse exits 2
+// before the data dir is opened, so a job left running there is neither
+// restored nor resumed and stays running on disk.
+func TestBadChaosSpecExitsFirst(t *testing.T) {
+	var req jobRequest
+	if err := json.Unmarshal([]byte(multiAxisJob), &req); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := durable.Open(dir, durable.StoreOptions{Fsync: durable.FsyncNever, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "chaos01"
+	if err := st.RecordSubmit(id, "acceptance", 8, time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC), req.Scenario, "fail_fast"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The deadline turns a server that starts anyway into a failure, not a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], runMainArg, "-addr", "127.0.0.1:0", "-data-dir", dir, "-chaos", `[{"fault":"status"}]`)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("bad -chaos: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "durable store: restored") {
+		t.Errorf("bad -chaos resumed the data dir's jobs before exiting:\n%s", stderr.String())
+	}
+	d := openTestDurability(t, dir)
+	defer d.close()
+	if js := findDurableJob(t, d, id); js.Status != durable.StatusRunning || len(js.Results) != 0 {
+		t.Errorf("job after a bad -chaos start: status %s, %d results, want running with none", js.Status, len(js.Results))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"delta/internal/layers"
 	"delta/internal/naming"
 )
 
@@ -95,6 +96,13 @@ func (d Device) Validate() error {
 			d.Name, d.LineBytes, d.SectorBytes, d.L1ReqBytes)
 	case d.LineBytes%d.SectorBytes != 0:
 		return fmt.Errorf("gpu: %s: line %dB not a multiple of sector %dB", d.Name, d.LineBytes, d.SectorBytes)
+	case d.L1ReqBytes < d.SectorBytes || d.SectorBytes < layers.ElemBytes:
+		// The coalescer counts requests in whole sectors, and the
+		// simulator's tile streams emit each run of contiguous elements as
+		// one sector range, which touches every sector only when a sector
+		// holds at least one element.
+		return fmt.Errorf("gpu: %s: request %dB must span at least one sector of %dB, and a sector at least one %dB element",
+			d.Name, d.L1ReqBytes, d.SectorBytes, layers.ElemBytes)
 	case !positive(d.RegKBPerSM) || !positive(d.SMEMKBPerSM) || !positive(d.L2SizeMB):
 		return fmt.Errorf("gpu: %s: storage sizes (reg %v KB, SMEM %v KB, L2 %v MB) must be positive and finite",
 			d.Name, d.RegKBPerSM, d.SMEMKBPerSM, d.L2SizeMB)

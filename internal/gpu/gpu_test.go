@@ -60,6 +60,27 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsSubSectorGranularity: an L1 request narrower than a
+// sector left the coalescer dividing by a zero request/sector ratio, and a
+// sector narrower than one element breaks the simulator's sector ranges.
+// Both are rejected; a request of exactly one sector (Volta) is not.
+func TestValidateRejectsSubSectorGranularity(t *testing.T) {
+	for _, g := range []struct{ req, sec, line int }{{16, 32, 128}, {1, 2, 128}, {32, 2, 128}, {4, 1, 64}} {
+		d := TitanXp()
+		d.L1ReqBytes, d.SectorBytes, d.LineBytes = g.req, g.sec, g.line
+		if err := d.Validate(); err == nil {
+			t.Errorf("request %dB, sector %dB accepted", g.req, g.sec)
+		}
+	}
+	for _, g := range []struct{ req, sec, line int }{{32, 32, 128}, {128, 32, 128}, {16, 4, 64}} {
+		d := TitanXp()
+		d.L1ReqBytes, d.SectorBytes, d.LineBytes = g.req, g.sec, g.line
+		if err := d.Validate(); err != nil {
+			t.Errorf("request %dB, sector %dB rejected: %v", g.req, g.sec, err)
+		}
+	}
+}
+
 // TestValidateAllocs: the analytic path validates the device for every
 // layer, so a valid device must cost no allocation.
 func TestValidateAllocs(t *testing.T) {

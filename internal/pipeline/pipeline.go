@@ -9,8 +9,9 @@
 // Network, Training, Explore, SimulateAll) fan the embarrassingly parallel
 // per-layer evaluations out across a worker pool sized to GOMAXPROCS and
 // honor context.Context cancellation. Trace-driven simulations are
-// memoized per (layer, engine config), so a simulation repeated across
-// figures or sweep points runs once; analytical requests are recomputed on
+// memoized per (layer geometry, engine config), so a simulation repeated
+// across figures, sweep points or relabelled layers runs once; a layer's
+// name is only a label. Analytical requests are recomputed on
 // every call, because one model call is cheaper than keeping its result.
 // Scenario streams group consecutive simulation points that differ only in
 // L2 (engine.SharesL1) so each of their layers runs one engine pass for the

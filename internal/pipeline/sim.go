@@ -2,7 +2,8 @@
 // pipeline, and the only memoized one. Simulations are far heavier than
 // analytical evaluations (they replay every warp of every CTA), so the
 // memo pays here: experiment drivers ask for the same (layer, device,
-// config) simulation across figures, and sweeps repeat layers verbatim.
+// config) simulation across figures, sweeps repeat layers verbatim, and
+// networks repeat layer shapes under new names.
 //
 // Every simulation goes through one path, simulate: a layer under a set of
 // configs that share an L1 phase (engine.SharesL1). The memo answers the
@@ -26,33 +27,47 @@ type SimRequest struct {
 	Config engine.Config
 }
 
-// simKey is the comparable identity of a SimRequest. The engine config is
+// simKey is the comparable identity of a simulation: the layer's geometry
+// (its Name cleared, since a name is only a label) and the engine config,
 // normalized (defaults applied; Workers cleared) because every execution
 // strategy produces bit-identical counters — a serial run may legitimately
-// serve a later parallel request, and vice versa.
+// serve a later parallel request, and vice versa. A shape that repeats
+// under a new name, as ResNet bottleneck blocks do, is simulated once.
 type simKey struct {
 	layer layers.Conv
 	cfg   engine.Config
 }
 
 // simulate answers layer l under every config of cfgs, which must share an
-// L1 phase; results are index-aligned with cfgs. Each config keeps its own
-// memo key, and one engine pass computes the keys the memo does not hold.
+// L1 phase; results are index-aligned with cfgs and report l as their
+// layer. Each config keeps its own memo key, and one engine pass computes
+// the keys the memo does not hold.
 func (e *Evaluator) simulate(l layers.Conv, cfgs []engine.Config) ([]engine.Result, error) {
 	if e.noCache {
 		return engine.RunShared(l, cfgs)
 	}
+	// Validated before the lookup, so the error names l rather than the
+	// layer that first computed its shape.
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	shape := l
+	shape.Name = ""
 	keys := make([]simKey, len(cfgs))
 	for i, c := range cfgs {
-		keys[i] = simKey{layer: l, cfg: c.Normalized()}
+		keys[i] = simKey{layer: shape, cfg: c.Normalized()}
 	}
-	return e.memoize(keys, func(missing []int) ([]engine.Result, error) {
+	rs, err := e.memoize(keys, func(missing []int) ([]engine.Result, error) {
 		pass := make([]engine.Config, len(missing))
 		for j, i := range missing {
 			pass[j] = cfgs[i]
 		}
 		return engine.RunShared(l, pass)
 	})
+	for i := range rs {
+		rs[i].Layer = l
+	}
+	return rs, err
 }
 
 // Simulate answers one simulation request, consulting the memo first.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"delta/internal/cnn"
@@ -139,5 +140,54 @@ func TestSimCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 	}
 	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("execution knobs split the memo key: %+v", s)
+	}
+}
+
+// TestSimCacheKeyIgnoresLayerName: a shape repeated under a new name, in
+// one batch or a later request, runs one engine pass, and every result
+// reports the layer it was asked for: exactly engine.Run's answer for that
+// layer. An invalid layer's error names the requested layer, not the
+// first layer of its shape.
+func TestSimCacheKeyIgnoresLayerName(t *testing.T) {
+	cfg := engine.Config{Device: xp, MaxWaves: 1}
+	a := simLayers[0]
+	b := a
+	b.Name = "s1_again"
+	e := New(WithWorkers(2))
+	got, err := e.SimulateLayers(ctxBg(), []layers.Conv{a, b, a}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Misses != 1 || s.Hits != 2 || s.Entries != 1 {
+		t.Fatalf("a relabelled shape split the memo key: %+v", s)
+	}
+	r, err := e.Simulate(ctxBg(), SimRequest{Layer: b, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Misses != 1 || s.Hits != 3 {
+		t.Fatalf("a later relabelled request missed: %+v", s)
+	}
+	for i, l := range []layers.Conv{a, b, a, b} {
+		want, err := engine.Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r
+		if i < len(got) {
+			res = got[i]
+		}
+		if res != want {
+			t.Errorf("result %d (%s) differs from its own run:\n got %+v\nwant %+v", i, l.Name, res, want)
+		}
+	}
+
+	bad := layers.Conv{Name: "bad1", B: 1, Ci: 8, Hi: 8, Wi: 8, Co: 16, Hf: 3, Wf: 3}
+	for _, name := range []string{"bad1", "bad2"} {
+		bad.Name = name
+		_, err := e.Simulate(ctxBg(), SimRequest{Layer: bad, Config: cfg})
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %v does not name the layer", name, err)
+		}
 	}
 }

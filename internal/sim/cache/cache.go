@@ -6,13 +6,17 @@
 // Section IV): a miss on a sector of an already-present line fetches only
 // that sector. Replacement is LRU within a set.
 //
-// The model sits on the simulator's hottest path (one call per sector of
-// every warp of every CTA), so address decomposition uses shifts and masks
-// instead of div/mod: line and sector granularities must be powers of two
-// (true of every modeled device; Validate rejects the rest), and the set
-// index — whose count is NOT a power of two on several devices (TITAN Xp:
-// 96 L1 sets, 1536 L2 sets) — falls back to a Lemire fastmod (two
-// multiplies) for 32-bit line addresses, and to hardware division beyond.
+// The model sits on the simulator's hottest path, so its entries take a
+// line and a mask of its sectors: AccessLineSectors for the coalesced tile
+// streams' loads and WriteLineSectors for the epilogue's stores each probe
+// the set once for a run of sectors, and the single-sector AccessSector and
+// WriteSector are their one-bit cases. Address decomposition uses shifts
+// and masks instead of div/mod: line and sector granularities must be
+// powers of two (true of every modeled device; Validate rejects the rest),
+// and the set index — whose count is NOT a power of two on several devices
+// (TITAN Xp: 96 L1 sets, 1536 L2 sets) — falls back to a Lemire fastmod
+// (two multiplies) for 32-bit line addresses, and to hardware division
+// beyond.
 package cache
 
 import (
@@ -184,109 +188,36 @@ func (c *Cache) setIndex(lineAddr int64) int64 {
 
 // AccessSector references one sector by byte address. It returns true on a
 // hit; on a miss the sector is filled (fetching SectorBytes from the next
-// level, which the caller accounts for).
+// level, which the caller accounts for). It is AccessLineSectors with one
+// bit set.
 func (c *Cache) AccessSector(byteAddr int64) bool {
-	c.tick++
-	c.stats.SectorAccesses++
-
-	lineAddr := byteAddr >> c.lineShift
-	sector := uint(byteAddr&c.lineMask) >> c.sectorShift
-	set := c.setIndex(lineAddr)
-	base := int(set) * c.ways
-
-	// MRU-first probe: the way that hit last in this set usually hits again
-	// (tile streams revisit the same line many times in a row).
-	w := base + int(c.mru[set])
-	if c.tags[w] != lineAddr {
-		w = -1
-		for i := base; i < base+c.ways; i++ {
-			if c.tags[i] == lineAddr {
-				w = i
-				break
-			}
-		}
-	}
-	if w >= 0 {
-		c.lastUse[w] = c.tick
-		c.mru[set] = int32(w - base)
-		if c.valid[w]&(1<<sector) != 0 {
-			c.stats.SectorHits++
-			return true
-		}
-		// Line present, sector not: sector fill.
-		c.valid[w] |= 1 << sector
-		c.stats.SectorMisses++
-		return false
-	}
-
-	// Line absent: evict LRU way, install line with this sector.
-	c.install(base, set, lineAddr, sector, false)
-	c.stats.SectorMisses++
-	return false
+	return c.AccessLineSectors(byteAddr>>c.lineShift, c.sectorBit(byteAddr)) == 0
 }
 
-// WriteSector writes one sector by byte address with write-back,
-// write-validate allocation: a full-sector store installs the sector
-// without fetching it (no read traffic), marking it dirty. The dirty data
-// reaches the next level only on eviction (DirtyWritebacks).
+// WriteSector writes one sector by byte address: WriteLineSectors with one
+// bit set.
 func (c *Cache) WriteSector(byteAddr int64) {
-	c.tick++
-	c.stats.SectorWrites++
-
-	lineAddr := byteAddr >> c.lineShift
-	sector := uint(byteAddr&c.lineMask) >> c.sectorShift
-	set := c.setIndex(lineAddr)
-	base := int(set) * c.ways
-
-	w := base + int(c.mru[set])
-	if c.tags[w] != lineAddr {
-		w = -1
-		for i := base; i < base+c.ways; i++ {
-			if c.tags[i] == lineAddr {
-				w = i
-				break
-			}
-		}
-	}
-	if w >= 0 {
-		c.lastUse[w] = c.tick
-		c.mru[set] = int32(w - base)
-		c.valid[w] |= 1 << sector
-		c.dirty[w] |= 1 << sector
-		return
-	}
-	c.install(base, set, lineAddr, sector, true)
+	c.WriteLineSectors(byteAddr>>c.lineShift, c.sectorBit(byteAddr))
 }
 
-// install evicts the LRU way of the set (counting dirty writebacks) and
-// fills it with a fresh line holding one sector. Victim selection scans in
-// way order, preferring the first empty way, else the smallest lastUse —
-// the exact order of the original div/mod implementation, so fill patterns
-// (and therefore every downstream counter) are bit-identical.
-func (c *Cache) install(base int, set, lineAddr int64, sector uint, dirty bool) {
-	victim := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tags[i] == invalidTag {
-			victim = i
-			break
+// sectorBit returns the line mask bit of the sector holding byteAddr.
+func (c *Cache) sectorBit(byteAddr int64) uint64 {
+	return 1 << (uint(byteAddr&c.lineMask) >> c.sectorShift)
+}
+
+// probe returns the way of set holding lineAddr, or -1. The way that hit
+// or filled last in the set is tried first: tile streams and OFmap rows
+// revisit the same line many times in a row.
+func (c *Cache) probe(base int, set, lineAddr int64) int {
+	if w := base + int(c.mru[set]); c.tags[w] == lineAddr {
+		return w
+	}
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == lineAddr {
+			return i
 		}
-		if c.lastUse[i] < c.lastUse[victim] {
-			victim = i
-		}
 	}
-	if c.tags[victim] != invalidTag {
-		c.stats.LineEvictions++
-		c.countWritebacks(c.dirty[victim])
-	}
-	c.tags[victim] = lineAddr
-	c.valid[victim] = 1 << sector
-	c.lastUse[victim] = c.tick
-	c.mru[set] = int32(victim - base)
-	if dirty {
-		c.dirty[victim] = 1 << sector
-	} else {
-		c.dirty[victim] = 0
-	}
+	return -1
 }
 
 func (c *Cache) countWritebacks(dirty uint64) {
@@ -324,18 +255,7 @@ func (c *Cache) AccessLineSectors(lineAddr int64, mask uint64) (missMask uint64)
 
 	set := c.setIndex(lineAddr)
 	base := int(set) * c.ways
-
-	w := base + int(c.mru[set])
-	if c.tags[w] != lineAddr {
-		w = -1
-		for i := base; i < base+c.ways; i++ {
-			if c.tags[i] == lineAddr {
-				w = i
-				break
-			}
-		}
-	}
-	if w >= 0 {
+	if w := c.probe(base, set, lineAddr); w >= 0 {
 		// Line present: every set bit already valid is a hit, the rest are
 		// sector fills. The line's lastUse lands on the tick of the run's
 		// last access, exactly as sequential accesses would leave it.
@@ -352,13 +272,45 @@ func (c *Cache) AccessLineSectors(lineAddr int64, mask uint64) (missMask uint64)
 	// Line absent: one install covers the whole run (sequentially, the
 	// first sector installs and the rest are sector fills on the fresh
 	// line, so eviction bookkeeping happens exactly once either way).
-	c.installMask(base, set, lineAddr, mask)
+	c.installMask(base, set, lineAddr, mask, 0)
 	c.stats.SectorMisses += n
 	return mask
 }
 
-// installMask is install for a whole run of sectors at once.
-func (c *Cache) installMask(base int, set, lineAddr int64, mask uint64) {
+// WriteLineSectors writes every sector of one line whose bit is set in
+// mask (lineAddr and mask as in AccessLineSectors) with write-back,
+// write-validate allocation: a full-sector store installs the sector
+// without fetching it (no read traffic), marking it dirty. The dirty data
+// reaches the next level only on eviction (DirtyWritebacks). Like
+// AccessLineSectors, it is bit-identical to writing each set bit's sector
+// in ascending order, with one set probe for the line.
+func (c *Cache) WriteLineSectors(lineAddr int64, mask uint64) {
+	if mask == 0 {
+		return
+	}
+	n := uint64(bits.OnesCount64(mask))
+	c.tick += n
+	c.stats.SectorWrites += n
+
+	set := c.setIndex(lineAddr)
+	base := int(set) * c.ways
+	if w := c.probe(base, set, lineAddr); w >= 0 {
+		c.lastUse[w] = c.tick
+		c.mru[set] = int32(w - base)
+		c.valid[w] |= mask
+		c.dirty[w] |= mask
+		return
+	}
+	c.installMask(base, set, lineAddr, mask, mask)
+}
+
+// installMask evicts the LRU way of the set (counting dirty writebacks)
+// and fills it with a fresh line holding the sectors of mask, dirty ones
+// marked in dirty. Victim selection scans in way order, preferring the
+// first empty way, else the smallest lastUse — the exact order of the
+// original div/mod implementation, so fill patterns (and therefore every
+// downstream counter) are bit-identical.
+func (c *Cache) installMask(base int, set, lineAddr int64, mask, dirty uint64) {
 	victim := base
 	for i := base + 1; i < base+c.ways; i++ {
 		if c.tags[i] == invalidTag {
@@ -375,7 +327,7 @@ func (c *Cache) installMask(base int, set, lineAddr int64, mask uint64) {
 	}
 	c.tags[victim] = lineAddr
 	c.valid[victim] = mask
-	c.dirty[victim] = 0
+	c.dirty[victim] = dirty
 	c.lastUse[victim] = c.tick
 	c.mru[set] = int32(victim - base)
 }

@@ -140,11 +140,11 @@ func diffGeometries() []Config {
 }
 
 // TestDifferentialVsReference drives randomized address streams (loads,
-// stores, batch accesses, mid-stream flushes) through the shift/mask cache
-// and the retained div/mod reference in lockstep, asserting every return
-// value and the full counter set agree at each step across the geometry
-// grid. This is the bit-identity oracle for the address-decomposition and
-// probe-order rewrite.
+// stores, batch and line-masked accesses and stores, mid-stream flushes)
+// through the shift/mask cache and the retained div/mod reference in
+// lockstep, asserting every return value and the full counter set agree
+// at each step across the geometry grid. This is the bit-identity oracle
+// for the address-decomposition and probe-order rewrite.
 func TestDifferentialVsReference(t *testing.T) {
 	for _, cfg := range diffGeometries() {
 		if err := cfg.Validate(); err != nil {
@@ -209,6 +209,16 @@ func TestDifferentialVsReference(t *testing.T) {
 					t.Fatalf("%+v op %d: AccessLineSectors(%d, %#x) = %#x, ref %#x",
 						cfg, op, lineAddr, mask, got, refMask)
 				}
+			case 6: // line-masked store: one probe, many sectors
+				spl := cfg.LineBytes / cfg.SectorBytes
+				lineAddr := randAddr() / int64(cfg.LineBytes)
+				mask := rng.Uint64() & (1<<uint(spl) - 1)
+				for bit := 0; bit < spl; bit++ {
+					if mask&(1<<uint(bit)) != 0 {
+						ref.WriteSector(lineAddr*int64(cfg.LineBytes) + int64(bit)*int64(cfg.SectorBytes))
+					}
+				}
+				fast.WriteLineSectors(lineAddr, mask)
 			default: // load
 				a := randAddr()
 				if got, want := fast.AccessSector(a), ref.AccessSector(a); got != want {

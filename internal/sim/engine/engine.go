@@ -375,21 +375,24 @@ func (s *sim) ctaAt(idx int) (row, col int) {
 
 // storeCTA issues the epilogue stores of CTA (row, col) to one side's L2:
 // its blkM x blkN block of the row-major M x N OFmap. Stores bypass L1 and
-// write-allocate in L2.
+// write-allocate in L2. Each OFmap row's sectors go to the L2 one line at
+// a time, in ascending order, which is bit-identical to writing them one
+// sector at a time.
 func (s *sim) storeCTA(side *l2Side, row, col int) {
 	g := s.grid
-	sb := int64(s.d.SectorBytes)
+	secShift := uint(bits.TrailingZeros(uint(s.d.SectorBytes)))
+	lineShift := uint(bits.TrailingZeros(uint(s.d.LineBytes / s.d.SectorBytes))) // sector index -> line
 	m0 := row * g.Tile.BlkM
 	n0 := col * g.Tile.BlkN
-	nEnd := n0 + g.Tile.BlkN
-	if nEnd > g.N {
-		nEnd = g.N
-	}
+	nEnd := min(n0+g.Tile.BlkN, g.N)
 	for m := m0; m < m0+g.Tile.BlkM && m < g.M; m++ {
-		start := s.ofmapBase + (int64(m)*int64(g.N)+int64(n0))*layers.ElemBytes
-		end := s.ofmapBase + (int64(m)*int64(g.N)+int64(nEnd))*layers.ElemBytes
-		for sec := start / sb; sec*sb < end; sec++ {
-			side.l2.WriteSector(sec * sb)
+		rowBase := s.ofmapBase + int64(m)*int64(g.N)*layers.ElemBytes
+		last := (rowBase + int64(nEnd)*layers.ElemBytes - 1) >> secShift
+		for sec := (rowBase + int64(n0)*layers.ElemBytes) >> secShift; sec <= last; {
+			line := sec >> lineShift
+			next := min((line+1)<<lineShift, last+1)
+			side.l2.WriteLineSectors(line, (uint64(1)<<uint(next-sec)-1)<<uint(sec-line<<lineShift))
+			sec = next
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"delta/internal/gpu"
 	"delta/internal/layers"
+	"delta/internal/sim/cache"
+	"delta/internal/tiling"
 	"delta/internal/traffic"
 )
 
@@ -294,5 +296,89 @@ func TestParallelBuffersBounded(t *testing.T) {
 	parallel := allocated(2)
 	if parallel > serial+4<<20 {
 		t.Errorf("a two-worker pass allocated %d B, the serial pass %d B: want at most 4 MiB more", parallel, serial)
+	}
+}
+
+// FuzzSimulateDevice: the engine survives every device it accepts. The
+// fuzzer sets a Table I device's line, sector and request sizes, SM count,
+// L1 and L2 sizes and way counts; whenever Config.Caches accepts them, a
+// one-wave serial run of a small layer must not panic, and its traffic
+// must flow downhill: the L2 sees at most the sectors the L1 saw, and
+// DRAM at most what the L2 saw. The harness skips devices with more than
+// 2^18 cache lines in all, so one run stays in the milliseconds; the V100
+// has about 70k.
+func FuzzSimulateDevice(f *testing.F) {
+	tableI := []gpu.Device{gpu.TitanXp(), gpu.P100(), gpu.V100()}
+	seed := func(base int, d gpu.Device) {
+		f.Add(uint8(base), uint16(d.LineBytes), uint16(d.SectorBytes), uint16(d.L1ReqBytes), uint16(d.NumSM),
+			uint16(d.L1SizeKBPerSM), uint16(d.L2SizeMB*1024), uint8(4), uint8(16))
+	}
+	for i, d := range tableI {
+		seed(i, d)
+	}
+	subSector := gpu.TitanXp()
+	subSector.L1ReqBytes = 16 // narrower than its 32 B sector
+	seed(0, subSector)
+
+	// K = 27 and N = 48 leave partial filter tiles at both edges, and the
+	// stride takes the fused IFmap path only for sectors of 8 B or more.
+	l := layers.Conv{Name: "fuzz", B: 4, Ci: 3, Hi: 15, Wi: 15, Co: 48, Hf: 3, Wf: 3, Stride: 2, Pad: 1}
+	f.Fuzz(func(t *testing.T, base uint8, line, sector, req, sms, l1KB, l2KB uint16, l1Ways, l2Ways uint8) {
+		d := tableI[int(base)%len(tableI)]
+		d.LineBytes, d.SectorBytes, d.L1ReqBytes = int(line%1025), int(sector%1025), int(req%1025)
+		d.NumSM = int(sms % 129)
+		d.L1SizeKBPerSM = float64(l1KB % 257)
+		d.L2SizeMB = float64(l2KB%8193) / 1024
+		cfg := Config{Device: d, L1Ways: int(l1Ways % 33), L2Ways: int(l2Ways % 65), MaxWaves: 1, Workers: 1}
+		l1, l2, err := cfg.Caches()
+		if err != nil || d.NumSM*lines(l1)+lines(l2) > 1<<18 {
+			return
+		}
+		r, err := Run(l, cfg)
+		if err != nil {
+			t.Fatalf("accepted device %+v: %v", d, err)
+		}
+		if r.L2Bytes > float64(r.L1Stats.SectorAccesses)*float64(d.SectorBytes) || r.DRAMBytes > r.L2Bytes {
+			t.Fatalf("traffic grows downhill on %+v: L1 %d sectors, L2 %v B, DRAM %v B",
+				d, r.L1Stats.SectorAccesses, r.L2Bytes, r.DRAMBytes)
+		}
+	})
+}
+
+// TestStoreCTAMatchesSectorWrites: the line-batched epilogue leaves the L2
+// exactly as one WriteSector per sector would, CTA by CTA, on a grid with
+// a partial last column (N % BlkN != 0) and OFmap rows that end mid-line,
+// through an L2 small enough to evict dirty lines.
+func TestStoreCTAMatchesSectorWrites(t *testing.T) {
+	l := layers.Conv{Name: "edges", B: 2, Ci: 3, Hi: 13, Wi: 13, Co: 200, Hf: 3, Wf: 3, Stride: 1, Pad: 1}
+	d := xp
+	d.L2SizeMB = 1.0 / 16
+	cfg := Config{Device: d}
+	l1, l2, err := cfg.Caches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tiling.NewGrid(l)
+	s := newSim(l, g, []Config{cfg}, l1, []cache.Config{l2})
+	defer s.release()
+	ref := cache.New(l2)
+	sb := int64(d.SectorBytes)
+	for idx := 0; idx < g.NumCTA(); idx++ {
+		row, col := s.ctaAt(idx)
+		s.storeCTA(&s.l2s[0], row, col)
+		n0, nEnd := col*g.Tile.BlkN, min((col+1)*g.Tile.BlkN, g.N)
+		for m := row * g.Tile.BlkM; m < (row+1)*g.Tile.BlkM && m < g.M; m++ {
+			start := s.ofmapBase + (int64(m)*int64(g.N)+int64(n0))*layers.ElemBytes
+			end := s.ofmapBase + (int64(m)*int64(g.N)+int64(nEnd))*layers.ElemBytes
+			for sec := start / sb; sec*sb < end; sec++ {
+				ref.WriteSector(sec * sb)
+			}
+		}
+		if got, want := s.l2s[0].l2.Stats(), ref.Stats(); got != want {
+			t.Fatalf("CTA (%d, %d): L2 %+v, sector by sector %+v", row, col, got, want)
+		}
+	}
+	if got, want := s.l2s[0].l2.FlushDirty(), ref.FlushDirty(); got != want || ref.Stats().LineEvictions == 0 {
+		t.Errorf("flushed %d dirty sectors, sector by sector %d (%d evictions)", got, want, ref.Stats().LineEvictions)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"delta/internal/gpu"
 	"delta/internal/layers"
+	"delta/internal/tiling"
 )
 
 // equivCorpus spans the grid shapes the paper suite produces: all three
@@ -84,29 +85,39 @@ func TestParallelBitIdentical(t *testing.T) {
 // including non-power-of-two way counts — on the TITAN Xp these hit the
 // non-pow2 fastmod set counts (96 L1 / 1536 L2 sets at the default ways).
 // Every parallel run must reproduce the serial reference Result exactly.
+// Half the trials are drawn to span two waves and more than chunkLoops
+// main loops, so the parallel engine's chunk buffers cross both
+// boundaries; the draws also cover partial filter tiles (K % BlkK != 0)
+// and partial CTA columns (N % BlkN != 0), the edges of the filter
+// streams and of the epilogue stores.
 func TestRandomGeometryBitIdentical(t *testing.T) {
 	devices := []gpu.Device{gpu.TitanXp(), gpu.V100()}
 	rng := rand.New(rand.NewSource(42))
 	const trials = 8
+	var multi, partialK, partialN int
 	for trial := 0; trial < trials; trial++ {
-		l := layers.Conv{
-			Name:   fmt.Sprintf("rand%d", trial),
-			B:      1 + rng.Intn(3),
-			Ci:     8 * (1 + rng.Intn(12)),
-			Hi:     7 + rng.Intn(22),
-			Co:     16 * (1 + rng.Intn(8)),
-			Hf:     1 + 2*rng.Intn(2), // 1 or 3
-			Stride: 1 + rng.Intn(2),
-		}
-		l.Wi = l.Hi
-		l.Wf = l.Hf
-		if l.Hf > 1 {
-			l.Pad = rng.Intn(2)
-		}
-		if err := l.Validate(); err != nil {
-			t.Fatalf("trial %d: generated invalid layer: %v", trial, err)
-		}
 		d := devices[trial%len(devices)]
+		wantMulti := trial%4 < 2 // both devices get both kinds
+		var l layers.Conv
+		var g tiling.Grid
+		for {
+			l = randomLayer(rng, wantMulti)
+			g = tiling.NewGrid(l)
+			spans := g.NumCTA() > d.NumSM*g.ActiveCTAs(d) && g.MainLoops() > chunkLoops
+			if spans == wantMulti {
+				break
+			}
+		}
+		l.Name = fmt.Sprintf("rand%d", trial)
+		if wantMulti {
+			multi++
+		}
+		if g.K%g.Tile.BlkK != 0 {
+			partialK++
+		}
+		if g.N%g.Tile.BlkN != 0 {
+			partialN++
+		}
 		cfg := Config{
 			Device:   d,
 			L1Ways:   []int{2, 3, 4}[rng.Intn(3)],
@@ -115,6 +126,7 @@ func TestRandomGeometryBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("trial%d/%s", trial, d.Name), func(t *testing.T) {
 			t.Parallel()
+			t.Logf("%+v: %d CTAs, waves of %d, %d main loops", l, g.NumCTA(), d.NumSM*g.ActiveCTAs(d), g.MainLoops())
 			serial := cfg
 			serial.Workers = 1
 			want, err := Run(l, serial)
@@ -134,6 +146,37 @@ func TestRandomGeometryBitIdentical(t *testing.T) {
 			}
 		})
 	}
+	if multi < trials/2 || partialK == 0 || partialN == 0 {
+		t.Errorf("draws cover %d multi-wave trials, %d with K %% BlkK != 0 and %d with N %% BlkN != 0; want %d, 1 and 1",
+			multi, partialK, partialN, trials/2)
+	}
+}
+
+// randomLayer draws a small layer (B <= 4). A multi-wave draw is larger
+// and has 3x3 filters over at least 8 channels, so K spans more than
+// chunkLoops main loops; the caller redraws until the grid matches.
+func randomLayer(rng *rand.Rand, multi bool) layers.Conv {
+	l := layers.Conv{
+		B:      1 + rng.Intn(3),
+		Ci:     1 + rng.Intn(96),
+		Hi:     7 + rng.Intn(22),
+		Co:     8 * (1 + rng.Intn(16)),
+		Hf:     1 + 2*rng.Intn(2), // 1 or 3
+		Stride: 1 + rng.Intn(2),
+	}
+	if multi {
+		l.B = 2 + rng.Intn(3)
+		l.Ci = 8 + rng.Intn(9)
+		l.Hi = 28 + rng.Intn(29)
+		l.Co = 8 * (1 + rng.Intn(32))
+		l.Hf = 3
+	}
+	l.Wi = l.Hi
+	l.Wf = l.Hf
+	if l.Hf > 1 {
+		l.Pad = rng.Intn(2)
+	}
+	return l
 }
 
 // l2Sweep returns the configs of one shared pass over base: three L2

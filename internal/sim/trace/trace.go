@@ -15,6 +15,15 @@
 // is the only stream memo: an engine pass that serves several configs
 // (engine.RunShared) generates each stream once for all of them, and no
 // stream outlives its pass.
+//
+// StreamCache builds streams from column ranges rather than from warps of
+// addresses. A filter column's elements are contiguous, so every filter
+// stream is built that way; an IFmap column steps by Stride elements
+// between output-row wraps, so IFmap streams are too unless padding loads
+// are predicated off or the step exceeds a sector. Each run is one
+// ascending sector range, coalesced per warp as the Coalescer would.
+// FilterLoop, IFmapLoop and the Coalescer stay as the warp-by-warp
+// reference those streams are pinned against.
 package trace
 
 import (
@@ -114,36 +123,21 @@ func (g *Generator) ifmapLoop(ctaRow, loop int, buf *[tiling.WarpSize]int64, vis
 // FilterLoop emits the warp requests loading the blkN x blkK filter tile of
 // CTA (_, ctaCol) for one main loop. Threads are arranged down the K
 // dimension, so each warp covers blkK consecutive K elements of 32/blkK
-// adjacent columns — the Fig. 5b/5c access pattern.
+// adjacent columns — the Fig. 5b/5c access pattern. StreamCache.Filter
+// builds the same stream from column ranges; this is its reference.
 func (g *Generator) FilterLoop(ctaCol, loop int, visit VisitFn) {
 	var buf [tiling.WarpSize]int64
-	g.filterLoop(ctaCol, loop, &buf, visit)
-}
-
-// filterLoop is FilterLoop with a caller-provided warp scratch buffer; see
-// ifmapLoop.
-func (g *Generator) filterLoop(ctaCol, loop int, buf *[tiling.WarpSize]int64, visit VisitFn) {
-	t := g.Grid.Tile
-	k0 := loop * t.BlkK
-	n0 := ctaCol * t.BlkN
-	colsPerWarp := tiling.WarpSize / t.BlkK
-	if colsPerWarp < 1 {
-		colsPerWarp = 1
-	}
-
-	ks := t.BlkK
-	if k0+ks > g.Grid.K {
-		ks = g.Grid.K - k0
-	}
-	for group := 0; group < t.BlkN; group += colsPerWarp {
+	ks, colsPerWarp := g.filterWarp(loop)
+	n0 := ctaCol * g.Grid.Tile.BlkN
+	for group := 0; group < g.Grid.Tile.BlkN; group += colsPerWarp {
 		cnt := 0
 		for dc := 0; dc < colsPerWarp; dc++ {
 			n := n0 + group + dc
 			if n >= g.Grid.N {
 				break
 			}
-			// Column n's blkK addresses are contiguous from (k0, n).
-			addr := g.filterBase + g.fil.Address(k0, n)*layers.ElemBytes
+			// Column n's ks addresses are contiguous from its tile top.
+			addr := g.filterAddr(loop, n)
 			for dk := 0; dk < ks; dk++ {
 				buf[cnt] = addr
 				addr += layers.ElemBytes
@@ -156,33 +150,45 @@ func (g *Generator) filterLoop(ctaCol, loop int, buf *[tiling.WarpSize]int64, vi
 	}
 }
 
+// filterWarp returns the filter tile's K extent at the given main loop
+// (blkK, or less at the K edge) and the columns one warp covers.
+func (g *Generator) filterWarp(loop int) (ks, colsPerWarp int) {
+	t := g.Grid.Tile
+	ks = min(t.BlkK, g.Grid.K-loop*t.BlkK)
+	return ks, max(1, tiling.WarpSize/t.BlkK)
+}
+
+// filterAddr returns the byte address of filter column n's first element
+// at the given main loop.
+func (g *Generator) filterAddr(loop, n int) int64 {
+	return g.filterBase + g.fil.Address(loop*g.Grid.Tile.BlkK, n)*layers.ElemBytes
+}
+
 // Coalescer groups a warp's addresses into L1 requests and unique sectors.
 // A Coalescer is reusable and allocation-free after construction.
 type Coalescer struct {
 	reqBytes    int64
 	sectorBytes int64
 
-	// Power-of-two granularities (every modeled device) replace the two
-	// divisions per address with shifts.
+	// The granularities are powers of two, so shifts replace the two
+	// divisions per address.
 	secShift   uint
 	ratioShift uint
-	pow2       bool
 
 	sectors [tiling.WarpSize]int64
 	nSec    int
 }
 
 // NewCoalescer builds a coalescer for a device's L1 request and sector
-// granularities.
+// granularities: powers of two with reqBytes >= sectorBytes, as
+// gpu.Device.Validate guarantees.
 func NewCoalescer(reqBytes, sectorBytes int) *Coalescer {
-	c := &Coalescer{reqBytes: int64(reqBytes), sectorBytes: int64(sectorBytes)}
-	if sectorBytes > 0 && reqBytes >= sectorBytes &&
-		sectorBytes&(sectorBytes-1) == 0 && reqBytes&(reqBytes-1) == 0 {
-		c.pow2 = true
-		c.secShift = uint(bits.TrailingZeros(uint(sectorBytes)))
-		c.ratioShift = uint(bits.TrailingZeros(uint(reqBytes / sectorBytes)))
+	return &Coalescer{
+		reqBytes:    int64(reqBytes),
+		sectorBytes: int64(sectorBytes),
+		secShift:    uint(bits.TrailingZeros(uint(sectorBytes))),
+		ratioShift:  uint(bits.TrailingZeros(uint(reqBytes / sectorBytes))),
 	}
-	return c
 }
 
 // Coalesce ingests one warp's byte addresses. It returns the number of L1
@@ -198,28 +204,6 @@ func NewCoalescer(reqBytes, sectorBytes int) *Coalescer {
 // coalesceRef by TestCoalescerQuickVsReference.
 func (c *Coalescer) Coalesce(addrs []int64) (requests int) {
 	c.nSec = 0
-	if c.pow2 {
-		prev := int64(-1)
-		lastSec := int64(-1)
-		lastReq := int64(-1)
-		for i, a := range addrs {
-			if a < prev {
-				return c.coalesceUnsorted(addrs[i:])
-			}
-			prev = a
-			if s := a >> c.secShift; s != lastSec {
-				c.sectors[c.nSec] = s
-				c.nSec++
-				lastSec = s
-				if r := s >> c.ratioShift; r != lastReq {
-					requests++
-					lastReq = r
-				}
-			}
-		}
-		return requests
-	}
-	ratio := c.reqBytes / c.sectorBytes
 	prev := int64(-1)
 	lastSec := int64(-1)
 	lastReq := int64(-1)
@@ -228,11 +212,11 @@ func (c *Coalescer) Coalesce(addrs []int64) (requests int) {
 			return c.coalesceUnsorted(addrs[i:])
 		}
 		prev = a
-		if s := a / c.sectorBytes; s != lastSec {
+		if s := a >> c.secShift; s != lastSec {
 			c.sectors[c.nSec] = s
 			c.nSec++
 			lastSec = s
-			if r := s / ratio; r != lastReq {
+			if r := s >> c.ratioShift; r != lastReq {
 				requests++
 				lastReq = r
 			}
@@ -341,27 +325,30 @@ type StreamCache struct {
 	// (Stride elements) no larger than a sector, so runs touch every
 	// sector in their range — true of every real conv layer; anything else
 	// falls back to the warp-by-warp path. Both paths produce identical
-	// Streams (pinned by TestStreamCacheFastMatchesGeneric).
+	// Streams (pinned by TestStreamCacheMatchesGeneric). Filter streams
+	// always take the range path: a column's elements are contiguous, and
+	// gpu.Device.Validate keeps a sector at least one element wide.
 	fastIFmap bool
 
 	ifmap  []streamEntry // direct-mapped by ctaRow % len
 	filter []streamEntry // direct-mapped by ctaCol % len
 
-	buf     [tiling.WarpSize]int64 // warp scratch shared by both axes
+	buf     [tiling.WarpSize]int64 // warp scratch of the IFmap fallback
 	cur     *Stream                // fill target of the in-flight generation
 	lastSec int64                  // last appended sector, for run merging
 
-	// Per-warp coalescing state of the fused path (the Coalescer resets
+	// Per-warp coalescing state of the range paths (the Coalescer resets
 	// per warp, so block/request counting must too).
 	wLastSec int64
 	wLastReq int64
 
-	visit VisitFn // allocated once; appends into cur
+	visit VisitFn // the IFmap fallback's, allocated once; appends into cur
 }
 
 // NewStreamCache builds a stream memo over gen for a device's coalescing
-// granularities (lineBytes/sectorBytes must be a power-of-two ratio, as
-// gpu.Device.Validate guarantees), sized to one wave of waveSize CTAs.
+// granularities, sized to one wave of waveSize CTAs. The granularities must
+// be powers of two with reqBytes >= sectorBytes >= layers.ElemBytes, as
+// gpu.Device.Validate guarantees.
 func NewStreamCache(gen *Generator, reqBytes, sectorBytes, lineBytes, waveSize int) *StreamCache {
 	slots := func(n int) int {
 		if n > waveSize {
@@ -381,10 +368,7 @@ func NewStreamCache(gen *Generator, reqBytes, sectorBytes, lineBytes, waveSize i
 		ifmap:      make([]streamEntry, slots(gen.Grid.Rows)),
 		filter:     make([]streamEntry, slots(gen.Grid.Cols)),
 	}
-	sc.fastIFmap = !gen.skipPad &&
-		int64(gen.Layer.Stride)*layers.ElemBytes <= int64(sectorBytes) &&
-		reqBytes >= sectorBytes &&
-		sectorBytes&(sectorBytes-1) == 0 && reqBytes&(reqBytes-1) == 0
+	sc.fastIFmap = !gen.skipPad && int64(gen.Layer.Stride)*layers.ElemBytes <= int64(sectorBytes)
 	sc.visit = func(addrs []int64) {
 		sc.cur.Requests += uint64(sc.co.Coalesce(addrs))
 		runs := sc.cur.Runs
@@ -499,7 +483,10 @@ func (sc *StreamCache) emitSectorRange(s0, s1 int64) {
 	sc.wLastSec = s1
 }
 
-// Filter is IFmap for the filter axis: the stream of CTA column ctaCol.
+// Filter is IFmap for the filter axis: the stream of CTA column ctaCol. It
+// is built the way fillIFmapFused builds IFmap streams: a column's ks
+// elements are contiguous, so its touched sectors are one range, and each
+// warp of colsPerWarp columns resets the block/request state.
 func (sc *StreamCache) Filter(ctaCol, loop int) *Stream {
 	e := &sc.filter[ctaCol%len(sc.filter)]
 	if e.live && e.index == int32(ctaCol) && e.loop == int32(loop) {
@@ -507,7 +494,18 @@ func (sc *StreamCache) Filter(ctaCol, loop int) *Stream {
 	}
 	e.index, e.loop, e.live = int32(ctaCol), int32(loop), true
 	sc.fill(&e.s)
-	sc.gen.filterLoop(ctaCol, loop, &sc.buf, sc.visit)
+	g := sc.gen
+	ks, colsPerWarp := g.filterWarp(loop)
+	span := int64(ks-1) * layers.ElemBytes
+	n0 := ctaCol * g.Grid.Tile.BlkN
+	for group := n0; group < n0+g.Grid.Tile.BlkN && group < g.Grid.N; group += colsPerWarp {
+		sc.wLastSec = -1
+		sc.wLastReq = -1
+		for n := group; n < min(group+colsPerWarp, g.Grid.N); n++ {
+			a0 := g.filterAddr(loop, n)
+			sc.emitSectorRange(a0>>sc.secShift, (a0+span)>>sc.secShift)
+		}
+	}
 	return &e.s
 }
 

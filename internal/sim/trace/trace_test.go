@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -315,18 +316,20 @@ func genericStream(g *Generator, kind string, idx, loop, reqBytes, secBytes int)
 	return secs, requests
 }
 
-// TestStreamCacheMatchesGeneric pins the StreamCache (including the fused
-// IFmap path) against the warp-by-warp reference: identical request counts
-// and identical sector sequences for every (axis, index, loop) across the
-// corpus, strides, paddings, and both request granularities.
+// TestStreamCacheMatchesGeneric pins the StreamCache (the range-built
+// filter streams and both IFmap paths) against the warp-by-warp reference:
+// identical request counts and identical sector sequences for every (axis,
+// index, loop) across the corpus, strides, paddings, both request
+// granularities of the modeled devices, and sectors from one element (4 B)
+// to 32 B at up to 32 sectors per line.
 func TestStreamCacheMatchesGeneric(t *testing.T) {
-	grans := []struct{ req, sec, line int }{{128, 32, 128}, {32, 32, 128}}
+	grans := []struct{ req, sec, line int }{{128, 32, 128}, {32, 32, 128}, {64, 8, 256}, {16, 16, 64}, {32, 4, 128}}
 	for _, l := range streamCorpus {
 		for _, skipPad := range []bool{false, true} {
 			g := newGen(t, l, skipPad)
 			for _, gr := range grans {
 				sc := NewStreamCache(g, gr.req, gr.sec, gr.line, 8)
-				lineShift := uint(2) // line/sector = 4 for both granularities
+				lineShift := uint(bits.TrailingZeros(uint(gr.line / gr.sec)))
 				loops := g.Grid.MainLoops()
 				check := func(kind string, idx, loop int) {
 					t.Helper()

@@ -93,6 +93,7 @@ func TestReadDeviceRejects(t *testing.T) {
 		"unknown field":    `{"bogus": 1}`,
 		"invalid value":    `{"num_sm": -1}`,
 		"negative latency": `{"base": "V100", "lat_dram_clk": -1e9}`,
+		"sub-sector req":   `{"base": "TITAN Xp", "l1_req_bytes": 16}`,
 		"bad json":         `{`,
 	}
 	for what, in := range cases {
