@@ -184,6 +184,9 @@ func EstimateAllContext(ctx context.Context, ls []Conv, d GPU, opt TrafficOption
 }
 
 // NetworkTime sums layer times weighted by instance counts (nil = all 1).
+// The sum is unchecked: a total that overflows comes back as ±Inf or NaN.
+// Pipeline.Network is the checked path, which answers such a total with
+// an error.
 func NetworkTime(rs []PerfResult, counts []int) float64 {
 	return perf.NetworkTime(rs, counts)
 }

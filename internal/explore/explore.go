@@ -11,6 +11,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"delta/internal/cnn"
@@ -127,13 +128,18 @@ type Workload struct {
 	Opt traffic.Options
 }
 
-// time evaluates the workload on a device.
+// time evaluates the workload on a device. A count-weighted total that
+// overflows to ±Inf or NaN is an error, as in pipeline.Network.
 func (w Workload) time(d gpu.Device) (float64, error) {
 	rs, err := perf.ModelAll(w.Net.Layers, d, w.Opt)
 	if err != nil {
 		return 0, err
 	}
-	return perf.NetworkTime(rs, w.Net.Counts), nil
+	t := perf.NetworkTime(rs, w.Net.Counts)
+	if math.IsInf(t, 0) || math.IsNaN(t) {
+		return 0, fmt.Errorf("explore: network %q on %q: predicted time %v is not finite", w.Net.Name, d.Name, t)
+	}
+	return t, nil
 }
 
 // Evaluate prices and times every scale against the baseline device.

@@ -311,6 +311,28 @@ func TestNetworkTotalNonFinite(t *testing.T) {
 	}
 }
 
+// TestExploreNonFinite: a network time that overflows is an error on both
+// explore paths, the serial explore.Evaluate and Explore, never a
+// candidate with a NaN speedup.
+func TestExploreNonFinite(t *testing.T) {
+	d := gpu.V100()
+	d.MACGFLOPS = 1e-295
+	net := cnn.AlexNet(8)
+	net.Counts = make([]int, len(net.Layers))
+	for i := range net.Counts {
+		net.Counts[i] = 1 << 62
+	}
+	w := explore.Workload{Net: net}
+	scales := explore.DefaultAxes().Enumerate()[:2]
+	cm := explore.DefaultCostModel()
+	if c, err := explore.Evaluate(w, d, scales, cm); err == nil || !strings.Contains(err.Error(), "is not finite") {
+		t.Errorf("explore.Evaluate = %+v, %v; want a non-finite time error", c, err)
+	}
+	if c, err := New().Explore(ctxBg(), w, d, scales, cm); err == nil || !strings.Contains(err.Error(), "is not finite") {
+		t.Errorf("Explore = %+v, %v; want a non-finite time error", c, err)
+	}
+}
+
 // TestRequestValidation covers the model/pass dispatch guards.
 func TestRequestValidation(t *testing.T) {
 	e := New()

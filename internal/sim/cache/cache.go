@@ -6,9 +6,13 @@
 // Section IV): a miss on a sector of an already-present line fetches only
 // that sector. Replacement is LRU within a set.
 //
+// Each set keeps its ways in recency order, most recent first, so LRU
+// needs no timestamps: a referenced line moves to the front, and a set
+// that is full evicts its last way.
+//
 // The model sits on the simulator's hottest path, so its entries take a
 // line and a mask of its sectors: AccessLineSectors for the coalesced tile
-// streams' loads and WriteLineSectors for the epilogue's stores each probe
+// streams' loads and WriteLineSectors for the epilogue's stores each visit
 // the set once for a run of sectors, and the single-sector AccessSector and
 // WriteSector are their one-bit cases. Address decomposition uses shifts
 // and masks instead of div/mod: line and sector granularities must be
@@ -78,32 +82,37 @@ func (s Stats) MissRate() float64 {
 // invalidTag marks an empty way. Real line addresses are never negative.
 const invalidTag = -1
 
+// way is one line slot: its tag and the masks of its valid and dirty
+// sectors. An empty way is way{tag: invalidTag}.
+type way struct {
+	tag   int64
+	valid uint64
+	dirty uint64
+}
+
 // Cache is a sectored set-associative LRU cache. Not safe for concurrent
 // use; the engine drives each cache from a single goroutine.
 //
-// Way state lives in structure-of-arrays layout: the probe loop scans only
-// tags (8 bytes per way, so a 4-way set's tags share one hardware cache
-// line), touching valid/dirty/lastUse lanes only for the way that matched.
+// Every way is a 24-B entry in one slice, set by set. A set's ways are
+// ordered most recent first, and its empty ways sit only at the tail, so
+// one forward scan finds a line, and the shift that moves the line to the
+// front reads and writes only the ways in front of it. This is exact LRU:
+// the order is the order of last reference, and a miss fills an empty way
+// whenever the set has one.
 type Cache struct {
 	cfg Config
 
 	lineShift   uint  // log2(LineBytes)
 	sectorShift uint  // log2(SectorBytes)
 	lineMask    int64 // LineBytes - 1
-	ways        int
+	assoc       int
 
 	numSets  int64
 	setsPow2 bool
 	setMask  int64  // numSets - 1, when setsPow2
 	setM     uint64 // ceil(2^64 / numSets), for the fastmod path
 
-	tags    []int64 // numSets*ways; invalidTag = empty
-	valid   []uint64
-	dirty   []uint64
-	lastUse []uint64
-	mru     []int32 // per set: way that hit or filled last (probe hint only)
-
-	tick  uint64
+	ways  []way // numSets*assoc; set s is ways[s*assoc:(s+1)*assoc]
 	stats Stats
 }
 
@@ -117,39 +126,30 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// configure gives c the geometry cfg and resets it. Backing arrays are
-// reused when their capacity suffices and otherwise reallocated with
+// configure gives c the geometry cfg and resets it. The way slice is
+// reused when its capacity suffices and otherwise reallocated with
 // capacity rounded up to a power of two, so a cache can serve any
 // geometry of its size class (see Acquire).
 func (c *Cache) configure(cfg Config) {
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	n := numSets * cfg.Ways
+	ways := c.ways
+	if cap(ways) < n {
+		ways = make([]way, n, 1<<bits.Len(uint(n-1)))
+	}
 	*c = Cache{
 		cfg:         cfg,
 		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
 		lineMask:    int64(cfg.LineBytes - 1),
-		ways:        cfg.Ways,
+		assoc:       cfg.Ways,
 		numSets:     int64(numSets),
 		setsPow2:    numSets&(numSets-1) == 0,
 		setMask:     int64(numSets - 1),
 		setM:        ^uint64(0)/uint64(numSets) + 1,
-		tags:        resize(c.tags, n),
-		valid:       resize(c.valid, n),
-		dirty:       resize(c.dirty, n),
-		lastUse:     resize(c.lastUse, n),
-		mru:         resize(c.mru, numSets),
+		ways:        ways[:n],
 	}
 	c.Reset()
-}
-
-// resize returns s with length n, reallocating with capacity rounded up to
-// a power of two only when cap(s) < n. Contents are left for Reset.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n, 1<<bits.Len(uint(n-1)))
-	}
-	return s[:n]
 }
 
 // Config returns the cache geometry.
@@ -160,14 +160,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	for i := range c.ways {
+		c.ways[i] = way{tag: invalidTag}
 	}
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.lastUse)
-	clear(c.mru)
-	c.tick = 0
 	c.stats = Stats{}
 }
 
@@ -205,34 +200,51 @@ func (c *Cache) sectorBit(byteAddr int64) uint64 {
 	return 1 << (uint(byteAddr&c.lineMask) >> c.sectorShift)
 }
 
-// probe returns the way of set holding lineAddr, or -1. The way that hit
-// or filled last in the set is tried first: tile streams and OFmap rows
-// revisit the same line many times in a row.
-func (c *Cache) probe(base int, set, lineAddr int64) int {
-	if w := base + int(c.mru[set]); c.tags[w] == lineAddr {
-		return w
+// touch makes lineAddr the most recent way of its set and returns that
+// way. A present line moves to the front with its sectors. An absent line
+// is installed at the front with none valid: the ways in front of the
+// first empty way shift down into it, or, in a full set, every way shifts
+// down and the last (least recent) one is evicted, its dirty sectors
+// written back. Either way the scan stops at the first way it need not
+// move, so a hit on the front way touches only that way.
+func (c *Cache) touch(lineAddr int64) *way {
+	base := int(c.setIndex(lineAddr)) * c.assoc
+	set := c.ways[base : base+c.assoc]
+	prev := set[0]
+	if prev.tag == lineAddr {
+		return &set[0]
 	}
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == lineAddr {
-			return i
+	for i := 1; i < len(set); i++ {
+		w := set[i]
+		set[i] = prev
+		switch w.tag {
+		case lineAddr:
+			set[0] = w
+			return &set[0]
+		case invalidTag:
+			set[0] = way{tag: lineAddr}
+			return &set[0]
 		}
+		prev = w
 	}
-	return -1
-}
-
-func (c *Cache) countWritebacks(dirty uint64) {
-	c.stats.DirtyWritebacks += uint64(bits.OnesCount64(dirty))
+	// prev is the way shifted out of the set's tail.
+	if prev.tag != invalidTag {
+		c.stats.LineEvictions++
+		c.stats.DirtyWritebacks += uint64(bits.OnesCount64(prev.dirty))
+	}
+	set[0] = way{tag: lineAddr}
+	return &set[0]
 }
 
 // FlushDirty writes back every dirty sector still resident (end of kernel)
 // and returns the number flushed; counters include them as DirtyWritebacks.
+// An empty way is never dirty.
 func (c *Cache) FlushDirty() uint64 {
 	before := c.stats.DirtyWritebacks
-	for i, d := range c.dirty {
-		if c.tags[i] != invalidTag {
-			c.countWritebacks(d)
-			c.dirty[i] = 0
-		}
+	for i := range c.ways {
+		w := &c.ways[i]
+		c.stats.DirtyWritebacks += uint64(bits.OnesCount64(w.dirty))
+		w.dirty = 0
 	}
 	return c.stats.DirtyWritebacks - before
 }
@@ -240,41 +252,26 @@ func (c *Cache) FlushDirty() uint64 {
 // AccessLineSectors references every sector of one line whose bit is set
 // in mask (lineAddr = byte address >> log2(LineBytes); mask bit i = sector
 // i of the line), in ascending sector order, and returns the mask of
-// sectors that missed. It is bit-identical — every counter, LRU timestamp,
-// and eviction decision — to calling AccessSector once per set bit in
-// ascending order, but probes the set once per line instead of once per
-// sector: the engine's fastest entry for the coalesced tile streams, whose
-// sectors arrive as runs within one line.
+// sectors that missed. It is bit-identical — every counter and eviction
+// decision — to calling AccessSector once per set bit in ascending order,
+// but visits the set once per line instead of once per sector: the
+// engine's fastest entry for the coalesced tile streams, whose sectors
+// arrive as runs within one line. (Sequentially, the first sector makes
+// the line most recent, installing it if absent, and the rest find it at
+// the front.)
 func (c *Cache) AccessLineSectors(lineAddr int64, mask uint64) (missMask uint64) {
 	if mask == 0 {
 		return 0
 	}
 	n := uint64(bits.OnesCount64(mask))
-	c.tick += n
 	c.stats.SectorAccesses += n
-
-	set := c.setIndex(lineAddr)
-	base := int(set) * c.ways
-	if w := c.probe(base, set, lineAddr); w >= 0 {
-		// Line present: every set bit already valid is a hit, the rest are
-		// sector fills. The line's lastUse lands on the tick of the run's
-		// last access, exactly as sequential accesses would leave it.
-		c.lastUse[w] = c.tick
-		c.mru[set] = int32(w - base)
-		missMask = mask &^ c.valid[w]
-		c.valid[w] |= mask
-		misses := uint64(bits.OnesCount64(missMask))
-		c.stats.SectorHits += n - misses
-		c.stats.SectorMisses += misses
-		return missMask
-	}
-
-	// Line absent: one install covers the whole run (sequentially, the
-	// first sector installs and the rest are sector fills on the fresh
-	// line, so eviction bookkeeping happens exactly once either way).
-	c.installMask(base, set, lineAddr, mask, 0)
-	c.stats.SectorMisses += n
-	return mask
+	w := c.touch(lineAddr)
+	missMask = mask &^ w.valid
+	w.valid |= mask
+	misses := uint64(bits.OnesCount64(missMask))
+	c.stats.SectorHits += n - misses
+	c.stats.SectorMisses += misses
+	return missMask
 }
 
 // WriteLineSectors writes every sector of one line whose bit is set in
@@ -283,98 +280,23 @@ func (c *Cache) AccessLineSectors(lineAddr int64, mask uint64) (missMask uint64)
 // without fetching it (no read traffic), marking it dirty. The dirty data
 // reaches the next level only on eviction (DirtyWritebacks). Like
 // AccessLineSectors, it is bit-identical to writing each set bit's sector
-// in ascending order, with one set probe for the line.
+// in ascending order, with one visit to the set for the line.
 func (c *Cache) WriteLineSectors(lineAddr int64, mask uint64) {
 	if mask == 0 {
 		return
 	}
-	n := uint64(bits.OnesCount64(mask))
-	c.tick += n
-	c.stats.SectorWrites += n
-
-	set := c.setIndex(lineAddr)
-	base := int(set) * c.ways
-	if w := c.probe(base, set, lineAddr); w >= 0 {
-		c.lastUse[w] = c.tick
-		c.mru[set] = int32(w - base)
-		c.valid[w] |= mask
-		c.dirty[w] |= mask
-		return
-	}
-	c.installMask(base, set, lineAddr, mask, mask)
-}
-
-// installMask evicts the LRU way of the set (counting dirty writebacks)
-// and fills it with a fresh line holding the sectors of mask, dirty ones
-// marked in dirty. Victim selection scans in way order, preferring the
-// first empty way, else the smallest lastUse — the exact order of the
-// original div/mod implementation, so fill patterns (and therefore every
-// downstream counter) are bit-identical.
-func (c *Cache) installMask(base int, set, lineAddr int64, mask, dirty uint64) {
-	victim := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tags[i] == invalidTag {
-			victim = i
-			break
-		}
-		if c.lastUse[i] < c.lastUse[victim] {
-			victim = i
-		}
-	}
-	if c.tags[victim] != invalidTag {
-		c.stats.LineEvictions++
-		c.countWritebacks(c.dirty[victim])
-	}
-	c.tags[victim] = lineAddr
-	c.valid[victim] = mask
-	c.dirty[victim] = dirty
-	c.lastUse[victim] = c.tick
-	c.mru[set] = int32(victim - base)
-}
-
-// AccessSectors references each sector index in secs, in order (byte
-// address = sec * sectorBytes), and returns the number of sector misses:
-// the generic batch entry for scalar sector streams. (The engine itself
-// drives its coalesced tile streams through AccessLineSectors, whose runs
-// amortize the set probe as well as the call.)
-func (c *Cache) AccessSectors(secs []int64, sectorBytes int64) (misses int) {
-	for _, sec := range secs {
-		if !c.AccessSector(sec * sectorBytes) {
-			misses++
-		}
-	}
-	return misses
-}
-
-// AccessBytes references every sector overlapped by [byteAddr,
-// byteAddr+size) and returns the number of sector misses.
-func (c *Cache) AccessBytes(byteAddr int64, size int) (misses int) {
-	sb := int64(c.cfg.SectorBytes)
-	first := byteAddr >> c.sectorShift
-	last := (byteAddr + int64(size) - 1) >> c.sectorShift
-	for s := first; s <= last; s++ {
-		if !c.AccessSector(s * sb) {
-			misses++
-		}
-	}
-	return misses
-}
-
-// MissBytes returns the bytes fetched from the next level so far.
-func (c *Cache) MissBytes() uint64 {
-	return c.stats.SectorMisses * uint64(c.cfg.SectorBytes)
-}
-
-// AccessBytesTotal returns the bytes referenced so far (sector granularity).
-func (c *Cache) AccessBytesTotal() uint64 {
-	return c.stats.SectorAccesses * uint64(c.cfg.SectorBytes)
+	c.stats.SectorWrites += uint64(bits.OnesCount64(mask))
+	w := c.touch(lineAddr)
+	w.valid |= mask
+	w.dirty |= mask
 }
 
 // pools recycles caches by size class: pools[k] holds caches whose way
-// arrays have capacity 2^k, so simulation runs reuse backing arrays
-// instead of re-allocating them per layer (an L2 alone is ~1 MB of way
-// state). The classes are fixed, so what the pools retain does not grow
-// with the number of distinct geometries a process simulates.
+// slices have capacity 2^k, so simulation runs reuse backing arrays
+// instead of re-allocating them per layer (an L2 holds 0.6-1.2 MB of way
+// state on the Table I devices). The classes are fixed, so what the pools
+// retain does not grow with the number of distinct geometries a process
+// simulates.
 var pools [64]sync.Pool
 
 // sizeClass returns the pool index of a cache with n ways in all: the
@@ -401,6 +323,6 @@ func Acquire(cfg Config) *Cache {
 // Release returns the cache to its size class's pool. The caller must not
 // use it afterwards; it is reconfigured and reset on the next Acquire.
 func (c *Cache) Release() {
-	// resize keeps every capacity a power of two: its exact class.
-	pools[sizeClass(cap(c.tags))].Put(c)
+	// configure keeps every capacity a power of two: its exact class.
+	pools[sizeClass(cap(c.ways))].Put(c)
 }

@@ -73,16 +73,44 @@ func TestLRUEviction(t *testing.T) {
 	if !c.AccessSector(32 * 128) {
 		t.Error("resident line missed")
 	}
+
+	// A hit makes its line most recent: touch A, B, C and D, hit A, then
+	// install E. B is now the least recent line and is evicted; A stays.
+	c = smallCache()
+	line := func(k int64) int64 { return k * 8 * 128 } // k-th line of set 0
+	a, b, e := line(0), line(1), line(4)
+	for _, x := range []int64{a, b, line(2), line(3)} {
+		c.AccessSector(x)
+	}
+	if !c.AccessSector(a) {
+		t.Fatal("resident line A missed")
+	}
+	c.AccessSector(e)
+	if got := c.Stats().LineEvictions; got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
+	}
+	if !c.AccessSector(a) {
+		t.Error("A, hit before E was installed, was evicted")
+	}
+	if c.AccessSector(b) {
+		t.Error("B, the least recent line when E was installed, still hit")
+	}
 }
 
 func TestAccessBytesSpansSectors(t *testing.T) {
 	c := smallCache()
-	// 64 bytes starting at 16 spans sectors 0, 1, 2.
-	if m := c.AccessBytes(16, 64); m != 3 {
-		t.Errorf("misses = %d, want 3", m)
+	// 64 bytes starting at 16 span sectors 0, 1 and 2 of line 0.
+	if m := c.AccessLineSectors(0, 0b111); m != 0b111 {
+		t.Errorf("miss mask = %#b, want 0b111", m)
 	}
-	if m := c.AccessBytes(16, 64); m != 0 {
-		t.Errorf("second pass misses = %d, want 0", m)
+	if st := c.Stats(); st.SectorAccesses != 3 || st.SectorMisses != 3 || st.SectorHits != 0 {
+		t.Errorf("stats after first pass = %+v", st)
+	}
+	if m := c.AccessLineSectors(0, 0b111); m != 0 {
+		t.Errorf("second pass miss mask = %#b, want 0", m)
+	}
+	if st := c.Stats(); st.SectorAccesses != 6 || st.SectorMisses != 3 || st.SectorHits != 3 {
+		t.Errorf("stats after second pass = %+v", st)
 	}
 }
 
@@ -100,14 +128,16 @@ func TestReset(t *testing.T) {
 
 func TestMissRateAndByteCounters(t *testing.T) {
 	c := smallCache()
-	c.AccessSector(0)
-	c.AccessSector(0)
+	c.AccessLineSectors(0, 0b1)
+	c.AccessLineSectors(0, 0b1)
 	st := c.Stats()
 	if st.MissRate() != 0.5 {
 		t.Errorf("miss rate = %v", st.MissRate())
 	}
-	if c.MissBytes() != 32 || c.AccessBytesTotal() != 64 {
-		t.Errorf("bytes: miss %d access %d", c.MissBytes(), c.AccessBytesTotal())
+	// Bytes fetched and referenced are sector counts times SectorBytes.
+	sb := uint64(c.Config().SectorBytes)
+	if st.SectorMisses*sb != 32 || st.SectorAccesses*sb != 64 {
+		t.Errorf("bytes: miss %d access %d", st.SectorMisses*sb, st.SectorAccesses*sb)
 	}
 	if (Stats{}).MissRate() != 0 {
 		t.Error("empty miss rate != 0")
@@ -255,10 +285,8 @@ func BenchmarkAccessSector(b *testing.B) {
 // not allocate at all.
 func TestAccessAllocFree(t *testing.T) {
 	c := New(Config{SizeBytes: 96 * 128 * 4, LineBytes: 128, SectorBytes: 32, Ways: 4})
-	secs := []int64{0, 1, 2, 3, 40, 41}
 	allocs := testing.AllocsPerRun(100, func() {
 		c.AccessSector(4096)
-		c.AccessSectors(secs, 32)
 		c.AccessLineSectors(7, 0xF)
 		c.WriteSector(12345)
 	})

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -117,11 +118,12 @@ func (c *refCache) FlushDirty() uint64 {
 
 // diffGeometries spans power-of-two and non-power-of-two set counts (the
 // modeled devices have both: V100 L1 = 64 sets, TITAN Xp L1 = 96, L2 =
-// 1536), several associativities, and sub-line sector ratios.
+// 1536), several associativities (among them an odd one, and 32 ways,
+// whose misses shift long runs of ways), and sub-line sector ratios.
 func diffGeometries() []Config {
 	sectors := []int{32, 64, 128}
 	lines := []int{128, 256}
-	ways := []int{1, 2, 4, 16}
+	ways := []int{1, 2, 3, 4, 16, 32}
 	setCounts := []int{1, 3, 7, 48, 64, 96, 255, 1536}
 	var out []Config
 	for _, ln := range lines {
@@ -140,11 +142,12 @@ func diffGeometries() []Config {
 }
 
 // TestDifferentialVsReference drives randomized address streams (loads,
-// stores, batch and line-masked accesses and stores, mid-stream flushes)
-// through the shift/mask cache and the retained div/mod reference in
-// lockstep, asserting every return value and the full counter set agree
-// at each step across the geometry grid. This is the bit-identity oracle
-// for the address-decomposition and probe-order rewrite.
+// stores, bursts of loads, line-masked accesses and stores, mid-stream
+// flushes) through the shift/mask cache and the retained div/mod
+// reference in lockstep, asserting every return value and the full
+// counter set agree at each step across the geometry grid. This is the
+// bit-identity oracle for the address decomposition and for the
+// recency-ordered sets, whose LRU needs no timestamps.
 func TestDifferentialVsReference(t *testing.T) {
 	for _, cfg := range diffGeometries() {
 		if err := cfg.Validate(); err != nil {
@@ -176,48 +179,27 @@ func TestDifferentialVsReference(t *testing.T) {
 				if got, want := fast.FlushDirty(), ref.FlushDirty(); got != want {
 					t.Fatalf("%+v op %d: FlushDirty = %d, ref %d", cfg, op, got, want)
 				}
-			case 4: // batch access over sector indices
-				n := 1 + rng.Intn(32)
-				secs := make([]int64, n)
-				for i := range secs {
-					secs[i] = randAddr() / int64(cfg.SectorBytes)
-				}
-				refMisses := 0
-				for _, s := range secs {
-					if !ref.AccessSector(s * int64(cfg.SectorBytes)) {
-						refMisses++
+			case 4: // a burst of single-sector loads
+				for n := 1 + rng.Intn(32); n > 0; n-- {
+					a := randAddr() &^ int64(cfg.SectorBytes-1)
+					if got, want := fast.AccessSector(a), ref.AccessSector(a); got != want {
+						t.Fatalf("%+v op %d: AccessSector(%d) = %v, ref %v", cfg, op, a, got, want)
 					}
 				}
-				if got := fast.AccessSectors(secs, int64(cfg.SectorBytes)); got != refMisses {
-					t.Fatalf("%+v op %d: AccessSectors = %d, ref %d", cfg, op, got, refMisses)
-				}
-			case 5: // line-masked batch: one probe, many sectors
+			case 5: // line-masked batch: one visit to the set, many sectors
 				spl := cfg.LineBytes / cfg.SectorBytes
 				lineAddr := randAddr() / int64(cfg.LineBytes)
 				mask := rng.Uint64() & (1<<uint(spl) - 1)
-				var refMask uint64
-				for bit := 0; bit < spl; bit++ {
-					if mask&(1<<uint(bit)) == 0 {
-						continue
-					}
-					byteAddr := lineAddr*int64(cfg.LineBytes) + int64(bit)*int64(cfg.SectorBytes)
-					if !ref.AccessSector(byteAddr) {
-						refMask |= 1 << uint(bit)
-					}
-				}
+				refMask := refLineLoad(ref, lineAddr, mask)
 				if got := fast.AccessLineSectors(lineAddr, mask); got != refMask {
 					t.Fatalf("%+v op %d: AccessLineSectors(%d, %#x) = %#x, ref %#x",
 						cfg, op, lineAddr, mask, got, refMask)
 				}
-			case 6: // line-masked store: one probe, many sectors
+			case 6: // line-masked store: one visit to the set, many sectors
 				spl := cfg.LineBytes / cfg.SectorBytes
 				lineAddr := randAddr() / int64(cfg.LineBytes)
 				mask := rng.Uint64() & (1<<uint(spl) - 1)
-				for bit := 0; bit < spl; bit++ {
-					if mask&(1<<uint(bit)) != 0 {
-						ref.WriteSector(lineAddr*int64(cfg.LineBytes) + int64(bit)*int64(cfg.SectorBytes))
-					}
-				}
+				refLineStore(ref, lineAddr, mask)
 				fast.WriteLineSectors(lineAddr, mask)
 			default: // load
 				a := randAddr()
@@ -235,6 +217,108 @@ func TestDifferentialVsReference(t *testing.T) {
 			t.Fatalf("%+v: final stats diverged:\n fast %+v\n ref  %+v", cfg, fast.Stats(), ref.Stats())
 		}
 	}
+}
+
+// refLineLoad loads the sectors of mask from line lineAddr through ref one
+// sector at a time, in ascending order, and returns the mask of those that
+// missed: what AccessLineSectors must return.
+func refLineLoad(ref *refCache, lineAddr int64, mask uint64) (missMask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		bit := bits.TrailingZeros64(m)
+		if !ref.AccessSector(lineAddr*int64(ref.cfg.LineBytes) + int64(bit)*int64(ref.cfg.SectorBytes)) {
+			missMask |= 1 << uint(bit)
+		}
+	}
+	return missMask
+}
+
+// refLineStore writes the sectors of mask in line lineAddr through ref one
+// sector at a time, in ascending order: what WriteLineSectors must do.
+func refLineStore(ref *refCache, lineAddr int64, mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		ref.WriteSector(lineAddr*int64(ref.cfg.LineBytes) + int64(bits.TrailingZeros64(m))*int64(ref.cfg.SectorBytes))
+	}
+}
+
+// fuzzOpBytes is the size of one op on FuzzCacheVsReference's tape: a kind
+// byte, a little-endian uint32 byte address and a little-endian uint64
+// sector mask.
+const fuzzOpBytes = 13
+
+// FuzzCacheVsReference runs a fuzzed op tape through the cache and refCache
+// in lockstep on a fuzzed geometry: power-of-two line and sector sizes,
+// 1-64 ways, and at most 2^16 ways in all, so the largest Table I L2 fits
+// and one exec stays short. After every op each return value and the full
+// Stats must agree. An op is a sector load or store, a line-masked load or
+// store, or a flush, by its kind byte mod 5; a kind byte with its top bit
+// set moves the address beyond 32-bit line addresses, off the fastmod path.
+func FuzzCacheVsReference(f *testing.F) {
+	// (log2 line, log2 sector, ways, sets): the Table I devices' L1 and L2
+	// as engine.Config.Caches derives them (4 and 16 ways), then an odd
+	// associativity and a 32-way one.
+	geoms := [][4]int{
+		{7, 5, 4, 96}, {7, 5, 16, 1536}, // TITAN Xp
+		{7, 5, 4, 48}, {7, 5, 16, 2048}, // P100
+		{7, 5, 4, 64}, {7, 5, 16, 3072}, // V100
+		{7, 5, 3, 96}, {7, 5, 32, 64},
+	}
+	for i, g := range geoms {
+		// Each seed op touches one of ways+1 lines of one set, so the seeds
+		// hit, promote, evict and write back from their first exec.
+		rng := rand.New(rand.NewSource(int64(i)))
+		line, ways, sets := 1<<g[0], g[2], g[3]
+		var tape []byte
+		for op := 0; op < 24; op++ {
+			tape = append(tape, byte(rng.Intn(256)))
+			tape = binary.LittleEndian.AppendUint32(tape, uint32(rng.Intn(ways+1)*sets*line+rng.Intn(line)))
+			tape = binary.LittleEndian.AppendUint64(tape, rng.Uint64())
+		}
+		f.Add(uint8(g[0]), uint8(g[1]), uint8(g[2]), uint16(g[3]), tape)
+	}
+	f.Fuzz(func(t *testing.T, lineLog, sectorLog, ways uint8, sets uint16, tape []byte) {
+		line, sector := 1<<(lineLog%16), 1<<(sectorLog%16)
+		cfg := Config{SizeBytes: int(sets) * int(ways) * line, LineBytes: line, SectorBytes: sector, Ways: int(ways)}
+		if ways > 64 || int(sets)*int(ways) > 1<<16 || cfg.Validate() != nil {
+			return
+		}
+		fast, ref := Acquire(cfg), newRef(cfg)
+		defer fast.Release()
+		span := 4 * int64(cfg.SizeBytes)
+		spl := uint(line / sector)
+		for op := 0; len(tape) >= fuzzOpBytes; op++ {
+			kind := tape[0]
+			addr := int64(binary.LittleEndian.Uint32(tape[1:])) % span
+			if kind&0x80 != 0 {
+				addr += 1 << 48
+			}
+			lineAddr := addr / int64(line)
+			mask := binary.LittleEndian.Uint64(tape[5:]) & (1<<spl - 1)
+			tape = tape[fuzzOpBytes:]
+			switch kind % 5 {
+			case 0:
+				if got, want := fast.AccessSector(addr), ref.AccessSector(addr); got != want {
+					t.Fatalf("%+v op %d: AccessSector(%d) = %v, ref %v", cfg, op, addr, got, want)
+				}
+			case 1:
+				fast.WriteSector(addr)
+				ref.WriteSector(addr)
+			case 2:
+				if got, want := fast.AccessLineSectors(lineAddr, mask), refLineLoad(ref, lineAddr, mask); got != want {
+					t.Fatalf("%+v op %d: AccessLineSectors(%d, %#x) = %#x, ref %#x", cfg, op, lineAddr, mask, got, want)
+				}
+			case 3:
+				fast.WriteLineSectors(lineAddr, mask)
+				refLineStore(ref, lineAddr, mask)
+			case 4:
+				if got, want := fast.FlushDirty(), ref.FlushDirty(); got != want {
+					t.Fatalf("%+v op %d: FlushDirty = %d, ref %d", cfg, op, got, want)
+				}
+			}
+			if fast.Stats() != ref.Stats() {
+				t.Fatalf("%+v op %d: stats diverged:\n fast %+v\n ref  %+v", cfg, op, fast.Stats(), ref.Stats())
+			}
+		}
+	})
 }
 
 // TestAcquireReleaseReuse pins pooled caches: a released cache comes back

@@ -129,8 +129,8 @@ func (c Config) Caches() (l1, l2 cache.Config, err error) {
 }
 
 // maxLines bounds the cache lines one pass simulates, every SM's L1 plus
-// each config's L2. The cache model keeps 32 B of way state per line, so a
-// pass allocates at most 128 MiB of it. The largest registered device
+// each config's L2. The cache model keeps 24 B of way state per line, so a
+// pass allocates at most 96 MiB of it. The largest registered device
 // (V100: 84 SMs x 256 L1 lines + 49,152 L2 lines) simulates about 70k
 // lines per config.
 const maxLines = 1 << 22
@@ -318,8 +318,8 @@ func newSim(l layers.Conv, grid tiling.Grid, cfgs []Config, l1Cfg cache.Config, 
 	gen := trace.New(l, grid, cfg.SkipPadding)
 
 	// Cache state comes from size-class pools: backing arrays (an L2
-	// alone is ~1 MB of way state) are reset and reused across layers
-	// instead of re-allocated per run.
+	// alone is 0.6-1.2 MB of way state on the Table I devices) are reset
+	// and reused across layers instead of re-allocated per run.
 	l1s := make([]*cache.Cache, d.NumSM)
 	for i := range l1s {
 		l1s[i] = cache.Acquire(l1Cfg)
