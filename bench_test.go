@@ -6,7 +6,7 @@ package delta
 // `go test -bench=. -benchmem` reproduces the whole evaluation.
 //
 // Figure benchmarks run the reduced "quick" sweep per iteration to keep
-// -bench runs tractable; `delta-experiments -run all` produces the full
+// -bench runs tractable; `delta experiments -run all` produces the full
 // artifacts (README, CLIs).
 
 import (

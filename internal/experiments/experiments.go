@@ -31,8 +31,8 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig returns the configuration delta-experiments runs with when
-// no flag overrides it.
+// DefaultConfig returns the configuration `delta experiments` runs with
+// when no flag overrides it.
 func DefaultConfig() Config {
 	return Config{Batch: 256, SimBatch: 4, TimingBatch: 32}
 }

@@ -39,7 +39,7 @@ func extTrain(ctx context.Context, cfg Config) ([]*report.Table, error) {
 		t := report.NewTable(
 			fmt.Sprintf("Training step, %s (B=%d)", net.Name, cfg.Batch),
 			"layer", "fprop ms", "dgrad ms", "wgrad ms", "splitK", "bwd/fwd")
-		var fwd, trainTotal float64
+		var fwd float64
 		for i, s := range steps {
 			dg := "-"
 			if !s.SkipDgrad {
@@ -49,11 +49,9 @@ func extTrain(ctx context.Context, cfg Config) ([]*report.Table, error) {
 				s.WgradSplitK, s.BackwardOverForward())
 			c := float64(net.Counts[i])
 			fwd += s.Fprop.Seconds * c
-			trainTotal += s.Seconds() * c
 		}
-		_ = total
 		tables = append(tables, t)
-		summary.AddRow(net.Name, fwd*1e3, trainTotal*1e3, trainTotal/fwd)
+		summary.AddRow(net.Name, fwd*1e3, total*1e3, total/fwd)
 	}
 	return append(tables, summary), nil
 }

@@ -147,11 +147,6 @@ func (d Device) CyclesToSeconds(cycles float64) float64 {
 	return cycles / (d.ClockGHz * 1e9)
 }
 
-// SecondsToCycles converts seconds to core clocks.
-func (d Device) SecondsToCycles(s float64) float64 {
-	return s * d.ClockGHz * 1e9
-}
-
 // L2SizeBytes returns the L2 capacity in bytes.
 func (d Device) L2SizeBytes() float64 { return d.L2SizeMB * (1 << 20) }
 

@@ -232,9 +232,6 @@ func (f FilterMatrix) Address(k, n int) int64 {
 	return int64(n)*int64(f.K) + int64(k)
 }
 
-// Elems returns the number of weight elements.
-func (f FilterMatrix) Elems() int64 { return int64(f.K) * int64(f.N) }
-
 // RequestRatio returns the paper's Eq. 2: the ratio of elements spanned to
 // elements used when a warp walks one IFmap-matrix column, caused by the
 // Wf-1 skipped elements at each output-row boundary and by the stride.

@@ -111,9 +111,6 @@ func TestFilterMatrixLayout(t *testing.T) {
 	if d := f.Address(0, 1) - f.Address(0, 0); d != 36 {
 		t.Errorf("N-direction step = %d, want 36", d)
 	}
-	if f.Elems() != 36*16 {
-		t.Errorf("Elems = %d", f.Elems())
-	}
 }
 
 func TestRequestRatio(t *testing.T) {

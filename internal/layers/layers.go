@@ -119,18 +119,6 @@ func (c Conv) OFmapBytes() float64 {
 	return float64(m) * float64(n) * ElemBytes
 }
 
-// FootprintBytes returns the total working set (inputs + weights + outputs).
-func (c Conv) FootprintBytes() float64 {
-	return c.IFmapPaddedBytes() + c.FilterBytes() + c.OFmapBytes()
-}
-
-// ArithmeticIntensity returns FLOPs per byte of compulsory traffic
-// (inputs + weights read once, outputs written once). It is a coarse
-// roofline-style indicator, not part of the DeLTA equations.
-func (c Conv) ArithmeticIntensity() float64 {
-	return c.FLOPs() / (c.IFmapBytes() + c.FilterBytes() + c.OFmapBytes())
-}
-
 // WithBatch returns a copy of the layer with the mini-batch replaced.
 func (c Conv) WithBatch(b int) Conv {
 	c.B = b

@@ -80,10 +80,6 @@ func TestFootprints(t *testing.T) {
 	if got, want := c.OFmapBytes(), float64(2*5*5*4*4); got != want {
 		t.Errorf("OFmapBytes = %v, want %v", got, want)
 	}
-	sum := c.IFmapPaddedBytes() + c.FilterBytes() + c.OFmapBytes()
-	if got := c.FootprintBytes(); got != sum {
-		t.Errorf("FootprintBytes = %v, want %v", got, sum)
-	}
 }
 
 func TestMACsAndFLOPs(t *testing.T) {
@@ -175,8 +171,7 @@ func TestQuickFootprintPositive(t *testing.T) {
 		return c.IFmapBytes() > 0 &&
 			c.IFmapPaddedBytes() >= c.IFmapBytes() &&
 			c.FilterBytes() > 0 &&
-			c.OFmapBytes() > 0 &&
-			c.ArithmeticIntensity() > 0
+			c.OFmapBytes() > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

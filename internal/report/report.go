@@ -3,6 +3,7 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -82,18 +83,10 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderCSV writes the table as CSV (no quoting; cells must not contain
-// commas, which holds for all generated content).
+// RenderCSV writes the table as CSV, quoting the cells that hold a comma,
+// a quote, a newline or a leading space.
 func (t *Table) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.headers, ","))
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return csv.NewWriter(w).WriteAll(append([][]string{t.headers}, t.rows...))
 }
 
 // String renders to a string, for tests and logs.

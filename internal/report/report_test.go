@@ -1,6 +1,8 @@
 package report
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,6 +38,30 @@ func TestRenderCSV(t *testing.T) {
 	}
 	if got := b.String(); got != "a,b\n1,2.5\n" {
 		t.Errorf("CSV = %q", got)
+	}
+
+	// Cells that hold the separator, a quote, a newline or a leading space
+	// round-trip through a CSV reader with one field count per record.
+	tb = NewTable("", "option", "configuration", "speedup")
+	tb.AddRow(1, "2x SM, 1.5x L2/DRAM BW", 1.918)
+	tb.AddRow("conv1, 3x3", `say "hi"`, "two\nlines")
+	tb.AddRow(" lead", "", "-")
+	b.Reset()
+	if err := tb.RenderCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatalf("reading %q: %v", b.String(), err)
+	}
+	want := [][]string{
+		{"option", "configuration", "speedup"},
+		{"1", "2x SM, 1.5x L2/DRAM BW", "1.918"},
+		{"conv1, 3x3", `say "hi"`, "two\nlines"},
+		{" lead", "", "-"},
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("CSV %q read back as %q, want %q", b.String(), recs, want)
 	}
 }
 

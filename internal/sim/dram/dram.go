@@ -56,9 +56,6 @@ func (c *Channel) serve(now, bytes float64) float64 {
 	return done
 }
 
-// BusyUntil returns the time the data bus frees up.
-func (c *Channel) BusyUntil() float64 { return c.busyUntil }
-
 // Stats summarizes channel activity.
 type Stats struct {
 	ReadBytes, WriteBytes float64
@@ -89,6 +86,3 @@ func (c *Channel) Reset() {
 func (c *Channel) UnloadedLatency(bytes float64) float64 {
 	return bytes/c.bytesPerClk + c.latencyClk
 }
-
-// PeakBytesPerClk returns the channel's byte rate.
-func (c *Channel) PeakBytesPerClk() float64 { return c.bytesPerClk }

@@ -75,8 +75,12 @@ func TestStatsAndReset(t *testing.T) {
 		t.Errorf("mean turnaround = %v", s.MeanTurnaroundClk)
 	}
 	c.Reset()
-	if c.Stats().Requests != 0 || c.BusyUntil() != 0 {
+	if c.Stats().Requests != 0 {
 		t.Error("reset incomplete")
+	}
+	// A reset bus is idle: a lone read completes after the unloaded latency.
+	if got, want := c.Read(0, 32), c.UnloadedLatency(32); got != want {
+		t.Errorf("read after reset done at %v, want %v", got, want)
 	}
 }
 

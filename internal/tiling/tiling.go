@@ -6,7 +6,6 @@ package tiling
 
 import (
 	"fmt"
-	"math"
 
 	"delta/internal/gpu"
 	"delta/internal/layers"
@@ -141,13 +140,6 @@ func (g Grid) CTAsOnBusiestSM(d gpu.Device) int {
 	return ceilDiv(g.NumCTA(), d.NumSM)
 }
 
-// Waves returns the number of full CTA batches (NumSM * ActiveCTAs CTAs
-// execute concurrently as one batch; Section IV-C).
-func (g Grid) Waves(d gpu.Device) int {
-	batch := d.NumSM * g.ActiveCTAs(d)
-	return ceilDiv(g.NumCTA(), batch)
-}
-
 // EdgeEfficiencyM returns the fraction of the M extent of the CTA grid that
 // is useful work (edge CTAs are partially predicated off).
 func (g Grid) EdgeEfficiencyM() float64 {
@@ -169,27 +161,4 @@ func ProfileTileWidth(coMax int) []int {
 		out[co-1] = Select(co).BlkN
 	}
 	return out
-}
-
-// OccupancyReport summarizes the occupancy calculation for diagnostics.
-type OccupancyReport struct {
-	Tile        Tile
-	RegLimit    int
-	SMEMLimit   int
-	HWLimit     int
-	ActiveCTAs  int
-	ThreadCount int
-}
-
-// Occupancy computes a detailed occupancy report for a grid on a device.
-func (g Grid) Occupancy(d gpu.Device) OccupancyReport {
-	r := OccupancyReport{
-		Tile:        g.Tile,
-		RegLimit:    int(math.Floor(d.RegBytesPerSM() / g.Tile.RegBytes())),
-		SMEMLimit:   int(math.Floor(d.SMEMBytesPerSM() / g.Tile.SMEMBytes())),
-		HWLimit:     d.MaxCTAPerSM,
-		ActiveCTAs:  g.ActiveCTAs(d),
-		ThreadCount: g.Tile.Threads(),
-	}
-	return r
 }
